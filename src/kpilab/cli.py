@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 config error, 3 numerical-consistency error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from .storage import (
     eigenvalues_to_csv,
     field_to_csv,
     field_to_json,
+    json_text,
     read_field,
     rows_to_csv,
     write_field,
@@ -65,9 +65,8 @@ def _cmd_run(args) -> int:
         args.config,
         output_root=args.out or os.environ.get("KPI_LAB_OUTPUT_ROOT"),
         seed_override=args.seed,
-        threads=args.threads,
     )
-    print(json.dumps({"outputs": manifest["outputs"]}, indent=2))
+    print(json_text({"outputs": manifest["outputs"]}, indent=2))
     return 0
 
 
@@ -123,7 +122,7 @@ def _cmd_observe(args) -> int:
         orientation=args.control,
         method=args.method,
     )
-    print(json.dumps({"ratio": ratio, "horizon": args.horizon, "control": args.control}))
+    print(json_text({"ratio": ratio, "horizon": args.horizon, "control": args.control}))
     return 0
 
 
@@ -139,7 +138,9 @@ def _cmd_gramian(args) -> int:
         write_gramian(block, out / f"gramian_l{block.fixed_freq}.bin")
     eigenvalues_to_csv(blocks, out / "gramian_eigenvalues.csv")
     estimate = observability_constant(blocks)
-    print(json.dumps({"lambda_min": estimate.lambda_min, "constant": estimate.constant}))
+    # no finite constant when lambda_min <= 0; JSON null
+    constant = estimate.constant if estimate.lambda_min > 0 else None
+    print(json_text({"lambda_min": estimate.lambda_min, "constant": constant}))
     return 0
 
 
@@ -159,8 +160,8 @@ def _cmd_control(args) -> int:
         "relative_residual": traj.diagnostics["relative_residual"],
         "terminal_error": (terminal - u1).norm(),
     }
-    (out / "control_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report))
+    (out / "control_report.json").write_text(json_text(report, indent=2) + "\n")
+    print(json_text(report))
     return 0
 
 
@@ -171,22 +172,13 @@ def _cmd_dichotomy(args) -> int:
         small_cutoff=args.cutoff_small,
         beta=args.beta,
     )
-    result = dichotomy_experiment(
-        packet, args.horizon, range(args.n_min, args.n_max + 1), threads=args.threads
-    )
+    result = dichotomy_experiment(packet, args.horizon, range(args.n_min, args.n_max + 1))
     out = _out_dir(args)
     rows = [[r.n, r.h, r.eps, r.ratio, r.grid_nx] for r in result.rows]
     rows_to_csv(["n", "h", "eps", "ratio", "grid_nx"], rows, out / "dichotomy.csv")
-    ratios = result.ratios()
-    summary = {
-        "alpha": args.alpha,
-        "slope": result.slope,
-        "monotone_decreasing": bool(np.all(np.diff(ratios) < 0)) if len(rows) > 1 else False,
-        "last_over_first": float(ratios[-1] / ratios[0]),
-        "floor_over_first": float(ratios.min() / ratios[0]),
-    }
-    (out / "dichotomy.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary))
+    summary = result.summary()
+    (out / "dichotomy.json").write_text(json_text(summary, indent=2) + "\n")
+    print(json_text(summary))
     return 0
 
 
@@ -212,7 +204,8 @@ def _cmd_random_field(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kpi-lab")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    # kept so existing command lines still parse
+    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", default="csv", choices=["csv", "json", "bin"])
     # the same flags are accepted after the subcommand; SUPPRESS keeps the

@@ -9,9 +9,7 @@ deterministic given the config and seed; timings live only in the manifest.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +35,7 @@ from .observe import (
     spectral_constant_table,
 )
 from .packets import PacketParams, dichotomy_experiment
-from .storage import rows_to_csv
+from .storage import json_text, rows_to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +102,6 @@ def check_leakage(field: SpectralField, tol: float = 1e-10) -> None:
             f"initial data carries {frac:.3e} relative mass in the outer "
             f"10% of the frequency window (tolerance {tol:.1e})"
         )
-
-
-def parallel_map(fn, items, threads: int = 1):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +308,7 @@ def _profile_from_section(sec: _Section, nx_default: int = 1024) -> ControlProfi
     return make_control_profile(a, b, kind, grid)
 
 
-def _run_dichotomy(sec: _Section, seed: int, threads: int):
+def _run_dichotomy(sec: _Section, seed: int):
     params = PacketParams(
         alpha=sec.get_float("alpha", required=True),
         big_cutoff=sec.get_float("cutoff_big", 1.0),
@@ -328,26 +318,13 @@ def _run_dichotomy(sec: _Section, seed: int, threads: int):
     n_lo = sec.get_int("n_min", 4)
     n_hi = sec.get_int("n_max", 9)
     horizon = sec.get_float("horizon", 1.0)
-    result = dichotomy_experiment(
-        params, horizon, range(n_lo, n_hi + 1), threads=threads
-    )
+    result = dichotomy_experiment(params, horizon, range(n_lo, n_hi + 1))
     rows = [[r.n, r.h, r.eps, r.ratio, r.grid_nx] for r in result.rows]
-    ratios = result.ratios()
-    first = float(ratios[0])
-    summary = {
-        "alpha": params.alpha,
-        "horizon": horizon,
-        "slope": result.slope,
-        "monotone_decreasing": bool(
-            np.all(np.diff(ratios) < 0) if len(rows) > 1 else False
-        ),
-        "last_over_first": float(ratios[-1]) / first,
-        "floor_over_first": float(ratios.min()) / first,
-    }
+    summary = {**result.summary(), "horizon": horizon}
     return ["n", "h", "eps", "ratio", "grid_nx"], rows, summary
 
 
-def _run_frequency_scan(sec: _Section, seed: int, threads: int):
+def _run_frequency_scan(sec: _Section, seed: int):
     h = sec.get_float("h", required=True)
     profile = _profile_from_section(sec)
     rows_dicts = frequency_localized_scan(
@@ -371,7 +348,7 @@ def _run_frequency_scan(sec: _Section, seed: int, threads: int):
     return ["n", "modes", "scale", "empirical_constant", "exact_constant"], rows, summary
 
 
-def _run_weak_observability(sec: _Section, seed: int, threads: int):
+def _run_weak_observability(sec: _Section, seed: int):
     h = sec.get_float("h", required=True)
     profile = _profile_from_section(sec, nx_default=256)
     rows_dicts = weak_observability_diagnostic(
@@ -394,24 +371,25 @@ def _run_weak_observability(sec: _Section, seed: int, threads: int):
     )
 
 
-def _run_gramian_floor(sec: _Section, seed: int, threads: int):
+def _run_gramian_floor(sec: _Section, seed: int):
     profile = _profile_from_section(sec)
     horizon = sec.get_float("horizon", 1.0)
     k_window = sec.get_int("k_window", 32)
     l_window = sec.get_int("l_window", 8)
     params = DispersionParams.kp1(sec.get_float("alpha", 2.0))
 
-    def build(l):
-        return assemble_observability_gramian(horizon, k_window, l, profile, params)
-
-    blocks = parallel_map(build, range(-l_window, l_window + 1), threads)
+    blocks = [
+        assemble_observability_gramian(horizon, k_window, l, profile, params)
+        for l in range(-l_window, l_window + 1)
+    ]
     estimate = observability_constant(blocks)
     rows = [
         [int(b.fixed_freq), float(b.eigenvalues[0])] for b in blocks
     ]
     summary = {
         "lambda_min": estimate.lambda_min,
-        "observability_constant": estimate.constant,
+        # no finite constant when lambda_min <= 0; JSON null
+        "observability_constant": estimate.constant if estimate.lambda_min > 0 else None,
         "k_window": k_window,
         "l_window": l_window,
         "horizon": horizon,
@@ -419,7 +397,7 @@ def _run_gramian_floor(sec: _Section, seed: int, threads: int):
     return ["l", "lambda_min"], rows, summary
 
 
-def _run_spectral_constant(sec: _Section, seed: int, threads: int):
+def _run_spectral_constant(sec: _Section, seed: int):
     profile = _profile_from_section(sec)
     m_max = sec.get_int("m_max", 32)
     table = spectral_constant_table(profile, m_max)
@@ -428,7 +406,7 @@ def _run_spectral_constant(sec: _Section, seed: int, threads: int):
     return ["m0", "kappa"], rows, summary
 
 
-def _run_hum_steer(sec: _Section, seed: int, threads: int):
+def _run_hum_steer(sec: _Section, seed: int):
     nx = sec.get_int("nx", 64)
     ny = sec.get_int("ny", 16)
     grid = TorusGrid(nx, ny)
@@ -486,6 +464,7 @@ def run_experiment(
 
     Writes one CSV per experiment, a JSON summary, and ``manifest.json``
     listing each output with its sha256. Returns the manifest dict.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     config_path = Path(config_path)
     text = config_path.read_text()
@@ -518,7 +497,7 @@ def run_experiment(
                 line=entry.line,
             )
         started = time.perf_counter()
-        header, rows, summary = engine(sec, seed, threads)
+        header, rows, summary = engine(sec, seed)
         manifest["timings"][name] = time.perf_counter() - started
         csv_path = out_dir / f"{name}.csv"
         rows_to_csv(header, rows, csv_path)
@@ -530,7 +509,7 @@ def run_experiment(
             }
         )
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summaries, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json_text(summaries, indent=2, sort_keys=True) + "\n")
     manifest["outputs"].append(
         {
             "file": summary_path.name,
@@ -538,6 +517,6 @@ def run_experiment(
         }
     )
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        json_text(manifest, indent=2, sort_keys=True) + "\n"
     )
     return manifest

@@ -1,12 +1,12 @@
 """Constructive exact controllability: Gramian inversion and verification.
 
-The control Gramian ``Lambda_T v = integral_0^T S(s) G^2 S(-s) v ds`` shares
-its static kernel with the observability blocks but carries the conjugated
-time factor. Solving ``Lambda_T phi = u1 - S(T) u0`` blockwise and setting
-``f(t) = G S(t - T) phi`` steers ``u0`` to ``u1`` at time T; the Duhamel
-identity makes this exact in the truncated (grid) state space. The solver is
-the conjugate-residual variant of the conjugate-gradient family, whose
-residual norms decrease monotonically.
+The control Gramian ``Lambda_T v = integral_0^T S(s) G^2 S(-s) v ds`` is the
+observability kernel run backward in time: the same static Gram and time
+factor, at the frequencies ``-omega``. Solving ``Lambda_T phi = u1 - S(T) u0``
+blockwise and setting ``f(t) = G S(t - T) phi`` steers ``u0`` to ``u1`` at
+time T; the Duhamel identity makes this exact in the truncated (grid) state
+space. The solver is the conjugate-residual variant of the conjugate-gradient
+family, whose residual norms decrease monotonically.
 
 Verification integrates the forced equation with a classical RK4 scheme in
 the integrating-factor frame (the diagonal part is removed exactly, so no
@@ -27,7 +27,6 @@ from .errors import (
     ParameterError,
 )
 from .fourier import (
-    TWO_PI,
     SpectralField,
     TorusGrid,
     require_mean_zero,
@@ -35,23 +34,11 @@ from .fourier import (
 from .observe import (
     ControlProfile,
     Orientation,
+    _gramian_kernel,
     apply_control,
-    control_gram_matrix,
-    time_factor,
+    window_mask,
 )
 from .propagate import evolve
-
-
-def _full_k_window(grid: TorusGrid) -> np.ndarray:
-    """All x-frequencies except 0 and Nyquist."""
-    k = grid.k_values
-    return k[(k != 0) & (k != -grid.nx // 2)]
-
-
-def _full_l_window(grid: TorusGrid) -> np.ndarray:
-    """All transverse frequencies except Nyquist (l = 0 is admissible)."""
-    l = grid.l_values
-    return l[l != -grid.ny // 2]
 
 
 class ControlGramian:
@@ -59,7 +46,9 @@ class ControlGramian:
 
     Vertical control decouples transverse frequencies: one block per l over
     the full x-window. Horizontal control decouples x-frequencies instead.
-    Blocks are assembled once and reused across conjugate-gradient sweeps.
+    ``stack[b]`` is the block of ``labels[b]``; the blocks are assembled once
+    and reused across conjugate-residual sweeps. The windows leave out
+    ``k = 0`` and the Nyquist frequencies.
     """
 
     def __init__(
@@ -77,75 +66,53 @@ class ControlGramian:
         self.profile = profile
         self.params = params
         self.orientation = orientation
-        self.blocks: dict[int, np.ndarray] = {}
-        self._block_index: dict[int, np.ndarray] = {}
+        k_mask = window_mask(grid.k_values, grid.nx // 2 - 1, exclude_zero=True)
         if orientation == "vertical":
             if profile.grid.nx != grid.nx:
                 raise DimensionError("profile grid does not match the field's x-axis")
-            idx = _full_k_window(grid)
-            m = control_gram_matrix(profile, idx)
-            labels = [0] if grid.dimension == 1 else list(grid.l_values)
-            for l in labels:
-                if grid.dimension == 2 and l == -grid.ny // 2:
-                    continue
-                if grid.dimension == 1:
-                    freq_params = params
-                else:
-                    freq_params = DispersionParams.reduced(params.alpha, float(abs(l)))
-                omega = frequencies_1d(idx, freq_params).astype(float)
-                e_mat = time_factor(omega[None, :] - omega[:, None], horizon)
-                self.blocks[int(l)] = m * np.conj(e_mat) / TWO_PI
-                self._block_index[int(l)] = idx
+            idx = grid.k_values[k_mask]
+            if grid.dimension == 1:
+                self.labels = np.zeros(1, dtype=int)
+                omega = frequencies_1d(idx, params)[None, :]
+                self._window = (k_mask, None)
+            else:
+                l_mask = window_mask(grid.l_values, grid.ny // 2 - 1, exclude_zero=False)
+                self.labels = grid.l_values[l_mask]
+                omega = frequencies_2d(idx, self.labels, params).T
+                self._window = np.ix_(k_mask, l_mask)
         elif orientation == "horizontal":
             if grid.dimension != 2:
                 raise DimensionError("horizontal control requires a 2D grid")
             if profile.grid.nx != grid.ny:
                 raise DimensionError("profile grid does not match the field's y-axis")
-            idx = _full_l_window(grid)
-            m = control_gram_matrix(profile, idx)
-            for k in _full_k_window(grid):
-                omega = np.array(
-                    [abs(k) ** params.alpha * k + float(l) ** 2 / k for l in idx],
-                    dtype=float,
-                )
-                e_mat = time_factor(omega[None, :] - omega[:, None], horizon)
-                self.blocks[int(k)] = m * np.conj(e_mat) / TWO_PI
-                self._block_index[int(k)] = idx
+            l_mask = window_mask(grid.l_values, grid.ny // 2 - 1, exclude_zero=False)
+            idx = grid.l_values[l_mask]
+            self.labels = grid.k_values[k_mask]
+            omega = frequencies_2d(self.labels, idx, params)
+            self._window = np.ix_(k_mask, l_mask)
         else:
             raise ParameterError(f"unknown control orientation {orientation!r}")
+        # vertical blocks are columns of the (k, l) window, horizontal ones rows
+        self._by_column = orientation == "vertical"
+        # the observability kernel run backward in time
+        self.stack = _gramian_kernel(profile, idx, -omega.astype(float), horizon)
 
-    def _extract(self, coeffs: np.ndarray, label: int) -> np.ndarray:
-        grid = self.grid
-        idx = self._block_index[label]
-        if self.orientation == "vertical":
-            if grid.dimension == 1:
-                return coeffs[[grid.index_of_k(int(k)) for k in idx]]
-            col = grid.index_of_l(label)
-            return coeffs[[grid.index_of_k(int(k)) for k in idx], col]
-        row = grid.index_of_k(label)
-        return coeffs[row, [grid.index_of_l(int(l)) for l in idx]]
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """Block vectors ``(len(labels), n)`` of a coefficient array."""
+        vecs = coeffs[self._window]
+        return vecs.T if self._by_column else vecs
 
-    def _insert(self, coeffs: np.ndarray, label: int, vec: np.ndarray) -> None:
-        grid = self.grid
-        idx = self._block_index[label]
-        if self.orientation == "vertical":
-            if grid.dimension == 1:
-                coeffs[[grid.index_of_k(int(k)) for k in idx]] = vec
-            else:
-                col = grid.index_of_l(label)
-                coeffs[[grid.index_of_k(int(k)) for k in idx], col] = vec
-        else:
-            row = grid.index_of_k(label)
-            coeffs[row, [grid.index_of_l(int(l)) for l in idx]] = vec
+    def scatter(self, vecs: np.ndarray) -> np.ndarray:
+        """Coefficient array holding the block vectors, zero off the window."""
+        out = np.zeros(self.grid.shape, dtype=np.complex128)
+        out[self._window] = vecs.T if self._by_column else vecs
+        return out
 
     def apply(self, v: SpectralField) -> SpectralField:
         """Hermitian PSD action of the control Gramian on a field."""
         require_mean_zero(v)
-        out = np.zeros(self.grid.shape, dtype=np.complex128)
-        for label, block in self.blocks.items():
-            vec = self._extract(v.coeffs, label)
-            self._insert(out, label, block @ vec)
-        return SpectralField(self.grid, out)
+        vecs = self.gather(v.coeffs)
+        return SpectralField(self.grid, self.scatter((self.stack @ vecs[..., None])[..., 0]))
 
 
 def control_gramian_apply(
@@ -276,14 +243,13 @@ def synthesize_control(
     require_mean_zero(u0)
     require_mean_zero(u1)
     op = ControlGramian(u0.grid, horizon, profile, params, orientation)
-    rhs_field = u1 - evolve(u0, horizon, params)
-    phi = np.zeros(u0.grid.shape, dtype=np.complex128)
+    rhs = op.gather((u1 - evolve(u0, horizon, params)).coeffs)
+    solution = np.zeros_like(rhs)
     iterations = 0
     final_rel = 0.0
     histories: dict[int, list[float]] = {}
-    for label, block in op.blocks.items():
-        rhs_vec = op._extract(rhs_field.coeffs, label)
-        x, history, iters, ok = _conjugate_residual(block, rhs_vec, tol, max_iter)
+    for b, label in enumerate(op.labels.tolist()):
+        x, history, iters, ok = _conjugate_residual(op.stack[b], rhs[b], tol, max_iter)
         histories[label] = history
         if not ok:
             raise NonConvergenceError(
@@ -295,8 +261,8 @@ def synthesize_control(
         iterations = max(iterations, iters)
         if history[0] > 0:
             final_rel = max(final_rel, history[-1] / history[0])
-        op._insert(phi, label, x)
-    phi_field = SpectralField(u0.grid, phi)
+        solution[b] = x
+    phi_field = SpectralField(u0.grid, op.scatter(solution))
     times = np.linspace(0.0, horizon, sample_count)
     traj = ControlTrajectory(
         horizon=horizon,
@@ -374,6 +340,6 @@ def verify_control(
         acc += (dt / 6.0) * (left + 4.0 * mid + right)
         left = right
     # the forcing is mean-zero by construction; drop accumulated rounding dust
-    acc[grid.index_of_k(0)] = 0.0
+    acc[grid.k_values == 0] = 0.0
     integrated = SpectralField(grid, u0.coeffs + acc)
     return evolve(integrated, horizon, params)

@@ -8,8 +8,9 @@ time factor
 
     E(delta, T) = (exp(i T delta) - 1) / (i delta),    E(0, T) = T,
 
-paired with the static Gram matrix of G on exponentials. The same kernel,
-conjugated, drives the control Gramian used by the HUM synthesis.
+paired with the static Gram matrix of G on exponentials. One kernel builds
+every block; run backward in time (at frequencies ``-omega``) it gives the
+control Gramian used by the HUM synthesis.
 
 All Gram matrices are assembled from the grid DFT of ``g`` and ``g^2`` with
 periodic index wrapping, which makes them exactly consistent with the
@@ -27,6 +28,7 @@ import numpy as np
 from .dispersion import (
     DispersionParams,
     frequencies_1d,
+    frequencies_2d,
     unit_phases,
 )
 from .errors import (
@@ -317,6 +319,45 @@ def window_indices(size: int, exclude_zero: bool) -> np.ndarray:
     return idx[idx != 0] if exclude_zero else idx
 
 
+def window_mask(freqs: np.ndarray, size: int, exclude_zero: bool) -> np.ndarray:
+    """Boolean mask of the window ``|f| <= size`` over the frequencies of a grid axis.
+
+    Selects the entries of :func:`window_indices` in storage order. The
+    window must stay below the axis Nyquist frequency, which has no
+    positive partner on the grid.
+    """
+    if size > freqs.size // 2 - 1:
+        raise ParameterError(
+            f"window {size} reaches the Nyquist frequency of a {freqs.size}-point axis"
+        )
+    mask = np.abs(freqs) <= size
+    return mask & (freqs != 0) if exclude_zero else mask
+
+
+def _gramian_kernel(
+    profile: ControlProfile,
+    indices: np.ndarray,
+    omega: np.ndarray,
+    horizon: float,
+    plain_weight: bool = False,
+) -> np.ndarray:
+    """Static Gram times the exact time factor ``E(omega_j - omega_i, T)``, over 2 pi.
+
+    ``omega`` holds the per-mode frequencies of one block, or of a stack of
+    blocks along its leading axes, which then share the static Gram. With
+    ``-omega`` the kernel runs backward in time and gives the control
+    Gramian. ``plain_weight`` selects multiplication by g instead of the
+    mean-corrected control operator.
+    """
+    e_mat = time_factor(omega[..., None, :] - omega[..., :, None], horizon)
+    m = (
+        plain_weight_gram_matrix(profile, indices)
+        if plain_weight
+        else control_gram_matrix(profile, indices)
+    )
+    return m * e_mat / TWO_PI
+
+
 def assemble_observability_gramian(
     horizon: float,
     k_window: int,
@@ -341,13 +382,11 @@ def assemble_observability_gramian(
     idx = window_indices(k_window, exclude_zero=True)
     reduced = DispersionParams.reduced(params.alpha, float(abs(l)))
     omega = frequencies_1d(idx, reduced).astype(float)
-    e_mat = time_factor(omega[None, :] - omega[:, None], horizon)
-    m = control_gram_matrix(profile, idx)
     return GramianBlock(
         indices=idx,
         fixed_freq=l,
         horizon=horizon,
-        matrix=m * e_mat / TWO_PI,
+        matrix=_gramian_kernel(profile, idx, omega, horizon),
         axis="x",
     )
 
@@ -374,16 +413,12 @@ def assemble_horizontal_gramian(
             f"window L={l_window} exceeds the profile grid (nx={profile.grid.nx})"
         )
     idx = window_indices(l_window, exclude_zero=False)
-    omega = np.array(
-        [abs(k) ** params.alpha * k + float(l) ** 2 / k for l in idx], dtype=float
-    )
-    e_mat = time_factor(omega[None, :] - omega[:, None], horizon)
-    m = control_gram_matrix(profile, idx)
+    omega = frequencies_2d([k], idx, params)[0].astype(float)
     return GramianBlock(
         indices=idx,
         fixed_freq=k,
         horizon=horizon,
-        matrix=m * e_mat / TWO_PI,
+        matrix=_gramian_kernel(profile, idx, omega, horizon),
         axis="y",
     )
 
@@ -406,17 +441,11 @@ def gramian_from_frequencies(
     omega = np.asarray(omega, dtype=float)
     if omega.shape != indices.shape:
         raise DimensionError("frequency table must match the index window")
-    e_mat = time_factor(omega[None, :] - omega[:, None], horizon)
-    m = (
-        plain_weight_gram_matrix(profile, indices)
-        if plain_weight
-        else control_gram_matrix(profile, indices)
-    )
     return GramianBlock(
         indices=indices,
         fixed_freq=fixed_freq,
         horizon=horizon,
-        matrix=m * e_mat / TWO_PI,
+        matrix=_gramian_kernel(profile, indices, omega, horizon, plain_weight),
         axis="x",
     )
 
@@ -472,48 +501,43 @@ def gramian_observed_energy(
 ) -> float:
     """Observed energy via exact-time-factor blocks on the field's support."""
     grid = u0.grid
+    nonzero = np.abs(u0.coeffs) > 0
     if orientation == "vertical":
         kv = grid.k_values
-        nonzero = np.abs(u0.coeffs) > 0
         k_active = kv[np.any(nonzero, axis=1)] if grid.dimension == 2 else kv[nonzero]
         if k_active.size == 0:
             return 0.0
         k_max = int(np.max(np.abs(k_active)))
-        total = 0.0
+        window = window_mask(kv, k_max, exclude_zero=True)
         if grid.dimension == 1:
-            idx = window_indices(k_max, exclude_zero=True)
+            idx = kv[window]
             omega = frequencies_1d(idx, params).astype(float)
             block = gramian_from_frequencies(horizon, idx, omega, profile)
-            vec = np.array([u0.coeffs[grid.index_of_k(int(k))] for k in idx])
-            return TWO_PI * block.quadratic_form(vec)
+            return TWO_PI * block.quadratic_form(u0.coeffs[window])
+        total = 0.0
         for j, l in enumerate(grid.l_values):
-            col = u0.coeffs[:, j]
-            if not np.any(np.abs(col) > 0):
+            if not np.any(nonzero[:, j]):
                 continue
             block = assemble_observability_gramian(
                 horizon, k_max, int(l), profile, params
             )
-            vec = np.array([col[grid.index_of_k(int(k))] for k in block.indices])
-            total += block.quadratic_form(vec)
+            total += block.quadratic_form(u0.coeffs[window, j])
         return TWO_PI**2 * total
     # horizontal: blocks at fixed k over the transverse window
     if grid.dimension != 2:
         raise DimensionError("horizontal control requires a 2D field")
     lv = grid.l_values
-    nonzero = np.abs(u0.coeffs) > 0
     l_active = lv[np.any(nonzero, axis=0)]
     if l_active.size == 0:
         return 0.0
-    l_max = int(np.max(np.abs(l_active)))
-    l_max = max(l_max, 1)
+    l_max = max(int(np.max(np.abs(l_active))), 1)
+    window = window_mask(lv, l_max, exclude_zero=False)
     total = 0.0
     for i, k in enumerate(grid.k_values):
-        row = u0.coeffs[i, :]
-        if k == 0 or not np.any(np.abs(row) > 0):
+        if k == 0 or not np.any(nonzero[i]):
             continue
         block = assemble_horizontal_gramian(horizon, l_max, int(k), profile, params)
-        vec = np.array([row[grid.index_of_l(int(l))] for l in block.indices])
-        total += block.quadratic_form(vec)
+        total += block.quadratic_form(u0.coeffs[i, window])
     return TWO_PI**2 * total
 
 
@@ -673,20 +697,4 @@ def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
 
 def spectral_constant(profile: ControlProfile, m0: int) -> float:
     """Sharp constant in ``sum |c_k|^2 <= kappa(m0) * integral |g p|^2``."""
-    if m0 < 0:
-        raise ParameterError("m0 must be nonnegative")
-    if m0 > profile.grid.nx // 2 - 1:
-        raise ParameterError(
-            f"window 2*m0+1 = {2 * m0 + 1} exceeds the grid (nx={profile.grid.nx})"
-        )
-    import mpmath as mp
-
-    dps = max(50, 60 + 3 * m0)
-    moments = _mp_concentration_moments(profile, 2 * m0, dps)
-    with mp.workdps(dps):
-        lam = _mp_smallest_eigenvalue(moments, m0, dps)
-        if lam is None or lam <= 0:
-            raise NumericalConsistencyError(
-                "concentration matrix is numerically singular; the constant diverges"
-            )
-        return float(1 / lam)
+    return spectral_constant_table(profile, m0)[-1]

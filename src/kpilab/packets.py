@@ -20,7 +20,6 @@ from scipy.integrate import quad
 from .dispersion import (
     DispersionParams,
     critical_shift,
-    group_velocity,
     semiclassical_frequencies,
 )
 from .errors import DimensionError, ParameterError, TruncationError
@@ -212,14 +211,6 @@ def invisible_solution(k: int, grid: TorusGrid) -> SpectralField:
     return mode_field(grid, k, 0)
 
 
-def packet_center_velocity(params: PacketParams, n: int) -> float:
-    """Group velocity of the reduced multiplier at the shifted packet center."""
-    h = params.h(n)
-    dparams = DispersionParams.reduced(params.alpha, 1.0)
-    center = h * critical_shift(h, dparams)
-    return group_velocity(center, dparams)
-
-
 # ---------------------------------------------------------------------------
 # Dichotomy experiment
 # ---------------------------------------------------------------------------
@@ -243,6 +234,17 @@ class DichotomyResult:
 
     def ratios(self) -> np.ndarray:
         return np.array([r.ratio for r in self.rows])
+
+    def summary(self) -> dict:
+        """Fitted slope, monotonicity, and the last and smallest ratio over the first."""
+        ratios = self.ratios()
+        return {
+            "alpha": self.alpha,
+            "slope": self.slope,
+            "monotone_decreasing": len(ratios) > 1 and bool(np.all(np.diff(ratios) < 0)),
+            "last_over_first": float(ratios[-1] / ratios[0]),
+            "floor_over_first": float(ratios.min() / ratios[0]),
+        }
 
 
 def packet_observed_ratio(
@@ -275,7 +277,6 @@ def dichotomy_experiment(
     horizon: float,
     n_values=range(4, 10),
     profile_kind: ProfileKind = "hann-squared",
-    threads: int = 1,
 ) -> DichotomyResult:
     """Observed-energy ratios of the packet family across the h sequence.
 
@@ -283,29 +284,21 @@ def dichotomy_experiment(
     semiclassical frame, and observed through a smooth bump supported in the
     region ``(-pi, -beta) u (beta, pi)``. Reports one row per n and the
     fitted log-log slope of ratio against the concentration scale eps.
-    Per-n runs are independent; rows merge deterministically by n.
     """
     n_values = list(n_values)
     if not n_values:
         raise ParameterError("need at least one packet index")
     dparams = DispersionParams.reduced(params.alpha, 1.0)
 
-    def one_row(n: int) -> DichotomyRow:
+    rows = []
+    for n in n_values:
         grid = packet_grid(params, n)
         v0 = packet_initial_data(params, n, grid)
         profile = make_region_profile(params.region_intervals(), profile_kind, grid)
         ratio = packet_observed_ratio(v0, horizon, params.h(n), dparams, profile)
-        return DichotomyRow(
-            n=n, h=params.h(n), eps=params.eps(n), ratio=ratio, grid_nx=grid.nx
+        rows.append(
+            DichotomyRow(n=n, h=params.h(n), eps=params.eps(n), ratio=ratio, grid_nx=grid.nx)
         )
-
-    if threads > 1 and len(n_values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, n_values))
-    else:
-        rows = [one_row(n) for n in n_values]
     log_eps = np.log([r.eps for r in rows])
     log_ratio = np.log([max(r.ratio, 1e-300) for r in rows])
     slope = float(np.polyfit(log_eps, log_ratio, 1)[0]) if len(rows) > 1 else float("nan")

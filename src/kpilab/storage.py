@@ -13,12 +13,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalConsistencyError
 from .fourier import SpectralField, TorusGrid
 from .observe import GramianBlock
 
@@ -26,29 +27,55 @@ FIELD_MAGIC = b"KPIF"
 MATRIX_MAGIC = b"KPIM"
 TRAJECTORY_MAGIC = b"KPIT"
 _VERSION = 1
+_FIELD_HEADER = struct.Struct("<4sBBIII")
+_MATRIX_HEADER = struct.Struct("<4sBBiId")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def json_text(obj, **kwargs) -> str:
+    """Standard JSON of ``obj``; a NaN or infinity in it is a numerical fault."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalConsistencyError(f"cannot write JSON output: {exc}") from None
+
+
+def _unpack_header(raw: bytes, header: struct.Struct, magic: bytes, kind: str, path) -> tuple:
+    """Header fields of a container, after checking its length, magic and version."""
+    if len(raw) < header.size:
+        raise DimensionError(f"{path} is too short for a {kind} container header")
+    fields = header.unpack_from(raw)
+    if fields[0] != magic or fields[1] != _VERSION:
+        raise DimensionError(f"{path} is not a version-{_VERSION} {kind} container")
+    return fields
+
+
+def _check_payload_size(raw: bytes, header: struct.Struct, expected: int, path) -> None:
+    size = len(raw) - header.size
+    if size != expected:
+        raise DimensionError(f"{path} holds {size} payload bytes, expected {expected}")
+
+
 def write_field(field: SpectralField, path: str | Path) -> None:
     grid = field.grid
     ny = grid.ny or 0
-    header = struct.pack(
-        "<4sBBIII", FIELD_MAGIC, _VERSION, grid.dimension, grid.nx, ny, grid.nx // 2
+    header = _FIELD_HEADER.pack(
+        FIELD_MAGIC, _VERSION, grid.dimension, grid.nx, ny, grid.nx // 2
     )
     Path(path).write_bytes(header + field.coeffs.astype("<c16").tobytes())
 
 
 def read_field(path: str | Path) -> SpectralField:
     raw = Path(path).read_bytes()
-    head = struct.calcsize("<4sBBIII")
-    magic, version, dim, nx, ny, _trunc = struct.unpack("<4sBBIII", raw[:head])
-    if magic != FIELD_MAGIC or version != _VERSION:
-        raise DimensionError(f"{path} is not a version-{_VERSION} field container")
+    _, _, dim, nx, ny, _trunc = _unpack_header(raw, _FIELD_HEADER, FIELD_MAGIC, "field", path)
+    if dim not in (1, 2):
+        raise DimensionError(f"{path} declares dimension {dim}, not 1 or 2")
+    _check_payload_size(raw, _FIELD_HEADER, 16 * nx * (ny if dim == 2 else 1), path)
     grid = TorusGrid(nx) if dim == 1 else TorusGrid(nx, ny)
-    coeffs = np.frombuffer(raw[head:], dtype="<c16").reshape(grid.shape)
+    coeffs = np.frombuffer(raw[_FIELD_HEADER.size :], dtype="<c16").reshape(grid.shape)
     return SpectralField(grid, coeffs.astype(np.complex128))
 
 
@@ -68,8 +95,6 @@ def field_to_csv(field: SpectralField, path: str | Path) -> None:
 
 
 def field_to_json(field: SpectralField, path: str | Path) -> None:
-    import json
-
     grid = field.grid
     records = []
     if grid.dimension == 1:
@@ -82,13 +107,12 @@ def field_to_json(field: SpectralField, path: str | Path) -> None:
                 c = field.coeffs[i, j]
                 records.append({"k": int(k), "l": int(l), "re": c.real, "im": c.imag})
     payload = {"dimension": grid.dimension, "nx": grid.nx, "ny": grid.ny, "coefficients": records}
-    Path(path).write_text(json.dumps(payload) + "\n")
+    Path(path).write_text(json_text(payload) + "\n")
 
 
 def write_gramian(block: GramianBlock, path: str | Path) -> None:
     n = block.matrix.shape[0]
-    header = struct.pack(
-        "<4sBBiId",
+    header = _MATRIX_HEADER.pack(
         MATRIX_MAGIC,
         _VERSION,
         0 if block.axis == "x" else 1,
@@ -102,13 +126,15 @@ def write_gramian(block: GramianBlock, path: str | Path) -> None:
 
 def read_gramian(path: str | Path) -> GramianBlock:
     raw = Path(path).read_bytes()
-    head = struct.calcsize("<4sBBiId")
-    magic, version, axis, fixed, n, horizon = struct.unpack("<4sBBiId", raw[:head])
-    if magic != MATRIX_MAGIC or version != _VERSION:
-        raise DimensionError(f"{path} is not a version-{_VERSION} matrix container")
-    idx_bytes = 4 * n
-    indices = np.frombuffer(raw[head : head + idx_bytes], dtype="<i4").astype(int)
-    matrix = np.frombuffer(raw[head + idx_bytes :], dtype="<c16").reshape(n, n)
+    _, _, axis, fixed, n, horizon = _unpack_header(
+        raw, _MATRIX_HEADER, MATRIX_MAGIC, "matrix", path
+    )
+    if axis not in (0, 1):
+        raise DimensionError(f"{path} declares axis {axis}, not 0 (x) or 1 (y)")
+    _check_payload_size(raw, _MATRIX_HEADER, 4 * n + 16 * n * n, path)
+    head = _MATRIX_HEADER.size
+    indices = np.frombuffer(raw[head : head + 4 * n], dtype="<i4").astype(int)
+    matrix = np.frombuffer(raw[head + 4 * n :], dtype="<c16").reshape(n, n)
     return GramianBlock(
         indices=indices,
         fixed_freq=fixed,

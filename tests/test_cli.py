@@ -141,3 +141,46 @@ def test_run_numerical_consistency_exit_code(tmp_path, capsys):
     code = main(["--out", str(tmp_path / "out"), "run", str(cfg)])
     assert code == 3
     assert "numerical consistency error" in capsys.readouterr().err
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_gramian_infinite_constant_is_null(tmp_path, capsys):
+    # at this horizon the floor block is singular to rounding: lambda_min <= 0
+    args = ["--out", str(tmp_path), "gramian", "--horizon", "0.001"]
+    code = main(args + ["--k-window", "32", "--l-window", "0"])
+    assert code == 0
+    report = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["lambda_min"] <= 0
+    assert report["constant"] is None
+
+
+def test_gramian_floor_infinite_constant_is_null(tmp_path):
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("[floor]\ntype = gramian-floor\nhorizon = 0.001\nk_window = 32\nl_window = 0\n")
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 0
+    summary = _strict_json((tmp_path / "out" / "summary.json").read_text())
+    assert summary["floor"]["observability_constant"] is None
+
+
+def test_damaged_field_container_is_an_error(tmp_path, capsys):
+    src = tmp_path / "u0.bin"
+    write_field(kl.mode_field(kl.TorusGrid(16, 4), 1, 1), src)
+    raw = src.read_bytes()
+    bad_dimension = raw[:5] + bytes([3]) + raw[6:]
+    for name, data in [
+        ("truncated", raw[:-8]),
+        ("padded", raw + bytes(8)),
+        ("header-only", raw[:10]),
+        ("bad-dimension", bad_dimension),
+    ]:
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        code = main(["observe", "--input", str(path), "--profile-nx", "16"])
+        assert code == 1, name
+        assert capsys.readouterr().err.startswith("error:"), name

@@ -200,3 +200,79 @@ class TestGoldenTwoModeSteering:
         assert traj.diagnostics["relative_residual"] <= 1e-8
         terminal = kl.verify_control(u0, traj, params, steps=10_000)
         assert terminal.norm() <= 1e-6
+
+
+from hypothesis import given, settings, strategies as st
+
+from kpilab.dispersion import frequencies_1d, frequencies_2d
+from kpilab.fourier import TWO_PI
+from kpilab.observe import control_gram_matrix, time_factor
+
+
+def _reference_blocks(grid, params, orientation):
+    """(label, window, omega) per block of the control Gramian, built per element."""
+    k_window = np.array([k for k in grid.k_values if k not in (0, -grid.nx // 2)])
+    if orientation == "vertical":
+        labels = [0] if grid.dimension == 1 else [l for l in grid.l_values if l != -grid.ny // 2]
+        for l in labels:
+            reduced = params if grid.dimension == 1 else kl.DispersionParams.reduced(
+                params.alpha, float(abs(l))
+            )
+            omega = frequencies_1d(k_window, reduced).astype(float)
+            yield l, k_window, omega
+    else:
+        l_window = np.array([l for l in grid.l_values if l != -grid.ny // 2])
+        for k in k_window:
+            yield k, l_window, frequencies_2d([k], l_window, params)[0].astype(float)
+
+
+def _position(grid, orientation, label, j):
+    if orientation == "horizontal":
+        return grid.index_of_k(int(label)), grid.index_of_l(int(j))
+    if grid.dimension == 1:
+        return (grid.index_of_k(int(j)),)
+    return grid.index_of_k(int(j)), grid.index_of_l(int(label))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.sampled_from([4, 8, 16, 32]),
+    ny=st.sampled_from([None, 4, 8]),
+    horizontal=st.booleans(),
+    horizon=st.floats(0.05, 3.0),
+    alpha=st.floats(0.3, 2.0),
+    support=st.tuples(st.floats(-3.0, -1.0), st.floats(1.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_control_gramian_blocks_and_apply(nx, ny, horizontal, horizon, alpha, support, seed):
+    grid = kl.TorusGrid(nx) if ny is None else kl.TorusGrid(nx, ny)
+    orientation = "horizontal" if horizontal and ny is not None else "vertical"
+    profile = kl.make_control_profile(
+        *support, "hann-squared", kl.TorusGrid(ny if orientation == "horizontal" else nx)
+    )
+    params = kl.DispersionParams.kp1(alpha)
+    op = ControlGramian(grid, horizon, profile, params, orientation)
+    refs = list(_reference_blocks(grid, params, orientation))
+    assert op.labels.tolist() == [int(label) for label, _, _ in refs]
+    for block, (_, window, omega) in zip(op.stack, refs):
+        static = control_gram_matrix(profile, window)
+        delta = omega[None, :] - omega[:, None]
+        expected = static * np.conj(time_factor(delta, horizon)) / TWO_PI
+        # exp(i T delta) - 1 cancels for small T delta above the Taylor branch
+        # (|T delta| >= 1e-4), in the forward and the time-reversed factor
+        # alike; the entry tolerance grows by that cancellation
+        cancel = 1.0 / np.clip(np.abs(horizon * delta), 1e-4, 1.0)
+        scale = np.abs(static) * horizon / TWO_PI * cancel
+        assert np.all(np.abs(block - expected) <= 1e-14 * scale)
+
+    draw = np.random.default_rng(seed).standard_normal(grid.shape + (2,))
+    coeffs = draw[..., 0] + 1j * draw[..., 1]
+    coeffs[grid.index_of_k(0)] = 0.0
+    v = kl.SpectralField(grid, coeffs)
+    dense = np.zeros(grid.shape, dtype=complex)
+    for block, (label, window, _) in zip(op.stack, refs):
+        positions = [_position(grid, orientation, label, j) for j in window]
+        product = block @ np.array([coeffs[p] for p in positions])
+        for p, value in zip(positions, product):
+            dense[p] = value
+    assert np.max(np.abs(op.apply(v).coeffs - dense)) <= 1e-14 * np.max(np.abs(dense))

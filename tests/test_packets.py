@@ -252,12 +252,6 @@ class TestPacketMassConservation:
             moved = kl.evolve_semiclassical(v0, t, params.h(n), dparams)
             assert abs(moved.norm() - v0.norm()) <= 1e-13 * v0.norm()
 
-    def test_threaded_rows_match_sequential(self):
-        params = PacketParams(alpha=0.5)
-        seq = kl.dichotomy_experiment(params, 1.0, range(4, 7))
-        par = kl.dichotomy_experiment(params, 1.0, range(4, 7), threads=3)
-        assert [r.ratio for r in seq.rows] == [r.ratio for r in par.rows]
-
 
 class TestModulatedMeanCorrection:
     def test_profile_moment_of_modulated_packet_vanishes(self):

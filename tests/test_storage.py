@@ -93,3 +93,16 @@ def test_container_magic_guard(tmp_path):
         read_field(bad)
     with pytest.raises(DimensionError):
         read_gramian(bad)
+
+
+def test_gramian_container_length_guard(tmp_path, profile_64, kp_params):
+    import pytest
+    from kpilab.errors import DimensionError
+
+    path = tmp_path / "g.bin"
+    write_gramian(kl.assemble_observability_gramian(1.0, 3, 1, profile_64, kp_params), path)
+    raw = path.read_bytes()
+    for data in (raw[:-8], raw + bytes(16), raw[:12], raw[:5] + bytes([2]) + raw[6:]):
+        path.write_bytes(data)
+        with pytest.raises(DimensionError):
+            read_gramian(path)
