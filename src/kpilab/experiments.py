@@ -12,12 +12,13 @@ import hashlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, get_args
 
 import numpy as np
 
 from . import __version__
 from .dispersion import DispersionParams, frequencies_1d
-from .errors import ConfigError, NumericalConsistencyError, ParameterError
+from .errors import ConfigError, DimensionError, NumericalConsistencyError, ParameterError
 from .fourier import (
     TWO_PI,
     DEFAULT_LP_FAMILY,
@@ -25,16 +26,18 @@ from .fourier import (
     TorusGrid,
     sobolev_norm,
 )
-from .hum import synthesize_control, verify_control
+from .hum import ControlTrajectory, synthesize_control, verify_control
 from .observe import (
     ControlProfile,
+    GramianBlock,
+    ProfileKind,
     assemble_observability_gramian,
     gramian_from_frequencies,
     make_control_profile,
     observability_constant,
     spectral_constant_table,
 )
-from .packets import PacketParams, dichotomy_experiment
+from .packets import DichotomyResult, PacketParams, dichotomy_experiment
 from .storage import json_text, rows_to_csv
 
 
@@ -216,6 +219,138 @@ def weak_observability_diagnostic(
 
 
 # ---------------------------------------------------------------------------
+# Experiment keys
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # default of a key that a section or command line must give
+
+
+def profile_kind(value: str) -> str:
+    """A control-profile shape name; ValueError for an unknown one."""
+    if value not in get_args(ProfileKind):
+        raise ValueError(value)
+    return value
+
+
+def profile_keys(nx: int | None = 1024) -> dict:
+    """Keys of the control profile; ``profile_nx = None`` means the field's axis."""
+    return {
+        "profile": (profile_kind, "smooth-exp"),
+        "support_a": (float, float(np.pi / 4)),
+        "support_b": (float, float(3 * np.pi / 4)),
+        "profile_nx": (int, nx),
+    }
+
+
+def control_profile(values: dict, axis: int | None = None) -> ControlProfile:
+    """The profile the profile keys describe, on the field's ``axis`` if given."""
+    nx = values["profile_nx"]
+    if axis is not None and nx not in (None, axis):
+        raise DimensionError(f"profile_nx = {nx} does not match the field's {axis}-point axis")
+    grid = TorusGrid(axis or nx)
+    return make_control_profile(values["support_a"], values["support_b"], values["profile"], grid)
+
+
+# Each experiment's keys as {key: (convert, default)}. Config sections and the
+# kpi-lab subcommands read their values from these tables.
+DICHOTOMY_KEYS = {
+    "alpha": (float, REQUIRED),
+    "n_min": (int, 4),
+    "n_max": (int, 9),
+    "horizon": (float, 1.0),
+    "beta": (float, float(np.pi / 4)),
+    "cutoff_big": (float, 1.0),
+    "cutoff_small": (float, 0.5),
+}
+FREQUENCY_SCAN_KEYS = {
+    "h": (float, REQUIRED),
+    "n_min": (int, -2),
+    "n_max": (int, 2),
+    "epsilon0": (float, 0.5),
+    "horizon": (float, 1.0),
+    "trials": (int, 16),
+    "alpha": (float, 2.0),
+    **profile_keys(),
+}
+WEAK_OBSERVABILITY_KEYS = {
+    "h": (float, REQUIRED),
+    "horizon": (float, 1.0),
+    "trials": (int, 16),
+    "alpha": (float, 2.0),
+    **profile_keys(256),
+}
+GRAMIAN_FLOOR_KEYS = {
+    "horizon": (float, 1.0),
+    "alpha": (float, 2.0),
+    "k_window": (int, 32),
+    "l_window": (int, 8),
+    **profile_keys(),
+}
+SPECTRAL_CONSTANT_KEYS = {"m_max": (int, 32), **profile_keys()}
+STEER_KEYS = {
+    "horizon": (float, 1.0),
+    "alpha": (float, 2.0),
+    "tol": (float, 1e-10),
+    "max_iter": (int, 500),
+    "verify_steps": (int, 10000),
+    **profile_keys(None),
+}
+HUM_STEER_KEYS = {
+    "nx": (int, 64),
+    "ny": (int, 16),
+    "kmax": (int, 16),
+    "lmax": (int, 4),
+    **STEER_KEYS,
+}
+RUN_KEYS = {"seed": (int, 0), "output": (str, ".")}
+
+
+# ---------------------------------------------------------------------------
+# Computations shared by config sections and subcommands
+# ---------------------------------------------------------------------------
+
+
+def gramian_floor(values: dict) -> tuple[list[GramianBlock], float, float | None]:
+    """Blocks ``l = -l_window .. l_window``, lambda_min and the constant (None if infinite)."""
+    profile = control_profile(values)
+    params = DispersionParams.kp1(values["alpha"])
+    l_window = values["l_window"]
+    blocks = [
+        assemble_observability_gramian(values["horizon"], values["k_window"], l, profile, params)
+        for l in range(-l_window, l_window + 1)
+    ]
+    estimate = observability_constant(blocks)
+    constant = estimate.constant if estimate.lambda_min > 0 else None
+    return blocks, estimate.lambda_min, constant
+
+
+def dichotomy(values: dict) -> DichotomyResult:
+    """The packet dichotomy for ``n = n_min .. n_max``."""
+    packet = PacketParams(
+        alpha=values["alpha"],
+        big_cutoff=values["cutoff_big"],
+        small_cutoff=values["cutoff_small"],
+        beta=values["beta"],
+    )
+    n_values = range(values["n_min"], values["n_max"] + 1)
+    return dichotomy_experiment(packet, values["horizon"], n_values)
+
+
+def steer(u0: SpectralField, u1: SpectralField, values: dict) -> tuple[ControlTrajectory, dict]:
+    """HUM control from ``u0`` to ``u1`` and its report, checked by the Duhamel verifier."""
+    params = DispersionParams.kp1(values["alpha"])
+    profile = control_profile(values, u0.grid.nx)
+    horizon, tol, max_iter = values["horizon"], values["tol"], values["max_iter"]
+    traj = synthesize_control(u0, u1, horizon, profile, params, tol=tol, max_iter=max_iter)
+    terminal = verify_control(u0, traj, steps=values["verify_steps"])
+    return traj, {
+        "iterations": traj.diagnostics["iterations"],
+        "relative_residual": traj.diagnostics["relative_residual"],
+        "terminal_error": (terminal - u1).norm(),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
@@ -257,41 +392,33 @@ def parse_config(text: str) -> dict[str, dict[str, ConfigEntry]]:
     return sections
 
 
-class _Section:
-    """Typed access to one config section with line-precise errors."""
+def _first_line(entries: dict[str, ConfigEntry]) -> int | None:
+    return min((e.line for e in entries.values()), default=None)
 
-    def __init__(self, name: str, entries: dict[str, ConfigEntry]):
-        self.name = name
-        self.entries = entries
 
-    def _get(self, key: str, default=None, required: bool = False) -> ConfigEntry | None:
-        if key in self.entries:
-            return self.entries[key]
-        if required:
-            line = min(e.line for e in self.entries.values()) if self.entries else None
-            raise ConfigError(f"[{self.name}] missing required key {key!r}", line=line)
-        return default
+def read_section(name: str, entries: dict[str, ConfigEntry], keys: dict) -> dict:
+    """Values of one section converted through its key table.
 
-    def _convert(self, key: str, caster, default, required):
-        entry = self._get(key, required=required)
-        if entry is None:
-            return default
+    The first entry, in file order, whose key is unknown or whose value its
+    converter rejects with ValueError is a ConfigError at that entry's line;
+    a missing required key then points at the section's first entry.
+    """
+    values = {}
+    for key, entry in entries.items():
+        if key not in keys:
+            known = ", ".join(sorted(keys))
+            raise ConfigError(f"[{name}] unknown key {key!r} (known: {known})", line=entry.line)
         try:
-            return caster(entry.value)
+            values[key] = keys[key][0](entry.value)
         except ValueError:
             raise ConfigError(
-                f"[{self.name}] bad value for {key!r}: {entry.value!r}", line=entry.line
+                f"[{name}] bad value for {key!r}: {entry.value!r}", line=entry.line
             ) from None
-
-    def get_float(self, key, default=None, required=False) -> float:
-        return self._convert(key, float, default, required)
-
-    def get_int(self, key, default=None, required=False) -> int:
-        return self._convert(key, int, default, required)
-
-    def get_str(self, key, default=None, required=False) -> str:
-        entry = self._get(key, required=required)
-        return default if entry is None else entry.value
+    for key, (_, default) in keys.items():
+        if default is REQUIRED and key not in values:
+            raise ConfigError(f"[{name}] missing required key {key!r}", line=_first_line(entries))
+        values.setdefault(key, default)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -299,159 +426,95 @@ class _Section:
 # ---------------------------------------------------------------------------
 
 
-def _profile_from_section(sec: _Section, nx_default: int = 1024) -> ControlProfile:
-    nx = sec.get_int("profile_nx", nx_default)
-    a = sec.get_float("support_a", float(np.pi / 4))
-    b = sec.get_float("support_b", float(3 * np.pi / 4))
-    kind = sec.get_str("profile", "smooth-exp")
-    grid = TorusGrid(nx)
-    return make_control_profile(a, b, kind, grid)
+def _run_dichotomy(values: dict, rng: np.random.Generator):
+    result = dichotomy(values)
+    header, rows = result.table()
+    return header, rows, {**result.summary(), "horizon": values["horizon"]}
 
 
-def _run_dichotomy(sec: _Section, seed: int):
-    params = PacketParams(
-        alpha=sec.get_float("alpha", required=True),
-        big_cutoff=sec.get_float("cutoff_big", 1.0),
-        small_cutoff=sec.get_float("cutoff_small", 0.5),
-        beta=sec.get_float("beta", float(np.pi / 4)),
+def _run_frequency_scan(values: dict, rng: np.random.Generator):
+    h, n_values = values["h"], range(values["n_min"], values["n_max"] + 1)
+    found = frequency_localized_scan(
+        h, n_values, values["epsilon0"], values["horizon"], control_profile(values),
+        values["trials"], rng, values["alpha"],
     )
-    n_lo = sec.get_int("n_min", 4)
-    n_hi = sec.get_int("n_max", 9)
-    horizon = sec.get_float("horizon", 1.0)
-    result = dichotomy_experiment(params, horizon, range(n_lo, n_hi + 1))
-    rows = [[r.n, r.h, r.eps, r.ratio, r.grid_nx] for r in result.rows]
-    summary = {**result.summary(), "horizon": horizon}
-    return ["n", "h", "eps", "ratio", "grid_nx"], rows, summary
+    header = ["n", "modes", "scale", "empirical_constant", "exact_constant"]
+    max_constant = max((d["exact_constant"] for d in found), default=0.0)
+    return header, [[d[c] for c in header] for d in found], {"h": h, "max_constant": max_constant}
 
 
-def _run_frequency_scan(sec: _Section, seed: int):
-    h = sec.get_float("h", required=True)
-    profile = _profile_from_section(sec)
-    rows_dicts = frequency_localized_scan(
-        h=h,
-        n_values=range(sec.get_int("n_min", -2), sec.get_int("n_max", 2) + 1),
-        epsilon0=sec.get_float("epsilon0", 0.5),
-        horizon=sec.get_float("horizon", 1.0),
-        profile=profile,
-        trials=sec.get_int("trials", 16),
-        rng=seeded_rng(seed, sec.name),
-        alpha=sec.get_float("alpha", 2.0),
+def _run_weak_observability(values: dict, rng: np.random.Generator):
+    h = values["h"]
+    found = weak_observability_diagnostic(
+        h, values["horizon"], values["trials"], control_profile(values), rng, values["alpha"]
     )
-    rows = [
-        [d["n"], d["modes"], d["scale"], d["empirical_constant"], d["exact_constant"]]
-        for d in rows_dicts
-    ]
+    header = ["trial", "mass", "observed_energy", "weak_remainder", "constant"]
+    max_constant = max(d["constant"] for d in found)
+    return header, [[d[c] for c in header] for d in found], {"h": h, "max_constant": max_constant}
+
+
+def _run_gramian_floor(values: dict, rng: np.random.Generator):
+    blocks, lambda_min, constant = gramian_floor(values)
+    rows = [[int(b.fixed_freq), float(b.eigenvalues[0])] for b in blocks]
     summary = {
-        "h": h,
-        "max_constant": max((d["exact_constant"] for d in rows_dicts), default=0.0),
-    }
-    return ["n", "modes", "scale", "empirical_constant", "exact_constant"], rows, summary
-
-
-def _run_weak_observability(sec: _Section, seed: int):
-    h = sec.get_float("h", required=True)
-    profile = _profile_from_section(sec, nx_default=256)
-    rows_dicts = weak_observability_diagnostic(
-        h=h,
-        horizon=sec.get_float("horizon", 1.0),
-        trials=sec.get_int("trials", 16),
-        profile=profile,
-        rng=seeded_rng(seed, sec.name),
-        alpha=sec.get_float("alpha", 2.0),
-    )
-    rows = [
-        [d["trial"], d["mass"], d["observed_energy"], d["weak_remainder"], d["constant"]]
-        for d in rows_dicts
-    ]
-    summary = {"h": h, "max_constant": max(d["constant"] for d in rows_dicts)}
-    return (
-        ["trial", "mass", "observed_energy", "weak_remainder", "constant"],
-        rows,
-        summary,
-    )
-
-
-def _run_gramian_floor(sec: _Section, seed: int):
-    profile = _profile_from_section(sec)
-    horizon = sec.get_float("horizon", 1.0)
-    k_window = sec.get_int("k_window", 32)
-    l_window = sec.get_int("l_window", 8)
-    params = DispersionParams.kp1(sec.get_float("alpha", 2.0))
-
-    blocks = [
-        assemble_observability_gramian(horizon, k_window, l, profile, params)
-        for l in range(-l_window, l_window + 1)
-    ]
-    estimate = observability_constant(blocks)
-    rows = [
-        [int(b.fixed_freq), float(b.eigenvalues[0])] for b in blocks
-    ]
-    summary = {
-        "lambda_min": estimate.lambda_min,
-        # no finite constant when lambda_min <= 0; JSON null
-        "observability_constant": estimate.constant if estimate.lambda_min > 0 else None,
-        "k_window": k_window,
-        "l_window": l_window,
-        "horizon": horizon,
+        "lambda_min": lambda_min,
+        "observability_constant": constant,
+        "k_window": values["k_window"],
+        "l_window": values["l_window"],
+        "horizon": values["horizon"],
     }
     return ["l", "lambda_min"], rows, summary
 
 
-def _run_spectral_constant(sec: _Section, seed: int):
-    profile = _profile_from_section(sec)
-    m_max = sec.get_int("m_max", 32)
-    table = spectral_constant_table(profile, m_max)
+def _run_spectral_constant(values: dict, rng: np.random.Generator):
+    table = spectral_constant_table(control_profile(values), values["m_max"])
     rows = [[m, kappa] for m, kappa in enumerate(table)]
-    summary = {"m_max": m_max, "kappa_max": rows[-1][1]}
+    summary = {"m_max": values["m_max"], "kappa_max": rows[-1][1]}
     return ["m0", "kappa"], rows, summary
 
 
-def _run_hum_steer(sec: _Section, seed: int):
-    nx = sec.get_int("nx", 64)
-    ny = sec.get_int("ny", 16)
-    grid = TorusGrid(nx, ny)
-    rng = seeded_rng(seed, sec.name)
-    u0 = random_field(grid, rng, kmax=sec.get_int("kmax", 16), lmax=sec.get_int("lmax", 4))
+def _run_hum_steer(values: dict, rng: np.random.Generator):
+    grid = TorusGrid(values["nx"], values["ny"])
+    u0 = random_field(grid, rng, kmax=values["kmax"], lmax=values["lmax"])
     check_leakage(u0)
-    horizon = sec.get_float("horizon", 1.0)
-    params = DispersionParams.kp1(sec.get_float("alpha", 2.0))
-    profile = make_control_profile(
-        sec.get_float("support_a", float(np.pi / 4)),
-        sec.get_float("support_b", float(3 * np.pi / 4)),
-        sec.get_str("profile", "smooth-exp"),
-        TorusGrid(nx),
-    )
-    traj = synthesize_control(
-        u0,
-        u0 * 0.0,
-        horizon,
-        profile,
-        params,
-        tol=sec.get_float("tol", 1e-10),
-        max_iter=sec.get_int("max_iter", 500),
-    )
-    terminal = verify_control(u0, traj, params, steps=sec.get_int("verify_steps", 10000))
+    traj, report = steer(u0, u0 * 0.0, values)
     rows = [
         [int(t_idx), float(t), sample.norm()]
         for t_idx, (t, sample) in enumerate(zip(traj.times, traj.samples))
     ]
-    summary = {
-        "iterations": traj.diagnostics["iterations"],
-        "relative_residual": traj.diagnostics["relative_residual"],
-        "terminal_error": terminal.norm(),
-        "horizon": horizon,
-    }
-    return ["node", "time", "control_norm"], rows, summary
+    return ["node", "time", "control_norm"], rows, {**report, "horizon": values["horizon"]}
 
 
-_ENGINES = {
-    "dichotomy": _run_dichotomy,
-    "frequency-scan": _run_frequency_scan,
-    "weak-observability": _run_weak_observability,
-    "gramian-floor": _run_gramian_floor,
-    "spectral-constant": _run_spectral_constant,
-    "hum-steer": _run_hum_steer,
+# experiment type -> (engine, key table); an engine maps the section's values
+# and its seeded generator to (CSV header, CSV rows, summary)
+ENGINES = {
+    "dichotomy": (_run_dichotomy, DICHOTOMY_KEYS),
+    "frequency-scan": (_run_frequency_scan, FREQUENCY_SCAN_KEYS),
+    "weak-observability": (_run_weak_observability, WEAK_OBSERVABILITY_KEYS),
+    "gramian-floor": (_run_gramian_floor, GRAMIAN_FLOOR_KEYS),
+    "spectral-constant": (_run_spectral_constant, SPECTRAL_CONSTANT_KEYS),
+    "hum-steer": (_run_hum_steer, HUM_STEER_KEYS),
 }
+
+
+def read_config(text: str) -> tuple[dict, list[tuple[str, Callable, dict]]]:
+    """The ``[run]`` values and each experiment's ``(name, engine, values)``.
+
+    Every key of every section is checked before any experiment runs.
+    """
+    sections = parse_config(text)
+    run = read_section("run", sections.pop("run", {}), RUN_KEYS)
+    experiments = []
+    for name, entries in sections.items():
+        etype = entries.get("type", ConfigEntry("", _first_line(entries)))
+        if etype.value not in ENGINES:
+            known = ", ".join(sorted(ENGINES))
+            message = f"[{name}] type must be one of {known}; got {etype.value!r}"
+            raise ConfigError(message, line=etype.line)
+        engine, keys = ENGINES[etype.value]
+        values = read_section(name, entries, {"type": (str, REQUIRED), **keys})
+        experiments.append((name, engine, values))
+    return run, experiments
 
 
 def run_experiment(
@@ -468,11 +531,9 @@ def run_experiment(
     """
     config_path = Path(config_path)
     text = config_path.read_text()
-    sections = parse_config(text)
-    run_section = sections.pop("run", {})
-    run = _Section("run", run_section)
-    seed = seed_override if seed_override is not None else run.get_int("seed", 0)
-    out_dir = Path(output_root or run.get_str("output", ".")).resolve()
+    run, experiments = read_config(text)
+    seed = seed_override if seed_override is not None else run["seed"]
+    out_dir = Path(output_root or run["output"]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {
@@ -485,19 +546,9 @@ def run_experiment(
         "timings": {},
     }
     summaries = {}
-    for name, entries in sections.items():
-        sec = _Section(name, entries)
-        etype = sec.get_str("type", required=True)
-        engine = _ENGINES.get(etype)
-        if engine is None:
-            entry = entries["type"]
-            raise ConfigError(
-                f"[{name}] unknown experiment type {etype!r} "
-                f"(known: {', '.join(sorted(_ENGINES))})",
-                line=entry.line,
-            )
+    for name, engine, values in experiments:
         started = time.perf_counter()
-        header, rows, summary = engine(sec, seed)
+        header, rows, summary = engine(values, seeded_rng(seed, name))
         manifest["timings"][name] = time.perf_counter() - started
         csv_path = out_dir / f"{name}.csv"
         rows_to_csv(header, rows, csv_path)

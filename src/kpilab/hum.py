@@ -306,7 +306,6 @@ def hum_functional(
 def verify_control(
     u0: SpectralField,
     traj: ControlTrajectory,
-    params: DispersionParams,
     steps: int,
 ) -> SpectralField:
     """Integrate the forced equation independently and return ``u(T)``.
@@ -314,16 +313,17 @@ def verify_control(
     Classical RK4 in the integrating-factor frame: with ``w = S(-t) u`` the
     forced equation becomes ``dw/dt = S(-t) G f(t)``, which RK4 reduces to a
     composite Simpson rule over the control samples. The forcing is
-    re-derived from the synthesis rule at every substage time.
+    re-derived from the synthesis rule at every substage time, under the
+    trajectory's own dynamics ``traj.params``.
     """
     if steps < 100:
         raise ParameterError("verification needs at least 100 steps")
     require_mean_zero(u0)
     grid = u0.grid
-    if params.mode == "full-2d":
-        omega = frequencies_2d(grid.k_values, grid.l_values, params)
+    if traj.params.mode == "full-2d":
+        omega = frequencies_2d(grid.k_values, grid.l_values, traj.params)
     else:
-        omega = frequencies_1d(grid.k_values, params)
+        omega = frequencies_1d(grid.k_values, traj.params)
 
     def forcing(t: float) -> np.ndarray:
         g_f = apply_control(traj.control_at(t), traj.profile, traj.orientation)
@@ -342,4 +342,4 @@ def verify_control(
     # the forcing is mean-zero by construction; drop accumulated rounding dust
     acc[grid.k_values == 0] = 0.0
     integrated = SpectralField(grid, u0.coeffs + acc)
-    return evolve(integrated, horizon, params)
+    return evolve(integrated, horizon, traj.params)

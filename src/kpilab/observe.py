@@ -286,8 +286,11 @@ class GramianBlock:
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         scale = float(np.max(np.abs(m))) or 1.0
+        # absolute dust allowance keeps degenerate (zero to rounding) blocks
+        # from tripping on rounding noise
+        dust = 1e-15 * (1.0 + scale)
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITICITY_TOL * scale:
+        if herm > HERMITICITY_TOL * scale + dust:
             raise NumericalConsistencyError(
                 f"Gramian block lost hermiticity: defect {herm:.3e} at scale {scale:.3e}"
             )
@@ -297,9 +300,7 @@ class GramianBlock:
         idx = np.ascontiguousarray(self.indices, dtype=int)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-        # absolute dust allowance keeps degenerate (identically zero) blocks
-        # from tripping on rounding noise
-        floor = -PSD_TOL * max(np.trace(m).real, 0.0) / m.shape[0] - 1e-15 * (1.0 + scale)
+        floor = -PSD_TOL * max(np.trace(m).real, 0.0) / m.shape[0] - dust
         if self.eigenvalues[0] < floor:
             raise NumericalConsistencyError(
                 f"Gramian block is not PSD: lambda_min = {self.eigenvalues[0]:.3e}"

@@ -235,13 +235,18 @@ class DichotomyResult:
     def ratios(self) -> np.ndarray:
         return np.array([r.ratio for r in self.rows])
 
+    def table(self) -> tuple[list[str], list[list]]:
+        """CSV header and one row per packet index."""
+        rows = [[r.n, r.h, r.eps, r.ratio, r.grid_nx] for r in self.rows]
+        return ["n", "h", "eps", "ratio", "grid_nx"], rows
+
     def summary(self) -> dict:
         """Fitted slope, monotonicity, and the last and smallest ratio over the first."""
         ratios = self.ratios()
         return {
             "alpha": self.alpha,
             "slope": self.slope,
-            "monotone_decreasing": len(ratios) > 1 and bool(np.all(np.diff(ratios) < 0)),
+            "monotone_decreasing": bool(np.all(np.diff(ratios) < 0)),
             "last_over_first": float(ratios[-1] / ratios[0]),
             "floor_over_first": float(ratios.min() / ratios[0]),
         }
@@ -286,8 +291,8 @@ def dichotomy_experiment(
     fitted log-log slope of ratio against the concentration scale eps.
     """
     n_values = list(n_values)
-    if not n_values:
-        raise ParameterError("need at least one packet index")
+    if len(n_values) < 2:
+        raise ParameterError("need at least two packet indices to fit a slope")
     dparams = DispersionParams.reduced(params.alpha, 1.0)
 
     rows = []
@@ -301,7 +306,7 @@ def dichotomy_experiment(
         )
     log_eps = np.log([r.eps for r in rows])
     log_ratio = np.log([max(r.ratio, 1e-300) for r in rows])
-    slope = float(np.polyfit(log_eps, log_ratio, 1)[0]) if len(rows) > 1 else float("nan")
+    slope = float(np.polyfit(log_eps, log_ratio, 1)[0])
     return DichotomyResult(
         alpha=params.alpha, horizon=horizon, rows=tuple(rows), slope=slope
     )

@@ -190,7 +190,7 @@ def test_criterion_6_hum_end_to_end():
     traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-10, max_iter=500)
     iterations = traj.diagnostics["iterations"]
     residual = traj.diagnostics["relative_residual"]
-    terminal = kl.verify_control(u0, traj, params, steps=10_000).norm()
+    terminal = kl.verify_control(u0, traj, steps=10_000).norm()
     trivial = kl.synthesize_control(u0, kl.evolve(u0, 1.0, params), 1.0, profile, params)
     elapsed = time.perf_counter() - started
     ok = (

@@ -75,7 +75,7 @@ class TestSynthesis:
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-10)
         assert traj.diagnostics["iterations"] <= 500
         assert traj.diagnostics["relative_residual"] <= 1e-8
-        terminal = kl.verify_control(u0, traj, params, steps=4000)
+        terminal = kl.verify_control(u0, traj, steps=4000)
         assert terminal.norm() <= 1e-6 * u0.norm()
 
     def test_horizontal_invisible_data_raises(self):
@@ -155,7 +155,7 @@ class TestVerification:
         rng = seeded_rng(17, "freeflow")
         u0 = random_field(grid, rng, kmax=8, lmax=3)
         traj = kl.synthesize_control(u0, kl.evolve(u0, 1.0, params), 1.0, profile, params)
-        terminal = kl.verify_control(u0, traj, params, steps=10_000)
+        terminal = kl.verify_control(u0, traj, steps=10_000)
         free = kl.evolve(u0, 1.0, params)
         assert (terminal - free).norm() <= 1e-8
 
@@ -170,10 +170,10 @@ class TestVerification:
         rng = seeded_rng(19, "order")
         u0 = random_field(grid, rng, kmax=3, lmax=1)
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-12)
-        reference = kl.verify_control(u0, traj, params, steps=51_200)
+        reference = kl.verify_control(u0, traj, steps=51_200)
         errors = []
         for steps in (800, 1600):
-            out = kl.verify_control(u0, traj, params, steps=steps)
+            out = kl.verify_control(u0, traj, steps=steps)
             errors.append((out - reference).norm())
         ratio = errors[0] / errors[1]
         assert 10.0 < ratio < 22.0
@@ -183,7 +183,7 @@ class TestVerification:
         u0 = kl.mode_field(grid, 1, 0)
         traj = kl.synthesize_control(u0, kl.evolve(u0, 1.0, params), 1.0, profile, params)
         with pytest.raises(ParameterError):
-            kl.verify_control(u0, traj, params, steps=10)
+            kl.verify_control(u0, traj, steps=10)
 
 
 class TestGoldenTwoModeSteering:
@@ -198,7 +198,7 @@ class TestGoldenTwoModeSteering:
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-10)
         assert traj.diagnostics["iterations"] <= 20
         assert traj.diagnostics["relative_residual"] <= 1e-8
-        terminal = kl.verify_control(u0, traj, params, steps=10_000)
+        terminal = kl.verify_control(u0, traj, steps=10_000)
         assert terminal.norm() <= 1e-6
 
 

@@ -188,6 +188,16 @@ class TestGramianBlocks:
         with pytest.raises(ParameterError):
             kl.assemble_observability_gramian(1.0, 40, 0, profile_64, kp_params)
 
+    def test_block_zero_to_rounding_is_accepted(self):
+        # the profile covers one node of the 8-point grid, so G vanishes on
+        # the grid and the block is rounding noise (hermiticity defect
+        # 3.8e-17 at max|M| = 4.0e-17, a relative 0.94)
+        profile = kl.make_control_profile(0.3, 1.4, "hann-squared", kl.TorusGrid(8))
+        for k in (1, 2, 3, 11):
+            block = kl.assemble_horizontal_gramian(1.0, 3, k, profile, kl.DispersionParams.kp1(0.5))
+            assert np.max(np.abs(block.matrix)) < 1e-16
+            assert np.max(np.abs(block.eigenvalues)) < 1e-15
+
 
 class TestObservabilityRatio:
     def test_single_mode_time_independence(self, grid_2d, profile_64, kp_params):
