@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, get_args
 
@@ -60,20 +61,14 @@ def random_field(
     unit_norm: bool = True,
 ) -> SpectralField:
     """Random complex-Gaussian field on an inner window, mean-zero, Nyquist-free."""
-    kmax = kmax if kmax is not None else max(1, int(0.4 * (grid.nx // 2)))
+    masks = []
+    for freqs, n, size in zip(grid.frequencies, grid.shape, (kmax, lmax)):
+        size = size if size is not None else max(1, int(0.4 * (n // 2)))
+        masks.append(np.abs(freqs) <= size)
+    masks[0] &= grid.k_values != 0
+    draw = rng.standard_normal(tuple(int(m.sum()) for m in masks) + (2,))
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    kv = grid.k_values
-    k_mask = (np.abs(kv) <= kmax) & (kv != 0)
-    if grid.dimension == 1:
-        draw = rng.standard_normal((int(k_mask.sum()), 2))
-        coeffs[k_mask] = draw[:, 0] + 1j * draw[:, 1]
-    else:
-        lmax = lmax if lmax is not None else max(1, int(0.4 * (grid.ny // 2)))
-        lv = grid.l_values
-        l_mask = np.abs(lv) <= lmax
-        draw = rng.standard_normal((int(k_mask.sum()), int(l_mask.sum()), 2))
-        block = draw[..., 0] + 1j * draw[..., 1]
-        coeffs[np.ix_(k_mask, l_mask)] = block
+    coeffs[np.ix_(*masks)] = draw[..., 0] + 1j * draw[..., 1]
     field = SpectralField(grid, coeffs)
     if unit_norm:
         field = field * (1.0 / field.norm())
@@ -86,15 +81,11 @@ def leakage_fraction(field: SpectralField) -> float:
     total = float(np.sum(np.abs(field.coeffs) ** 2))
     if total == 0.0:
         return 0.0
-    k_edge = 0.9 * (grid.nx // 2)
-    outer = np.abs(grid.k_values) >= k_edge
-    if grid.dimension == 1:
-        mass = float(np.sum(np.abs(field.coeffs[outer]) ** 2))
-    else:
-        l_edge = 0.9 * (grid.ny // 2)
-        outer_l = np.abs(grid.l_values) >= l_edge
-        mask = outer[:, None] | outer_l[None, :]
-        mass = float(np.sum(np.abs(field.coeffs[mask]) ** 2))
+    outer = reduce(
+        np.logical_or.outer,
+        [np.abs(freqs) >= 0.9 * (n // 2) for freqs, n in zip(grid.frequencies, grid.shape)],
+    )
+    mass = float(np.sum(np.abs(field.coeffs[outer]) ** 2))
     return mass / total
 
 
@@ -110,6 +101,11 @@ def check_leakage(field: SpectralField, tol: float = 1e-10) -> None:
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
 
 
 def frequency_localized_scan(
@@ -131,8 +127,11 @@ def frequency_localized_scan(
     """
     if h <= 0.0:
         raise ParameterError(f"semiclassical parameter h must be positive, got {h}")
+    _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     n_values = list(n_values)
+    if not n_values:
+        raise ParameterError("the scan needs at least one block index (n_min <= n_max)")
     for n in n_values:
         if 2.0**n * h > epsilon0:
             raise ParameterError(
@@ -191,6 +190,7 @@ def weak_observability_diagnostic(
     """
     if not 0.0 < h < h_max:
         raise ParameterError(f"h must lie in (0, {h_max}), got {h}")
+    _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     grid = profile.grid
     params = DispersionParams.reduced(alpha, 1.0 / h**2)

@@ -18,7 +18,7 @@ field, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -89,13 +89,15 @@ class TorusGrid:
         return np.arange(-self.ny // 2, self.ny // 2)
 
     @cached_property
-    def _sign_x(self) -> np.ndarray:
-        # (-1)^k factors translating the FFT origin to x = -pi
-        return np.where(self.k_values % 2 == 0, 1.0, -1.0)
+    def frequencies(self) -> tuple[np.ndarray, ...]:
+        """Integer frequencies of each axis in storage order: ``(k,)`` or ``(k, l)``."""
+        return tuple(np.arange(-n // 2, n // 2) for n in self.shape)
 
     @cached_property
-    def _sign_y(self) -> np.ndarray:
-        return np.where(self.l_values % 2 == 0, 1.0, -1.0)
+    def _sign(self) -> np.ndarray:
+        # (-1)^(k + l) factors translating the FFT origin to the corner at -pi
+        signs = [np.where(f % 2 == 0, 1.0, -1.0) for f in self.frequencies]
+        return reduce(np.multiply.outer, signs)
 
     def index_of_k(self, k: int) -> int:
         if not -self.nx // 2 <= k < self.nx // 2:
@@ -108,6 +110,13 @@ class TorusGrid:
         if not -self.ny // 2 <= l < self.ny // 2:
             raise ParameterError(f"frequency l={l} outside window of ny={self.ny}")
         return l + self.ny // 2
+
+
+def along_axis(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A 1D array shaped to broadcast along ``axis`` of an ``ndim``-dimensional one."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return np.reshape(values, shape)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -199,23 +208,14 @@ def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
         raise DimensionError(
             f"sample shape {samples.shape} does not match grid {grid.shape}"
         )
-    if grid.dimension == 1:
-        spec = np.fft.fftshift(np.fft.fft(samples)) / grid.nx
-        coeffs = spec * grid._sign_x
-    else:
-        spec = np.fft.fftshift(np.fft.fft2(samples)) / (grid.nx * grid.ny)
-        coeffs = spec * np.outer(grid._sign_x, grid._sign_y)
-    return SpectralField(grid, coeffs)
+    spec = np.fft.fftshift(np.fft.fftn(samples)) / samples.size
+    return SpectralField(grid, spec * grid._sign)
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Fourier coefficients -> physical samples on the grid nodes."""
-    grid = field.grid
-    if grid.dimension == 1:
-        spec = np.fft.ifftshift(field.coeffs * grid._sign_x)
-        return np.fft.ifft(spec) * grid.nx
-    spec = np.fft.ifftshift(field.coeffs * np.outer(grid._sign_x, grid._sign_y))
-    return np.fft.ifft2(spec) * (grid.nx * grid.ny)
+    spec = np.fft.ifftshift(field.coeffs * field.grid._sign)
+    return np.fft.ifftn(spec) * spec.size
 
 
 def project_mean_zero(field: SpectralField) -> SpectralField:
@@ -262,11 +262,8 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
             )
     with np.errstate(divide="ignore"):
         wk = np.where(k == 0.0, 0.0 if s != 0 else 1.0, np.abs(k) ** (2.0 * s))
-    if grid.dimension == 1:
-        total = np.sum(wk * np.abs(field.coeffs) ** 2)
-    else:
-        wl = (1.0 + grid.l_values.astype(float) ** 2) ** s
-        total = np.sum(wk[:, None] * wl[None, :] * np.abs(field.coeffs) ** 2)
+    weights = [wk] + [(1.0 + l.astype(float) ** 2) ** s for l in grid.frequencies[1:]]
+    total = np.sum(reduce(np.multiply.outer, weights) * np.abs(field.coeffs) ** 2)
     return float(np.sqrt(TWO_PI ** grid.dimension * total))
 
 
@@ -333,6 +330,4 @@ def littlewood_paley_block(
     if h <= 0:
         raise ParameterError(f"semiclassical parameter h must be positive, got {h}")
     weights = family.block(n, h * field.grid.k_values.astype(float))
-    if field.grid.dimension == 1:
-        return field.with_coeffs(field.coeffs * weights)
-    return field.with_coeffs(field.coeffs * weights[:, None])
+    return field.with_coeffs(field.coeffs * along_axis(weights, 0, field.grid.dimension))

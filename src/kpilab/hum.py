@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .dispersion import DispersionParams, frequencies_1d, frequencies_2d, unit_phases
+from .dispersion import DispersionParams, unit_phases
 from .errors import (
     DimensionError,
     NonConvergenceError,
@@ -34,11 +34,11 @@ from .fourier import (
 from .observe import (
     ControlProfile,
     Orientation,
+    _block_layout,
     _gramian_kernel,
     apply_control,
-    window_mask,
 )
-from .propagate import evolve
+from .propagate import _cached_grid_frequencies, evolve
 
 
 class ControlGramian:
@@ -59,53 +59,26 @@ class ControlGramian:
         params: DispersionParams,
         orientation: Orientation = "vertical",
     ):
-        if horizon <= 0:
-            raise ParameterError("horizon must be positive")
         self.grid = grid
         self.horizon = horizon
         self.profile = profile
         self.params = params
         self.orientation = orientation
-        k_mask = window_mask(grid.k_values, grid.nx // 2 - 1, exclude_zero=True)
-        if orientation == "vertical":
-            if profile.grid.nx != grid.nx:
-                raise DimensionError("profile grid does not match the field's x-axis")
-            idx = grid.k_values[k_mask]
-            if grid.dimension == 1:
-                self.labels = np.zeros(1, dtype=int)
-                omega = frequencies_1d(idx, params)[None, :]
-                self._window = (k_mask, None)
-            else:
-                l_mask = window_mask(grid.l_values, grid.ny // 2 - 1, exclude_zero=False)
-                self.labels = grid.l_values[l_mask]
-                omega = frequencies_2d(idx, self.labels, params).T
-                self._window = np.ix_(k_mask, l_mask)
-        elif orientation == "horizontal":
-            if grid.dimension != 2:
-                raise DimensionError("horizontal control requires a 2D grid")
-            if profile.grid.nx != grid.ny:
-                raise DimensionError("profile grid does not match the field's y-axis")
-            l_mask = window_mask(grid.l_values, grid.ny // 2 - 1, exclude_zero=False)
-            idx = grid.l_values[l_mask]
-            self.labels = grid.k_values[k_mask]
-            omega = frequencies_2d(self.labels, idx, params)
-            self._window = np.ix_(k_mask, l_mask)
-        else:
-            raise ParameterError(f"unknown control orientation {orientation!r}")
-        # vertical blocks are columns of the (k, l) window, horizontal ones rows
-        self._by_column = orientation == "vertical"
+        sizes = [n // 2 - 1 for n in grid.shape]
+        self.labels, self._select, idx, omega = _block_layout(
+            grid, orientation, sizes, profile, params
+        )
         # the observability kernel run backward in time
-        self.stack = _gramian_kernel(profile, idx, -omega.astype(float), horizon)
+        self.stack = _gramian_kernel(profile, idx, -omega, horizon)
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """Block vectors ``(len(labels), n)`` of a coefficient array."""
-        vecs = coeffs[self._window]
-        return vecs.T if self._by_column else vecs
+        return coeffs[self._select]
 
     def scatter(self, vecs: np.ndarray) -> np.ndarray:
         """Coefficient array holding the block vectors, zero off the window."""
         out = np.zeros(self.grid.shape, dtype=np.complex128)
-        out[self._window] = vecs.T if self._by_column else vecs
+        out[self._select] = vecs
         return out
 
     def apply(self, v: SpectralField) -> SpectralField:
@@ -238,6 +211,10 @@ def synthesize_control(
     residual history) when a block stagnates, which is the expected signal
     for data invisible to the chosen control operator.
     """
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if u0.grid != u1.grid:
         raise DimensionError("initial and target fields live on different grids")
     require_mean_zero(u0)
@@ -320,10 +297,7 @@ def verify_control(
         raise ParameterError("verification needs at least 100 steps")
     require_mean_zero(u0)
     grid = u0.grid
-    if traj.params.mode == "full-2d":
-        omega = frequencies_2d(grid.k_values, grid.l_values, traj.params)
-    else:
-        omega = frequencies_1d(grid.k_values, traj.params)
+    omega = _cached_grid_frequencies(grid, traj.params)
 
     def forcing(t: float) -> np.ndarray:
         g_f = apply_control(traj.control_at(t), traj.profile, traj.orientation)

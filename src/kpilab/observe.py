@@ -41,10 +41,12 @@ from .fourier import (
     TWO_PI,
     SpectralField,
     TorusGrid,
+    along_axis,
     forward_transform,
     inverse_transform,
     require_mean_zero,
 )
+from .propagate import _cached_grid_frequencies
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
 Orientation = Literal["vertical", "horizontal"]
@@ -175,38 +177,45 @@ def default_profile(nx: int = 1024) -> ControlProfile:
 # ---------------------------------------------------------------------------
 
 
+_CONTROL_AXIS = {"vertical": 0, "horizontal": 1}
+
+
+def _control_axis(grid: TorusGrid, profile: ControlProfile, orientation: Orientation) -> int:
+    """The field axis the control acts along (x vertical, y horizontal), checked."""
+    if orientation not in _CONTROL_AXIS:
+        raise ParameterError(f"unknown control orientation {orientation!r}")
+    axis = _CONTROL_AXIS[orientation]
+    if axis >= grid.dimension:
+        raise DimensionError("horizontal control requires a 2D field")
+    if grid.shape[axis] != profile.grid.nx:
+        raise DimensionError(f"profile grid does not match the field's {'xy'[axis]}-axis")
+    return axis
+
+
+def _apply_control_along(
+    u: SpectralField, profile: ControlProfile, orientation: Orientation
+) -> SpectralField:
+    """``g (u - integral g u)`` with g and the integral along the control axis."""
+    axis = _control_axis(u.grid, profile, orientation)
+    samples = inverse_transform(u)
+    g = along_axis(profile.values, axis, u.grid.dimension)
+    step = TWO_PI / u.grid.shape[axis]
+    mean = np.sum(g * samples, axis=axis, keepdims=True) * step
+    return forward_transform(g * (samples - mean), u.grid)
+
+
 def apply_vertical_control(u: SpectralField, profile: ControlProfile) -> SpectralField:
     """``G u = g(x) (u - integral g(x') u(x', y) dx')``.
 
     Self-adjoint on L^2 and, because g has unit integral, the output has zero
     x-mean for every y.
     """
-    if u.grid.nx != profile.grid.nx:
-        raise DimensionError("profile grid does not match the field's x-axis")
-    samples = inverse_transform(u)
-    g = profile.values
-    dx = TWO_PI / u.grid.nx
-    if u.grid.dimension == 1:
-        mean = np.sum(g * samples) * dx
-        out = g * (samples - mean)
-    else:
-        mean = np.sum(g[:, None] * samples, axis=0) * dx
-        out = g[:, None] * (samples - mean[None, :])
-    return forward_transform(out, u.grid)
+    return _apply_control_along(u, profile, "vertical")
 
 
 def apply_horizontal_control(u: SpectralField, profile: ControlProfile) -> SpectralField:
     """``g(y) (u - integral g(y') u(x, y') dy')``; annihilates y-independent fields."""
-    if u.grid.dimension != 2:
-        raise DimensionError("horizontal control requires a 2D field")
-    if u.grid.ny != profile.grid.nx:
-        raise DimensionError("profile grid does not match the field's y-axis")
-    samples = inverse_transform(u)
-    g = profile.values
-    dy = TWO_PI / u.grid.ny
-    mean = np.sum(g[None, :] * samples, axis=1) * dy
-    out = g[None, :] * (samples - mean[:, None])
-    return forward_transform(out, u.grid)
+    return _apply_control_along(u, profile, "horizontal")
 
 
 def apply_control(
@@ -285,6 +294,8 @@ class GramianBlock:
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        if not np.all(np.isfinite(m)):
+            raise NumericalConsistencyError("Gramian block has non-finite entries")
         scale = float(np.max(np.abs(m))) or 1.0
         # absolute dust allowance keeps degenerate (zero to rounding) blocks
         # from tripping on rounding noise
@@ -335,6 +346,43 @@ def window_mask(freqs: np.ndarray, size: int, exclude_zero: bool) -> np.ndarray:
     return mask & (freqs != 0) if exclude_zero else mask
 
 
+def _block_layout(
+    grid: TorusGrid,
+    orientation: Orientation,
+    sizes: Sequence[int],
+    profile: ControlProfile,
+    params: DispersionParams,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Blocks of the control on the window ``|k| <= sizes[0]``, ``|l| <= sizes[1]``.
+
+    The control couples the frequencies along its axis and decouples the
+    others, so there is one block per label on the other axis (a single
+    label 0 on a 1D grid); ``k = 0`` is left out. Returns the labels, the
+    index that gathers the block vectors of a coefficient array (one row per
+    block), the varying frequencies, and each block's frequencies, taken
+    from the grid's frequency table.
+    """
+    axis = _control_axis(grid, profile, orientation)
+    labels = np.zeros(1, dtype=int)
+    select = []
+    for a, (freqs, size) in enumerate(zip(grid.frequencies, sizes)):
+        mask = window_mask(freqs, size, exclude_zero=a == 0)
+        if a == axis:
+            indices, positions = freqs[mask], np.flatnonzero(mask)[None, :]
+        else:
+            labels, positions = freqs[mask], np.flatnonzero(mask)[:, None]
+        select.append(positions)
+    select = tuple(select)
+    omega = _cached_grid_frequencies(grid, params)[select].astype(float)
+    return labels, select, indices, omega
+
+
+def _check_horizon(horizon: float) -> None:
+    """The time horizon must be a positive finite number (NaN fails too)."""
+    if not 0.0 < horizon < np.inf:
+        raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+
+
 def _gramian_kernel(
     profile: ControlProfile,
     indices: np.ndarray,
@@ -350,6 +398,7 @@ def _gramian_kernel(
     Gramian. ``plain_weight`` selects multiplication by g instead of the
     mean-corrected control operator.
     """
+    _check_horizon(horizon)
     e_mat = time_factor(omega[..., None, :] - omega[..., :, None], horizon)
     m = (
         plain_weight_gram_matrix(profile, indices)
@@ -374,8 +423,6 @@ def assemble_observability_gramian(
     """
     if k_window < 1:
         raise ParameterError("k_window must be >= 1")
-    if horizon <= 0:
-        raise ParameterError("horizon must be positive")
     if k_window > profile.grid.nx // 2 - 1:
         raise ParameterError(
             f"window K={k_window} exceeds the profile grid (nx={profile.grid.nx})"
@@ -407,8 +454,6 @@ def assemble_horizontal_gramian(
     """
     if k == 0:
         raise ParameterError("x-frequency k = 0 is excluded by the mean-zero constraint")
-    if horizon <= 0:
-        raise ParameterError("horizon must be positive")
     if l_window > profile.grid.nx // 2 - 1:
         raise ParameterError(
             f"window L={l_window} exceeds the profile grid (nx={profile.grid.nx})"
@@ -500,46 +545,30 @@ def gramian_observed_energy(
     params: DispersionParams,
     orientation: Orientation = "vertical",
 ) -> float:
-    """Observed energy via exact-time-factor blocks on the field's support."""
+    """Observed energy via exact-time-factor blocks on the field's support.
+
+    Each window reaches the largest active frequency of its axis (at least 1
+    along the control axis); blocks whose vector vanishes are skipped.
+    """
     grid = u0.grid
+    axis = _control_axis(grid, profile, orientation)
     nonzero = np.abs(u0.coeffs) > 0
-    if orientation == "vertical":
-        kv = grid.k_values
-        k_active = kv[np.any(nonzero, axis=1)] if grid.dimension == 2 else kv[nonzero]
-        if k_active.size == 0:
-            return 0.0
-        k_max = int(np.max(np.abs(k_active)))
-        window = window_mask(kv, k_max, exclude_zero=True)
-        if grid.dimension == 1:
-            idx = kv[window]
-            omega = frequencies_1d(idx, params).astype(float)
-            block = gramian_from_frequencies(horizon, idx, omega, profile)
-            return TWO_PI * block.quadratic_form(u0.coeffs[window])
-        total = 0.0
-        for j, l in enumerate(grid.l_values):
-            if not np.any(nonzero[:, j]):
-                continue
-            block = assemble_observability_gramian(
-                horizon, k_max, int(l), profile, params
-            )
-            total += block.quadratic_form(u0.coeffs[window, j])
-        return TWO_PI**2 * total
-    # horizontal: blocks at fixed k over the transverse window
-    if grid.dimension != 2:
-        raise DimensionError("horizontal control requires a 2D field")
-    lv = grid.l_values
-    l_active = lv[np.any(nonzero, axis=0)]
-    if l_active.size == 0:
+    if not np.any(nonzero):
         return 0.0
-    l_max = max(int(np.max(np.abs(l_active))), 1)
-    window = window_mask(lv, l_max, exclude_zero=False)
+    sizes = []
+    for a, freqs in enumerate(grid.frequencies):
+        others = tuple(b for b in range(grid.dimension) if b != a)
+        extent = int(np.max(np.abs(freqs[np.any(nonzero, axis=others)])))
+        sizes.append(max(extent, 1) if a == axis else extent)
+    labels, select, idx, omega = _block_layout(grid, orientation, sizes, profile, params)
+    vecs = u0.coeffs[select]
+    active = np.any(vecs != 0, axis=1)
     total = 0.0
-    for i, k in enumerate(grid.k_values):
-        if k == 0 or not np.any(nonzero[i]):
-            continue
-        block = assemble_horizontal_gramian(horizon, l_max, int(k), profile, params)
-        total += block.quadratic_form(u0.coeffs[i, window])
-    return TWO_PI**2 * total
+    stack = _gramian_kernel(profile, idx, omega[active], horizon)
+    for label, matrix, vec in zip(labels[active], stack, vecs[active]):
+        block = GramianBlock(idx, int(label), horizon, matrix, axis="xy"[axis])
+        total += block.quadratic_form(vec)
+    return TWO_PI**grid.dimension * total
 
 
 def observability_ratio(
@@ -553,8 +582,7 @@ def observability_ratio(
     order: int = 24,
 ) -> float:
     """``integral_0^T ||G u(t)||^2 dt / ||u0||^2`` for the chosen operator."""
-    if horizon <= 0:
-        raise ParameterError("horizon must be positive")
+    _check_horizon(horizon)
     require_mean_zero(u0)
     norm_sq = u0.norm() ** 2
     if norm_sq == 0.0:
@@ -632,7 +660,10 @@ def _mp_smallest_eigenvalue(moments: list, m0: int, dps: int):
             for j in range(n):
                 d = j - i
                 a[i, j] = moments[d] if d >= 0 else mp.conj(moments[-d])
-        lower = mp.cholesky(a)
+        try:
+            lower = mp.cholesky(a)
+        except ValueError:  # not positive definite at this precision
+            return None
         x = mp.matrix([mp.mpf(1) + mp.mpf(i) / n for i in range(n)])
         rayleigh = None
         for _ in range(80):

@@ -32,8 +32,7 @@ def _zero_excluded_modes(coeffs: np.ndarray, grid) -> np.ndarray:
     out = coeffs.copy()
     out[grid.index_of_k(0)] = 0.0
     out[0] = 0.0  # k = -nx/2
-    if grid.dimension == 2:
-        out[:, 0] = 0.0  # l = -ny/2
+    out[..., 0] = 0.0  # l = -ny/2 (k = -nx/2 again in 1D)
     return out
 
 
@@ -46,7 +45,12 @@ def _check_mode(field: SpectralField, params: DispersionParams) -> None:
 
 @lru_cache(maxsize=128)
 def _cached_grid_frequencies(grid, params) -> np.ndarray:
-    if params.mode == "full-2d":
+    """Frequencies over the whole grid, in extended precision.
+
+    The 2D multiplier on a 2D grid; on a 1D grid the reduced family at
+    ``params.lam`` (the transverse mode the 1D field stands for).
+    """
+    if grid.dimension == 2:
         table = frequencies_2d(grid.k_values, grid.l_values, params)
     else:
         table = frequencies_1d(grid.k_values, params)

@@ -79,33 +79,25 @@ def read_field(path: str | Path) -> SpectralField:
     return SpectralField(grid, coeffs.astype(np.complex128))
 
 
+def _coefficient_rows(field: SpectralField):
+    """``(k, l, coefficient)`` in storage order; a 1D field has the single l = 0."""
+    k, l = (field.grid.frequencies + (np.zeros(1, dtype=int),))[:2]
+    coeffs = field.coeffs.reshape(k.size, l.size)
+    for i, kk in enumerate(k.tolist()):
+        for j, ll in enumerate(l.tolist()):
+            yield kk, ll, coeffs[i, j]
+
+
 def field_to_csv(field: SpectralField, path: str | Path) -> None:
-    grid = field.grid
     lines = ["k,l,re,im"]
-    if grid.dimension == 1:
-        for i, k in enumerate(grid.k_values):
-            c = field.coeffs[i]
-            lines.append(f"{k},0,{_fmt(c.real)},{_fmt(c.imag)}")
-    else:
-        for i, k in enumerate(grid.k_values):
-            for j, l in enumerate(grid.l_values):
-                c = field.coeffs[i, j]
-                lines.append(f"{k},{l},{_fmt(c.real)},{_fmt(c.imag)}")
+    for k, l, c in _coefficient_rows(field):
+        lines.append(f"{k},{l},{_fmt(c.real)},{_fmt(c.imag)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def field_to_json(field: SpectralField, path: str | Path) -> None:
     grid = field.grid
-    records = []
-    if grid.dimension == 1:
-        for i, k in enumerate(grid.k_values):
-            c = field.coeffs[i]
-            records.append({"k": int(k), "l": 0, "re": c.real, "im": c.imag})
-    else:
-        for i, k in enumerate(grid.k_values):
-            for j, l in enumerate(grid.l_values):
-                c = field.coeffs[i, j]
-                records.append({"k": int(k), "l": int(l), "re": c.real, "im": c.imag})
+    records = [{"k": k, "l": l, "re": c.real, "im": c.imag} for k, l, c in _coefficient_rows(field)]
     payload = {"dimension": grid.dimension, "nx": grid.nx, "ny": grid.ny, "coefficients": records}
     Path(path).write_text(json_text(payload) + "\n")
 

@@ -45,3 +45,33 @@ def test_traced_layers_exist_with_their_shape(perfbench_modules):
     # the tracer wraps and restores every layer
     with tracer.LayerTracer():
         pass
+
+
+# the layers a control synthesis and a quadrature observation must pass through
+HOT_PATH = (
+    "propagate.evolve",
+    "dispersion.unit_phases",
+    "fourier.forward_transform",
+    "fourier.inverse_transform",
+    "observe.apply_vertical_control",
+    "observe.quadrature_observed_energy",
+    "hum.ControlGramian",
+    "hum.verify_control",
+)
+
+
+def test_traced_hot_path_is_not_silent(perfbench_modules, tmp_path):
+    _, tracer = perfbench_modules
+    import kpilab.cli
+
+    field = str(tmp_path / "field.bin")
+    steps = [
+        ["random-field", "--nx", "16", "--ny", "4", "--kmax", "3", "--lmax", "1"],
+        ["control", "--initial", field, "--verify-steps", "100"],
+        ["observe", "--input", field, "--method", "quadrature"],
+    ]
+    with tracer.LayerTracer() as trace:
+        for argv in steps:
+            assert kpilab.cli.main(["--out", str(tmp_path)] + argv) == 0
+    silent = [name for name in HOT_PATH if trace.stats[name][0] == 0]
+    assert not silent, f"traced layers never called: {silent}"

@@ -1,0 +1,66 @@
+"""Frozen bytes of the array path on a seeded 1D and a seeded 2D field.
+
+``kpi-lab random-field``, ``evolve`` in all three formats and the printed
+``observe --method quadrature`` ratio go through the transforms, the
+phases, the control operator and the exporters, and through nothing from
+LAPACK. Their bytes were frozen before the 1D and 2D code paths were merged
+into one; a change of any of them changes a published output.
+"""
+
+import hashlib
+from pathlib import Path
+
+from kpilab.cli import main
+
+FIELDS = {
+    "1d": ["--nx", "64", "--kmax", "12", "--seed", "3"],
+    "2d": ["--nx", "32", "--ny", "8", "--kmax", "6", "--lmax", "2", "--seed", "4"],
+}
+EVOLVE = ["--times", "0.5,1.25", "--lam", "1.5", "--alpha", "1.5"]
+OBSERVE = {"1d": ["vertical"], "2d": ["vertical", "horizontal"]}
+PROFILE = ["--support-a", "-1.2", "--support-b", "1.9", "--profile", "hann-squared"]
+
+# taken from the code before the merge of the 1D and 2D paths
+FROZEN = {
+    "1d-bin/snapshot_t0.5.bin": "9fb483ce55c45a11a16850f918a482d745f4d7519edc7b41084b86b58b2199f5",
+    "1d-bin/snapshot_t1.25.bin": "f81d6bd0ab453bc5ab1fab95948e00aea65266d698183e39e2f0daebb2a4a8cc",
+    "1d-csv/snapshot_t0.5.csv": "f20d9a0b41048e3ae06b464fca44e2c2dafe3e255ba6a8be88642c665f520dfa",
+    "1d-csv/snapshot_t1.25.csv": "267c1373c174069813e967732868ea9725ed2836c5a7027b074604f6c5e98198",
+    "1d-json/snapshot_t0.5.json": "0324dd9ce776c69b3633c87831a70e5a05939ccac4a5acc531a663340e5ca5e3",
+    "1d-json/snapshot_t1.25.json": "7d5c78b06848de21a58194526d68c94e60378c72424df7d4227272e581f81264",
+    "1d/field.bin": "76a70e26b073898e45f782e00eeb37fe642ca7afb55b5f8394165cfaf4c54818",
+    "1d/observe-vertical": '{"ratio": 0.0617471601111265, "horizon": 0.75, "control": "vertical"}\n',
+    "2d-bin/snapshot_t0.5.bin": "ee3a4b5b6976213b0fd9cd646fe0a7200ef3c899495ed93421ab7a4d73ba8b99",
+    "2d-bin/snapshot_t1.25.bin": "49aeff3e69551a350242f33fe81097ce1499c6d02d3961b53a8c6413770e402b",
+    "2d-csv/snapshot_t0.5.csv": "aa493ad175e0d43390ccefe6a1e3fefb1a0a9c215d136592fe1a38f2bc785939",
+    "2d-csv/snapshot_t1.25.csv": "94c9bba835f8bda385794db60a2f5c201bfa383605144771139fbba0beea803c",
+    "2d-json/snapshot_t0.5.json": "f22f6b779e0e458b9d4f6e4c9d534a5ac401cb3f939efc72f4af481e68ddd780",
+    "2d-json/snapshot_t1.25.json": "55937dbe1148234369cf946d24341f051c389c5124fae5cd4a13c75154b8da83",
+    "2d/field.bin": "6307b379e9db28dc8214fd5314f7beabf5fc8885d969154fba2705cef3f97e9b",
+    "2d/observe-horizontal": '{"ratio": 0.021822612678295696, "horizon": 0.75, "control": "horizontal"}\n',
+    "2d/observe-vertical": '{"ratio": 0.04643817764527708, "horizon": 0.75, "control": "vertical"}\n',
+}
+
+
+def frozen_outputs(root: Path, capsys) -> dict:
+    """sha256 of every written file and each printed ratio line, by name."""
+    found = {}
+    for name, flags in FIELDS.items():
+        assert main(["--out", str(root / name), "random-field"] + flags) == 0
+        field = root / name / "field.bin"
+        for fmt in ("csv", "json", "bin"):
+            out = root / f"{name}-{fmt}"
+            argv = ["--out", str(out), "--format", fmt, "evolve", "--input", str(field)]
+            assert main(argv + EVOLVE) == 0
+        for control in OBSERVE[name]:
+            capsys.readouterr()
+            argv = ["observe", "--input", str(field), "--method", "quadrature"]
+            assert main(argv + PROFILE + ["--control", control, "--horizon", "0.75"]) == 0
+            found[f"{name}/observe-{control}"] = capsys.readouterr().out
+    for path in sorted(root.rglob("*.*")):
+        found[path.relative_to(root).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return found
+
+
+def test_array_path_outputs_are_frozen(tmp_path, capsys):
+    assert frozen_outputs(tmp_path, capsys) == FROZEN

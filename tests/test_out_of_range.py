@@ -1,0 +1,144 @@
+"""Numbers that convert but lie outside their range fail before any work.
+
+Each case goes through a ``kpi-lab run`` section and, where one exists,
+through its subcommand twin: exit code 1 (3 for a diverging constant), an
+``error:`` line naming the bad key, no Python traceback and no CSV of the
+failed experiment.
+"""
+
+import numpy as np
+import pytest
+
+import kpilab as kl
+from kpilab.cli import main
+from kpilab.errors import NumericalConsistencyError, ParameterError
+from kpilab.experiments import random_field, seeded_rng
+from kpilab.hum import synthesize_control
+from kpilab.observe import GramianBlock, gramian_from_frequencies
+from kpilab.storage import write_field
+
+
+def _expect_error(capsys, code, needle, exit_code=1, prefix="error:"):
+    err = capsys.readouterr().err
+    assert code == exit_code, err
+    assert err.startswith(prefix) and needle in err, err
+    assert "Traceback" not in err
+
+
+def _section(tmp_path, capsys, name, body, needle):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"[{name}]\n{body}")
+    out = tmp_path / "out"
+    _expect_error(capsys, main(["--out", str(out), "run", str(cfg)]), needle)
+    assert not (out / f"{name}.csv").exists()
+
+
+def _command(tmp_path, capsys, argv, needle, exit_code=1, prefix="error:"):
+    code = main(["--out", str(tmp_path / "cli")] + argv)
+    _expect_error(capsys, code, needle, exit_code, prefix)
+
+
+@pytest.fixture()
+def field_32x8(tmp_path):
+    path = tmp_path / "u0.bin"
+    write_field(random_field(kl.TorusGrid(32, 8), seeded_rng(5, "range"), kmax=6, lmax=2), path)
+    return str(path)
+
+
+def test_zero_trials_in_both_scans(tmp_path, capsys):
+    weak = "type = weak-observability\nh = 0.0625\ntrials = 0\n"
+    _section(tmp_path, capsys, "weak", weak, "trials")
+    fscan = "type = frequency-scan\nh = 0.00390625\ntrials = 0\n"
+    _section(tmp_path, capsys, "fscan", fscan, "trials")
+
+
+def test_empty_frequency_scan_range(tmp_path, capsys):
+    body = "type = frequency-scan\nh = 0.00390625\nn_min = 3\nn_max = 2\n"
+    _section(tmp_path, capsys, "fscan", body, "n_min <= n_max")
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-inf", "0"])
+def test_gramian_horizon_must_be_positive_and_finite(tmp_path, capsys, horizon):
+    body = f"type = gramian-floor\nk_window = 4\nhorizon = {horizon}\n"
+    _section(tmp_path, capsys, "floor", body, "horizon")
+    argv = ["gramian", "--k-window", "4", f"--horizon={horizon}"]
+    _command(tmp_path, capsys, argv, "horizon")
+    assert not (tmp_path / "cli" / "gramian_eigenvalues.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["gramian", "quadrature"])
+def test_observe_horizon_nan(tmp_path, capsys, field_32x8, method):
+    argv = ["observe", "--input", field_32x8, "--horizon", "nan", "--method", method]
+    _command(tmp_path, capsys, argv, "horizon")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("tol", "nan"), ("tol", "0"), ("tol", "1"), ("horizon", "nan"), ("max_iter", "0")],
+)
+def test_control_numbers_out_of_range(tmp_path, capsys, field_32x8, key, value):
+    body = f"type = hum-steer\nnx = 32\nny = 8\nkmax = 6\nlmax = 2\nverify_steps = 200\n{key} = {value}\n"
+    _section(tmp_path, capsys, "steer", body, key)
+    flag = "--" + key.replace("_", "-")
+    _command(tmp_path, capsys, ["control", "--initial", field_32x8, flag, value], key)
+    assert not (tmp_path / "cli" / "control_report.json").exists()
+
+
+@pytest.fixture()
+def small_setup_1d():
+    grid = kl.TorusGrid(16)
+    u0 = random_field(grid, seeded_rng(2, "range-1d"), kmax=4)
+    profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", grid)
+    return u0, profile, kl.DispersionParams.reduced(2.0, 1.0)
+
+
+def test_synthesis_rejects_out_of_range_before_work(small_setup_1d):
+    u0, profile, params = small_setup_1d
+    for kwargs in ({"tol": float("nan")}, {"tol": -1e-3}, {"tol": 2.0}, {"max_iter": 0}):
+        with pytest.raises(ParameterError):
+            synthesize_control(u0, u0 * 0.0, 1.0, profile, params, **kwargs)
+
+
+def test_gramian_block_rejects_non_finite_entries():
+    matrix = np.eye(3, dtype=complex)
+    for bad in (np.nan, np.inf):
+        matrix[1, 1] = bad
+        with pytest.raises(NumericalConsistencyError):
+            GramianBlock(np.arange(3), 0, 1.0, matrix)
+
+
+def test_kernel_rejects_non_finite_horizon():
+    profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16))
+    idx = np.array([-2, -1, 1, 2])
+    for horizon in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ParameterError):
+            gramian_from_frequencies(horizon, idx, idx.astype(float) ** 3, profile)
+
+
+def test_singular_spectral_constant_exits_3(tmp_path, capsys):
+    argv = [
+        "spectral-constant", "--profile-nx", "16", "--support-a", "0.3",
+        "--support-b", "0.9", "--m-max", "5",
+    ]
+    prefix = "numerical consistency error:"
+    _command(tmp_path, capsys, argv, "diverges", exit_code=3, prefix=prefix)
+    assert not (tmp_path / "cli" / "spectral_constant.csv").exists()
+
+
+def test_gramian_method_rejects_nyquist_content():
+    # the evolution zeroes the Nyquist modes, so the closed-form blocks do not
+    # cover them on either axis
+    grid = kl.TorusGrid(16, 8)
+    params = kl.DispersionParams.kp1(2.0)
+    profiles = {
+        "vertical": kl.make_control_profile(-1.0, 1.0, "smooth-exp", kl.TorusGrid(16)),
+        "horizontal": kl.make_control_profile(-1.0, 1.0, "smooth-exp", kl.TorusGrid(8)),
+    }
+    for position in ((0, 5), (3, 0)):  # k = -8 at l = 1, l = -4 at k = -5
+        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs[grid.index_of_k(2), grid.index_of_l(1)] = 1.0
+        coeffs[position] = 0.5
+        u = kl.SpectralField(grid, coeffs)
+        for orientation, profile in profiles.items():
+            with pytest.raises(ParameterError, match="Nyquist"):
+                kl.observability_ratio(u, 1.0, profile, params, orientation)
