@@ -125,8 +125,8 @@ def frequency_localized_scan(
     block mass to observed energy is reported (a lower bound for the uniform
     block constant). Blocks with no grid modes are skipped.
     """
-    if h <= 0.0:
-        raise ParameterError(f"semiclassical parameter h must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ParameterError(f"semiclassical parameter h must be positive and finite, got {h}")
     _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     n_values = list(n_values)
@@ -315,10 +315,12 @@ def gramian_floor(values: dict) -> tuple[list[GramianBlock], float, float | None
     profile = control_profile(values)
     params = DispersionParams.kp1(values["alpha"])
     l_window = values["l_window"]
-    blocks = [
+    # omega is even in l, so the block at -l is the block at |l| relabelled
+    nonnegative = [
         assemble_observability_gramian(values["horizon"], values["k_window"], l, profile, params)
-        for l in range(-l_window, l_window + 1)
+        for l in range(l_window + 1)
     ]
+    blocks = [nonnegative[-l].at_fixed_freq(l) for l in range(-l_window, 0)] + nonnegative
     estimate = observability_constant(blocks)
     constant = estimate.constant if estimate.lambda_min > 0 else None
     return blocks, estimate.lambda_min, constant

@@ -19,6 +19,7 @@ physical-space application of G on the same grid.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
@@ -320,6 +321,12 @@ class GramianBlock:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
+
+    def at_fixed_freq(self, fixed_freq: int) -> "GramianBlock":
+        """The same checked block labelled ``fixed_freq``, sharing matrix and eigenvalues."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "fixed_freq", fixed_freq)
+        return twin
 
     def quadratic_form(self, vec: np.ndarray) -> float:
         return float(np.real(np.vdot(vec, self.matrix @ vec)))

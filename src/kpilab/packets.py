@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dispersion import (
     DispersionParams,
@@ -94,6 +93,8 @@ def packet_cutoff(xi: np.ndarray, small: float, big: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gaussian_coefficient(eps: float, k: int) -> float:
+    from scipy.integrate import quad
+
     # integral of exp(-z^2/2) cos(eps*k*z) over the truncated window
     val, _, *rest = quad(
         lambda z: math.exp(-0.5 * z * z),

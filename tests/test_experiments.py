@@ -6,7 +6,10 @@ import pytest
 import kpilab as kl
 from kpilab.errors import ConfigError, NumericalConsistencyError, ParameterError
 from kpilab.experiments import (
+    GRAMIAN_FLOOR_KEYS,
     check_leakage,
+    control_profile,
+    gramian_floor,
     leakage_fraction,
     parse_config,
     random_field,
@@ -288,3 +291,26 @@ class TestScanGuards:
     def test_frequency_scan_rejects_bad_h(self, profile_default):
         with pytest.raises(ParameterError):
             kl.frequency_localized_scan(-0.1, [0], 0.5, 1.0, profile_default)
+
+
+class TestGramianFloor:
+    @pytest.mark.parametrize("alpha", [2.0, 0.5])
+    def test_blocks_equal_fresh_assembly_at_every_l(self, alpha):
+        values = {key: default for key, (_, default) in GRAMIAN_FLOOR_KEYS.items()}
+        values.update(alpha=alpha, k_window=8, l_window=3)
+        blocks, lambda_min, _ = gramian_floor(values)
+        profile = control_profile(values)
+        params = kl.DispersionParams.kp1(alpha)
+        assert [b.fixed_freq for b in blocks] == list(range(-3, 4))
+        for block in blocks:
+            fresh = kl.assemble_observability_gramian(
+                values["horizon"], 8, block.fixed_freq, profile, params
+            )
+            assert np.array_equal(block.indices, fresh.indices)
+            assert block.matrix.tobytes() == fresh.matrix.tobytes()
+            assert block.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert lambda_min == min(float(b.eigenvalues[0]) for b in blocks)
+        # the block at -l shares the matrix and the one eigensolve of the block at l
+        for l in range(1, 4):
+            assert blocks[3 - l].matrix is blocks[3 + l].matrix
+            assert blocks[3 - l].eigenvalues is blocks[3 + l].eigenvalues

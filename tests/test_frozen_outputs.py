@@ -1,10 +1,16 @@
-"""Frozen bytes of the array path on a seeded 1D and a seeded 2D field.
+"""Frozen bytes of the array path and of the Gramian floor's exports.
 
 ``kpi-lab random-field``, ``evolve`` in all three formats and the printed
 ``observe --method quadrature`` ratio go through the transforms, the
 phases, the control operator and the exporters, and through nothing from
 LAPACK. Their bytes were frozen before the 1D and 2D code paths were merged
 into one; a change of any of them changes a published output.
+
+``kpi-lab gramian`` writes one container per transverse frequency and the
+eigenvalue table. Its bytes were frozen while every block was still
+assembled and diagonalized on its own, before the block at ``-l`` became
+the block at ``|l|`` relabelled. The eigenvalues come from LAPACK, so their
+last digits may depend on the BLAS build and its thread count.
 """
 
 import hashlib
@@ -64,3 +70,22 @@ def frozen_outputs(root: Path, capsys) -> dict:
 
 def test_array_path_outputs_are_frozen(tmp_path, capsys):
     assert frozen_outputs(tmp_path, capsys) == FROZEN
+
+
+# taken from the code that assembled and diagonalized the blocks at l and -l apart
+FROZEN_GRAMIAN = {
+    "gramian_eigenvalues.csv": "65560ef3b546301ee68285c0e79ff54384058563d77e4d4e88ec1451613575bc",
+    "gramian_l-1.bin": "d85befea7e2b145b054019f5ff77b65c21bedf15a761faf9b8064ad4c84ca2d3",
+    "gramian_l-2.bin": "6c86f8ef583ff8c9363e4eda3951a4671cf00190e27f9afe4133f630dcf13b84",
+    "gramian_l-3.bin": "33bba79f0f1fb7257c805055a0622d718b858fc9f263f861c4361c07b744418f",
+    "gramian_l0.bin": "944f6d7b59fcdbc5099d55c70e7efdb165555b97c20e8eec716a32c9f1973377",
+    "gramian_l1.bin": "fe3784a7629e1686f4a2b593bcecceced2352081e767958d1c45a05ddc1a6096",
+    "gramian_l2.bin": "12f7411fc20a9c5580324e16082296f9c776d53218f85acf48f891ed5c99f060",
+    "gramian_l3.bin": "b98e9dfe39f99d306cea00e0ffae8499fdedabdc80056481c12d63696f516659",
+}
+
+
+def test_gramian_outputs_are_frozen(tmp_path):
+    assert main(["--out", str(tmp_path), "gramian", "--k-window", "8", "--l-window", "3"]) == 0
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert found == FROZEN_GRAMIAN

@@ -1,0 +1,48 @@
+"""Loading kpilab costs numpy and the standard library only.
+
+scipy serves one function, the packet coefficient quadrature, and mpmath
+the spectral constant; both are imported where they are called, so a
+``kpi-lab`` process that needs neither never pays for them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json, sys
+import numpy as np
+import kpilab, kpilab.cli
+
+def lazy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+
+at_load = lazy()
+values = kpilab.gaussian_packet_coefficients(0.05, np.array([0, 7, -21, 56]))
+print(json.dumps({"at_load": at_load, "values": [v.hex() for v in values.tolist()],
+                  "after": lazy()}))
+"""
+
+# the values of the packet quadrature, frozen while scipy was still imported at load
+FROZEN_VALUES = [
+    "0x1.6d637c88b470cp-4",
+    "0x1.57ae1fd9e260ep-4",
+    "0x1.a51857e08f46bp-5",
+    "0x1.cffb40860e588p-10",
+]
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    report = json.loads(run.stdout)
+    assert report["at_load"] == []
+    assert report["values"] == FROZEN_VALUES
+    assert "scipy.integrate" in report["after"]
+    assert "mpmath" not in report["after"]

@@ -52,6 +52,12 @@ def test_zero_trials_in_both_scans(tmp_path, capsys):
     _section(tmp_path, capsys, "fscan", fscan, "trials")
 
 
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_frequency_scan_h_must_be_positive_and_finite(tmp_path, capsys, h):
+    body = f"type = frequency-scan\nh = {h}\n"
+    _section(tmp_path, capsys, "fscan", body, "parameter h must be positive and finite")
+
+
 def test_empty_frequency_scan_range(tmp_path, capsys):
     body = "type = frequency-scan\nh = 0.00390625\nn_min = 3\nn_max = 2\n"
     _section(tmp_path, capsys, "fscan", body, "n_min <= n_max")

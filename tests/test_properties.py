@@ -2,7 +2,8 @@
 
 The control operator is written once for both axes and both dimensions, and
 the containers once for both dimensions; these checks hold for every grid
-that path can meet.
+that path can meet. The HUM solve's residuals never grow, and a damaged
+container is read back exactly or rejected as a ``DimensionError``.
 """
 
 import tempfile
@@ -12,8 +13,17 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
+from kpilab.errors import DimensionError
+from kpilab.experiments import random_field
 from kpilab.observe import GramianBlock, apply_control
-from kpilab.storage import read_field, read_gramian, write_field, write_gramian
+from kpilab.storage import (
+    _FIELD_HEADER,
+    _MATRIX_HEADER,
+    read_field,
+    read_gramian,
+    write_field,
+    write_gramian,
+)
 
 SIDES = st.sampled_from([4, 8, 16, 32, 64])
 
@@ -88,3 +98,84 @@ def test_gramian_container_round_trip(n, fixed, horizon, axis, seed):
     assert (back.fixed_freq, back.horizon, back.axis) == (fixed, horizon, axis)
     assert np.array_equal(back.indices, block.indices)
     assert np.array_equal(back.matrix, block.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.sampled_from([16, 32]),
+    ny=st.sampled_from([None, 8, 16]),
+    horizontal=st.booleans(),
+    horizon=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conjugate_residual_histories_never_grow(nx, ny, horizontal, horizon, seed):
+    grid = kl.TorusGrid(nx) if ny is None else kl.TorusGrid(nx, ny)
+    orientation = "horizontal" if horizontal and ny else "vertical"
+    axis = 1 if orientation == "horizontal" else 0
+    profile = kl.make_control_profile(-2.5, 2.5, "smooth-exp", kl.TorusGrid(grid.shape[axis]))
+    params = kl.DispersionParams.kp1(2.0) if ny else kl.DispersionParams.reduced(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    u0 = random_field(grid, rng, kmax=nx // 4, lmax=ny // 4 if ny else None)
+    if orientation == "horizontal":
+        # the horizontal control has zero mean in y, so l = 0 is out of its reach
+        u0 = kl.SpectralField(grid, np.where(grid.frequencies[1] == 0, 0.0, u0.coeffs))
+    traj = kl.synthesize_control(u0, u0 * 0.0, horizon, profile, params, orientation=orientation)
+    for history in traj.diagnostics["residual_histories"].values():
+        assert np.all(np.diff(history) <= 1e-12 * history[0])
+
+
+def _damaged(data, raw: bytes, header_size: int):
+    """``(position, bytes)``: truncated, extended, then each header byte changed in turn."""
+    yield None, raw[: data.draw(st.integers(0, len(raw) - 1))]
+    yield None, raw + data.draw(st.binary(min_size=1, max_size=64))
+    flip = data.draw(st.integers(1, 255))
+    for pos in range(header_size):
+        damaged = bytearray(raw)
+        damaged[pos] ^= flip
+        yield pos, bytes(damaged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_damaged_field_container_round_trips_or_is_rejected(grid, seed, data):
+    field = _random_field(grid, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.bin"
+        write_field(field, path)
+        for _, damaged in _damaged(data, path.read_bytes(), _FIELD_HEADER.size):
+            path.write_bytes(damaged)
+            try:
+                back = read_field(path)
+            except DimensionError:
+                continue
+            assert back.grid == field.grid
+            assert np.array_equal(back.coeffs, field.coeffs)
+
+
+# the header bytes of the axis, fixed_freq and horizon: values, not layout,
+# which no check can tell from damage
+_GRAMIAN_VALUE_BYTES = {5, *range(6, 10), *range(14, 22)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_damaged_gramian_container_round_trips_or_is_rejected(n, seed, data):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    block = GramianBlock(np.arange(1, n + 1), int(rng.integers(-9, 10)), 1.5, a @ a.conj().T)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.bin"
+        write_gramian(block, path)
+        for pos, damaged in _damaged(data, path.read_bytes(), _MATRIX_HEADER.size):
+            path.write_bytes(damaged)
+            try:
+                back = read_gramian(path)
+            except DimensionError:
+                continue
+            assert np.array_equal(back.indices, block.indices)
+            assert np.array_equal(back.matrix, block.matrix)
+            if (back.fixed_freq, back.horizon, back.axis) != (block.fixed_freq, 1.5, "x"):
+                # a changed value is read as written: writing it back gives the same bytes
+                assert pos in _GRAMIAN_VALUE_BYTES
+                write_gramian(back, path)
+                assert path.read_bytes() == damaged
