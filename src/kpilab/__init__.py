@@ -74,6 +74,7 @@ from .packets import (
 )
 from .propagate import (
     evolve,
+    evolve_many,
     evolve_modewise,
     evolve_semiclassical,
     rk4_reference_evolve,

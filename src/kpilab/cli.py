@@ -92,15 +92,9 @@ def _cmd_evolve(args) -> int:
     field = read_field(args.input)
     params = _field_params(field, args)
     out = _out_dir(args)
+    write = {"csv": field_to_csv, "json": field_to_json, "bin": write_field}[args.format]
     for t in args.times:
-        snap = evolve(field, t, params)
-        stem = f"snapshot_t{t:g}"
-        if args.format == "csv":
-            field_to_csv(snap, out / f"{stem}.csv")
-        elif args.format == "json":
-            field_to_json(snap, out / f"{stem}.json")
-        else:
-            write_field(snap, out / f"{stem}.bin")
+        write(evolve(field, t, params), out / f"snapshot_t{t:g}.{args.format}")
     print(out)
     return 0
 

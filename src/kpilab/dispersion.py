@@ -233,7 +233,12 @@ def semiclassical_frequencies(
     return np.where(singular, np.longdouble(0.0), phases), shift
 
 
-def unit_phases(omega: np.ndarray, t: float) -> np.ndarray:
-    """``exp(i*t*omega)`` with extended-precision argument reduction mod 2*pi."""
-    theta = np.mod(np.longdouble(t) * np.asarray(omega, dtype=np.longdouble), TWO_PI_LD)
+def unit_phases(omega: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """``exp(i*t*omega)`` with extended-precision argument reduction mod 2*pi.
+
+    A 1-D array of times ``t`` gives the ``(len(t), *omega.shape)`` stack.
+    """
+    t = np.asarray(t, dtype=np.longdouble)
+    t = t.reshape(t.shape + (1,) * np.ndim(omega))
+    theta = np.mod(t * np.asarray(omega, dtype=np.longdouble), TWO_PI_LD)
     return np.exp(1j * theta.astype(np.float64))

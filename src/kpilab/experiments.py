@@ -547,29 +547,19 @@ def run_experiment(
         "outputs": [],
         "timings": {},
     }
+
+    def record(path: Path) -> None:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest["outputs"].append({"file": path.name, "sha256": digest})
+
     summaries = {}
     for name, engine, values in experiments:
         started = time.perf_counter()
-        header, rows, summary = engine(values, seeded_rng(seed, name))
+        header, rows, summaries[name] = engine(values, seeded_rng(seed, name))
         manifest["timings"][name] = time.perf_counter() - started
-        csv_path = out_dir / f"{name}.csv"
-        rows_to_csv(header, rows, csv_path)
-        summaries[name] = summary
-        manifest["outputs"].append(
-            {
-                "file": csv_path.name,
-                "sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
-            }
-        )
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json_text(summaries, indent=2, sort_keys=True) + "\n")
-    manifest["outputs"].append(
-        {
-            "file": summary_path.name,
-            "sha256": hashlib.sha256(summary_path.read_bytes()).hexdigest(),
-        }
-    )
-    (out_dir / "manifest.json").write_text(
-        json_text(manifest, indent=2, sort_keys=True) + "\n"
-    )
+        rows_to_csv(header, rows, out_dir / f"{name}.csv")
+        record(out_dir / f"{name}.csv")
+    (out_dir / "summary.json").write_text(json_text(summaries, indent=2, sort_keys=True) + "\n")
+    record(out_dir / "summary.json")
+    (out_dir / "manifest.json").write_text(json_text(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -18,7 +18,7 @@ field, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -197,25 +197,41 @@ def mode_field(grid: TorusGrid, k: int, l: int = 0, amplitude: complex = 1.0) ->
     return SpectralField(grid, coeffs)
 
 
-def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Physical samples on the grid nodes -> Fourier coefficients.
+# a field, or a ``(B, *grid.shape)`` stack of the coefficient arrays of B fields
+FieldOrStack = SpectralField | np.ndarray
+_stack_grid = lru_cache(maxsize=16)(TorusGrid)
+
+
+def grid_and_coeffs(u: FieldOrStack) -> tuple[TorusGrid, np.ndarray]:
+    """Grid and coefficients of a field or of a stack of fields."""
+    if isinstance(u, SpectralField):
+        return u.grid, u.coeffs
+    return _stack_grid(*np.shape(u)[1:]), u
+
+
+def forward_transform(samples: np.ndarray, grid: TorusGrid) -> FieldOrStack:
+    """Physical samples on the grid nodes (of a field or a stack) -> Fourier coefficients.
 
     Follows the ``(2*pi)^{-d}`` integral normalization, evaluated exactly by
     the trapezoid rule on the periodic grid (which the FFT realizes).
     """
     samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape != grid.shape:
+    if samples.shape not in (grid.shape, samples.shape[:1] + grid.shape):
         raise DimensionError(
             f"sample shape {samples.shape} does not match grid {grid.shape}"
         )
-    spec = np.fft.fftshift(np.fft.fftn(samples)) / samples.size
-    return SpectralField(grid, spec * grid._sign)
+    axes = range(-grid.dimension, 0)
+    spec = np.fft.fftshift(np.fft.fftn(samples, axes=axes), axes=axes) / np.prod(grid.shape)
+    coeffs = spec * grid._sign
+    return SpectralField(grid, coeffs) if samples.shape == grid.shape else coeffs
 
 
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Fourier coefficients -> physical samples on the grid nodes."""
-    spec = np.fft.ifftshift(field.coeffs * field.grid._sign)
-    return np.fft.ifftn(spec) * spec.size
+def inverse_transform(field: FieldOrStack) -> np.ndarray:
+    """Fourier coefficients of a field or a stack of fields -> physical samples on the nodes."""
+    grid, coeffs = grid_and_coeffs(field)
+    axes = range(-grid.dimension, 0)
+    spec = np.fft.ifftshift(coeffs * grid._sign, axes=axes)
+    return np.fft.ifftn(spec, axes=axes) * np.prod(grid.shape)
 
 
 def project_mean_zero(field: SpectralField) -> SpectralField:

@@ -21,24 +21,19 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .dispersion import DispersionParams, unit_phases
-from .errors import (
-    DimensionError,
-    NonConvergenceError,
-    ParameterError,
-)
-from .fourier import (
-    SpectralField,
-    TorusGrid,
-    require_mean_zero,
-)
+from .errors import DimensionError, NonConvergenceError, ParameterError
+from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
     ControlProfile,
     Orientation,
     _block_layout,
     _gramian_kernel,
     apply_control,
+    gauss_legendre_nodes,
 )
-from .propagate import _cached_grid_frequencies, evolve
+from .propagate import (
+    _cached_grid_frequencies, _node_slices, _zero_excluded_modes, evolve, evolve_many,
+)
 
 
 class ControlGramian:
@@ -109,17 +104,19 @@ def quadrature_gramian_apply(
     panels: int = 8,
     order: int = 16,
 ) -> SpectralField:
-    """Matrix-free oracle: Gauss-Legendre quadrature of S(s) G^2 S(-s) v."""
-    from .observe import gauss_legendre_nodes
+    """Matrix-free oracle: Gauss-Legendre quadrature of S(s) G^2 S(-s) v.
 
+    Sums a stack of nodes at a time; the modes ``S(s)`` zeroes are zeroed once, in the sum.
+    """
+    omega = _cached_grid_frequencies(v.grid, params)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     acc = np.zeros(v.grid.shape, dtype=np.complex128)
-    for s, w in zip(nodes, weights):
-        back = evolve(v, -s, params)
-        mid = apply_control(back, profile, orientation)
+    for part in _node_slices(nodes.size, v.grid):
+        s = nodes[part]
+        mid = apply_control(evolve_many(v, -s, params), profile, orientation)
         mid = apply_control(mid, profile, orientation)
-        acc += w * evolve(mid, s, params).coeffs
-    return SpectralField(v.grid, acc)
+        acc += np.einsum("b,b...->...", weights[part], mid * unit_phases(omega, s))
+    return SpectralField(v.grid, _zero_excluded_modes(acc, v.grid))
 
 
 def _conjugate_residual(
@@ -183,13 +180,14 @@ class ControlTrajectory:
     samples: tuple[SpectralField, ...]
     diagnostics: dict = dataclass_field(default_factory=dict)
 
+    def controls_at(self, times: np.ndarray) -> np.ndarray:
+        """The synthesis rule at each of ``times``: a ``(len(times), *grid.shape)`` stack."""
+        back = evolve_many(self.phi_final, times - self.horizon, self.params)
+        return apply_control(back, self.profile, self.orientation)
+
     def control_at(self, t: float) -> SpectralField:
         """Evaluate the synthesis rule at time t."""
-        return apply_control(
-            evolve(self.phi_final, t - self.horizon, self.params),
-            self.profile,
-            self.orientation,
-        )
+        return SpectralField(self.phi_final.grid, self.controls_at(np.array([t]))[0])
 
 
 def synthesize_control(
@@ -256,8 +254,12 @@ def synthesize_control(
             "tolerance": tol,
         },
     )
-    samples = tuple(traj.control_at(float(t)) for t in times)
-    object.__setattr__(traj, "samples", samples)
+    samples = [
+        SpectralField(u0.grid, row)
+        for part in _node_slices(times.size, u0.grid)
+        for row in traj.controls_at(times[part])
+    ]
+    object.__setattr__(traj, "samples", tuple(samples))
     return traj
 
 
@@ -290,29 +292,29 @@ def verify_control(
     Classical RK4 in the integrating-factor frame: with ``w = S(-t) u`` the
     forced equation becomes ``dw/dt = S(-t) G f(t)``, which RK4 reduces to a
     composite Simpson rule over the control samples. The forcing is
-    re-derived from the synthesis rule at every substage time, under the
-    trajectory's own dynamics ``traj.params``.
+    re-derived from the synthesis rule at every node ``t_j``,
+    ``t_j + dt/2``, ``t_j + dt``, under the trajectory's own dynamics
+    ``traj.params``; the nodes are evaluated and summed with the Simpson
+    weights a stack at a time.
     """
     if steps < 100:
         raise ParameterError("verification needs at least 100 steps")
     require_mean_zero(u0)
     grid = u0.grid
     omega = _cached_grid_frequencies(grid, traj.params)
-
-    def forcing(t: float) -> np.ndarray:
-        g_f = apply_control(traj.control_at(t), traj.profile, traj.orientation)
-        return g_f.coeffs * unit_phases(omega, -t)
-
     horizon = traj.horizon
     dt = horizon / steps
+    starts = np.arange(steps) * dt
+    times = np.append(0.0, np.column_stack((starts + 0.5 * dt, starts + dt)))
+    # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 (times dt/6)
+    weights = np.append(1.0, np.tile([4.0, 2.0], steps))
+    weights[-1] = 1.0
     acc = np.zeros(grid.shape, dtype=np.complex128)
-    left = forcing(0.0)
-    for j in range(steps):
-        t0 = j * dt
-        mid = forcing(t0 + 0.5 * dt)
-        right = forcing(t0 + dt)
-        acc += (dt / 6.0) * (left + 4.0 * mid + right)
-        left = right
+    for part in _node_slices(times.size, grid):
+        t = times[part]
+        g_f = apply_control(traj.controls_at(t), traj.profile, traj.orientation)
+        acc += np.einsum("b,b...->...", weights[part], g_f * unit_phases(omega, -t))
+    acc *= dt / 6.0
     # the forcing is mean-zero by construction; drop accumulated rounding dust
     acc[grid.k_values == 0] = 0.0
     integrated = SpectralField(grid, u0.coeffs + acc)

@@ -26,28 +26,20 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .dispersion import (
-    DispersionParams,
-    frequencies_1d,
-    frequencies_2d,
-    unit_phases,
-)
-from .errors import (
-    ConstraintError,
-    DimensionError,
-    NumericalConsistencyError,
-    ParameterError,
-)
+from .dispersion import DispersionParams, frequencies_1d, frequencies_2d, unit_phases
+from .errors import ConstraintError, DimensionError, NumericalConsistencyError, ParameterError
 from .fourier import (
     TWO_PI,
+    FieldOrStack,
     SpectralField,
     TorusGrid,
     along_axis,
     forward_transform,
+    grid_and_coeffs,
     inverse_transform,
     require_mean_zero,
 )
-from .propagate import _cached_grid_frequencies
+from .propagate import _cached_grid_frequencies, _node_slices, evolve_many
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
 Orientation = Literal["vertical", "horizontal"]
@@ -194,18 +186,20 @@ def _control_axis(grid: TorusGrid, profile: ControlProfile, orientation: Orienta
 
 
 def _apply_control_along(
-    u: SpectralField, profile: ControlProfile, orientation: Orientation
-) -> SpectralField:
+    u: FieldOrStack, profile: ControlProfile, orientation: Orientation
+) -> FieldOrStack:
     """``g (u - integral g u)`` with g and the integral along the control axis."""
-    axis = _control_axis(u.grid, profile, orientation)
+    grid, _ = grid_and_coeffs(u)
+    # counted from the trailing grid axes, so that it holds in a stack too
+    axis = _control_axis(grid, profile, orientation) - grid.dimension
     samples = inverse_transform(u)
-    g = along_axis(profile.values, axis, u.grid.dimension)
-    step = TWO_PI / u.grid.shape[axis]
+    g = along_axis(profile.values, axis, samples.ndim)
+    step = TWO_PI / grid.shape[axis]
     mean = np.sum(g * samples, axis=axis, keepdims=True) * step
-    return forward_transform(g * (samples - mean), u.grid)
+    return forward_transform(g * (samples - mean), grid)
 
 
-def apply_vertical_control(u: SpectralField, profile: ControlProfile) -> SpectralField:
+def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
     """``G u = g(x) (u - integral g(x') u(x', y) dx')``.
 
     Self-adjoint on L^2 and, because g has unit integral, the output has zero
@@ -214,14 +208,15 @@ def apply_vertical_control(u: SpectralField, profile: ControlProfile) -> Spectra
     return _apply_control_along(u, profile, "vertical")
 
 
-def apply_horizontal_control(u: SpectralField, profile: ControlProfile) -> SpectralField:
+def apply_horizontal_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
     """``g(y) (u - integral g(y') u(x, y') dy')``; annihilates y-independent fields."""
     return _apply_control_along(u, profile, "horizontal")
 
 
 def apply_control(
-    u: SpectralField, profile: ControlProfile, orientation: Orientation
-) -> SpectralField:
+    u: FieldOrStack, profile: ControlProfile, orientation: Orientation
+) -> FieldOrStack:
+    """The control operator of ``orientation``, on a field or on each field of a stack."""
     if orientation == "vertical":
         return apply_vertical_control(u, profile)
     if orientation == "horizontal":
@@ -437,13 +432,7 @@ def assemble_observability_gramian(
     idx = window_indices(k_window, exclude_zero=True)
     reduced = DispersionParams.reduced(params.alpha, float(abs(l)))
     omega = frequencies_1d(idx, reduced).astype(float)
-    return GramianBlock(
-        indices=idx,
-        fixed_freq=l,
-        horizon=horizon,
-        matrix=_gramian_kernel(profile, idx, omega, horizon),
-        axis="x",
-    )
+    return GramianBlock(idx, l, horizon, _gramian_kernel(profile, idx, omega, horizon), "x")
 
 
 def assemble_horizontal_gramian(
@@ -467,13 +456,7 @@ def assemble_horizontal_gramian(
         )
     idx = window_indices(l_window, exclude_zero=False)
     omega = frequencies_2d([k], idx, params)[0].astype(float)
-    return GramianBlock(
-        indices=idx,
-        fixed_freq=k,
-        horizon=horizon,
-        matrix=_gramian_kernel(profile, idx, omega, horizon),
-        axis="y",
-    )
+    return GramianBlock(idx, k, horizon, _gramian_kernel(profile, idx, omega, horizon), "y")
 
 
 def gramian_from_frequencies(
@@ -494,13 +477,8 @@ def gramian_from_frequencies(
     omega = np.asarray(omega, dtype=float)
     if omega.shape != indices.shape:
         raise DimensionError("frequency table must match the index window")
-    return GramianBlock(
-        indices=indices,
-        fixed_freq=fixed_freq,
-        horizon=horizon,
-        matrix=_gramian_kernel(profile, indices, omega, horizon, plain_weight),
-        axis="x",
-    )
+    matrix = _gramian_kernel(profile, indices, omega, horizon, plain_weight)
+    return GramianBlock(indices, fixed_freq, horizon, matrix, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +510,22 @@ def quadrature_observed_energy(
 ) -> float:
     """Time-quadrature oracle for ``integral_0^T ||G u(t)||^2 dt``.
 
-    Evolves the field to each node and applies the control operator in
-    physical space; entirely independent of the closed-form time kernel.
+    Evolves the field to a stack of nodes at a time and applies the control
+    operator in physical space; entirely independent of the closed-form time
+    kernel. ``evolve_fn(u0, times)`` returns the stack of the field at
+    ``times`` (default :func:`~kpilab.propagate.evolve_many`). The node
+    energies are added one at a time in node order.
     """
-    from .propagate import evolve as _evolve
-
-    evolve_fn = evolve_fn or (lambda f, t: _evolve(f, t, params))
+    evolve_fn = evolve_fn or (lambda f, times: evolve_many(f, times, params))
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
+    dim = u0.grid.dimension
     total = 0.0
-    for t, w in zip(nodes, weights):
-        total += w * apply_control(evolve_fn(u0, t), profile, orientation).norm() ** 2
+    for part in _node_slices(nodes.size, u0.grid):
+        observed = apply_control(evolve_fn(u0, nodes[part]), profile, orientation)
+        # SpectralField.norm of each field of the stack
+        sums = np.sum(np.abs(observed) ** 2, axis=tuple(range(1, dim + 1)))
+        for w, norm in zip(weights[part], np.sqrt(TWO_PI**dim * sums).tolist()):
+            total += w * norm**2
     return total
 
 

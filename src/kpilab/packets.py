@@ -16,25 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import (
-    DispersionParams,
-    critical_shift,
-    semiclassical_frequencies,
-)
+from .dispersion import DispersionParams, critical_shift, semiclassical_frequencies
 from .errors import DimensionError, ParameterError, TruncationError
-from .fourier import (
-    TWO_PI,
-    SpectralField,
-    TorusGrid,
-    mode_field,
-    smooth_step,
-)
-from .observe import (
-    ControlProfile,
-    ProfileKind,
-    gramian_from_frequencies,
-    make_region_profile,
-)
+from .fourier import TWO_PI, SpectralField, TorusGrid, mode_field, smooth_step
+from .observe import ControlProfile, ProfileKind, gramian_from_frequencies, make_region_profile
 
 
 def _next_pow2(n: int) -> int:
@@ -242,14 +227,17 @@ class DichotomyResult:
         return ["n", "h", "eps", "ratio", "grid_nx"], rows
 
     def summary(self) -> dict:
-        """Fitted slope, monotonicity, and the last and smallest ratio over the first."""
-        ratios = self.ratios()
+        """Fitted slope, monotonicity, and the last and smallest ratio over the first.
+
+        Over a zero first ratio both are ``None`` (JSON ``null``), like an infinite constant.
+        """
+        ratios, first = self.ratios(), self.rows[0].ratio
         return {
             "alpha": self.alpha,
             "slope": self.slope,
             "monotone_decreasing": bool(np.all(np.diff(ratios) < 0)),
-            "last_over_first": float(ratios[-1] / ratios[0]),
-            "floor_over_first": float(ratios.min() / ratios[0]),
+            "last_over_first": float(ratios[-1] / first) if first else None,
+            "floor_over_first": float(ratios.min() / first) if first else None,
         }
 
 

@@ -17,23 +17,30 @@ from functools import lru_cache
 import numpy as np
 
 from .dispersion import (
-    DispersionParams,
-    frequencies_1d,
-    frequencies_2d,
-    semiclassical_frequencies,
-    unit_phases,
+    DispersionParams, frequencies_1d, frequencies_2d, semiclassical_frequencies, unit_phases,
 )
 from .errors import ConstraintError, DimensionError, ParameterError
 from .fourier import SpectralField, require_mean_zero
 
 
+# bytes of one complex stack of time nodes: the time-domain oracles work a
+# stack at a time, which bounds their memory whatever the node count
+_STACK_BYTES = 128 * 1024
+
+
+def _node_slices(count: int, grid) -> list[slice]:
+    """Consecutive slices of ``count`` time nodes, one stack within ``_STACK_BYTES`` each."""
+    size = max(1, _STACK_BYTES // (16 * int(np.prod(grid.shape))))
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
 def _zero_excluded_modes(coeffs: np.ndarray, grid) -> np.ndarray:
-    """Zero the k = 0 row and the Nyquist row/column; returns a copy."""
-    out = coeffs.copy()
-    out[grid.index_of_k(0)] = 0.0
-    out[0] = 0.0  # k = -nx/2
-    out[..., 0] = 0.0  # l = -ny/2 (k = -nx/2 again in 1D)
-    return out
+    """Zero the k = 0 row and the Nyquist row/column of a field or stack, in place."""
+    rows = coeffs.reshape((-1,) + grid.shape)
+    rows[:, grid.index_of_k(0)] = 0.0
+    rows[:, 0] = 0.0  # k = -nx/2
+    rows[..., 0] = 0.0  # l = -ny/2 (k = -nx/2 again in 1D)
+    return coeffs
 
 
 def _check_mode(field: SpectralField, params: DispersionParams) -> None:
@@ -58,12 +65,8 @@ def _cached_grid_frequencies(grid, params) -> np.ndarray:
     return table
 
 
-def _grid_frequencies(field: SpectralField, params: DispersionParams) -> np.ndarray:
-    return _cached_grid_frequencies(field.grid, params)
-
-
-def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:
-    """Propagate by multiplying each coefficient with ``exp(i*t*omega)``.
+def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) -> np.ndarray:
+    """The field at each of ``times``, coefficients times ``exp(i*t*omega)``: a stack.
 
     Requires zero x-mean (the inverse x-derivative is undefined at k = 0).
     Norm is conserved to rounding; the group law holds exactly up to the
@@ -71,8 +74,13 @@ def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralFie
     """
     _check_mode(u0, params)
     require_mean_zero(u0)
-    phases = unit_phases(_grid_frequencies(u0, params), t)
-    return u0.with_coeffs(_zero_excluded_modes(u0.coeffs * phases, u0.grid))
+    phases = unit_phases(_cached_grid_frequencies(u0.grid, params), np.asarray(times, dtype=float))
+    return _zero_excluded_modes(u0.coeffs * phases, u0.grid)
+
+
+def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:
+    """Propagate to time ``t``: :func:`evolve_many` at the single time ``t``."""
+    return u0.with_coeffs(evolve_many(u0, [t], params)[0])
 
 
 def evolve_modewise(u0: SpectralField, t: float, alpha: float) -> SpectralField:
@@ -95,15 +103,16 @@ def evolve_modewise(u0: SpectralField, t: float, alpha: float) -> SpectralField:
 
 
 def evolve_semiclassical(
-    w0: SpectralField, t: float, h: float, params: DispersionParams
-) -> SpectralField:
+    w0: SpectralField, t: float | np.ndarray, h: float, params: DispersionParams
+) -> SpectralField | np.ndarray:
     """Evolution in the frame translated to the critical frequency.
 
     Coefficient k is multiplied by ``exp(i*t*Phi(hk)/h^(1+alpha))`` where
     ``Phi`` is the multiplier translated by ``h*floor(xi0/h)`` and gauged so
     its value at the critical offset ``sigma_h`` is zero (a global phase).
     The translated image of the original k = 0 mode, ``k = -floor(xi0/h)``,
-    is singular and must carry no mass.
+    is singular and must carry no mass. With a 1-D array of times ``t`` it
+    returns the ``(len(t), nx)`` stack of the field at each time.
     """
     if w0.grid.dimension != 1:
         raise DimensionError("semiclassical evolution acts on 1D fields")
@@ -120,10 +129,10 @@ def evolve_semiclassical(
                 f"mass {mass:.3e} on the singular translated mode k={singular}"
             )
     out = w0.coeffs * unit_phases(omega, t)
-    out[0] = 0.0  # Nyquist
+    out[..., 0] = 0.0  # Nyquist
     if -grid.nx // 2 <= singular < grid.nx // 2:
-        out[grid.index_of_k(singular)] = 0.0
-    return w0.with_coeffs(out)
+        out[..., grid.index_of_k(singular)] = 0.0
+    return out if np.ndim(t) else w0.with_coeffs(out)
 
 
 def rk4_reference_evolve(
@@ -140,8 +149,8 @@ def rk4_reference_evolve(
         raise ParameterError(f"steps must be >= 1, got {steps}")
     _check_mode(u0, params)
     require_mean_zero(u0)
-    rate = 1j * _grid_frequencies(u0, params).astype(np.float64)
-    u = _zero_excluded_modes(u0.coeffs, u0.grid)
+    rate = 1j * _cached_grid_frequencies(u0.grid, params).astype(np.float64)
+    u = _zero_excluded_modes(u0.coeffs.copy(), u0.grid)
     dt = t / steps
     for _ in range(steps):
         k1 = rate * u

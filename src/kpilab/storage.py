@@ -123,6 +123,8 @@ def read_gramian(path: str | Path) -> GramianBlock:
     )
     if axis not in (0, 1):
         raise DimensionError(f"{path} declares axis {axis}, not 0 (x) or 1 (y)")
+    if not 0.0 < horizon < np.inf:
+        raise DimensionError(f"{path} declares horizon {horizon}, not a positive finite time")
     _check_payload_size(raw, _MATRIX_HEADER, 4 * n + 16 * n * n, path)
     head = _MATRIX_HEADER.size
     indices = np.frombuffer(raw[head : head + 4 * n], dtype="<i4").astype(int)

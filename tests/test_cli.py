@@ -115,6 +115,16 @@ def test_dichotomy_subcommand(tmp_path, capsys):
     assert "slope" in summary
 
 
+def test_dichotomy_zero_first_ratio_is_null(tmp_path, capsys, recwarn):
+    # a subnormal horizon observes nothing, so every ratio is exactly 0
+    argv = ["dichotomy", "--alpha", "2", "--n-min", "4", "--n-max", "5", "--horizon", "5e-324"]
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    summary = json.loads((tmp_path / "dichotomy.json").read_text())
+    assert summary["last_over_first"] is None and summary["floor_over_first"] is None
+    assert json.loads(capsys.readouterr().out) == summary
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_spectral_constant_subcommand(tmp_path):
     code = main(
         ["--out", str(tmp_path), "spectral-constant", "--m-max", "4", "--profile-nx", "256"]

@@ -11,9 +11,15 @@ eigenvalue table. Its bytes were frozen while every block was still
 assembled and diagonalized on its own, before the block at ``-l`` became
 the block at ``|l|`` relabelled. The eigenvalues come from LAPACK, so their
 last digits may depend on the BLAS build and its thread count.
+
+``kpi-lab control`` writes the 256 control samples to ``trajectory.bin``.
+Their bytes were frozen while each sample was still evaluated on its own;
+the Duhamel verifier's terminal error depends on its summation order and is
+held to a relative tolerance instead.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from kpilab.cli import main
@@ -89,3 +95,21 @@ def test_gramian_outputs_are_frozen(tmp_path):
     assert main(["--out", str(tmp_path), "gramian", "--k-window", "8", "--l-window", "3"]) == 0
     found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert found == FROZEN_GRAMIAN
+
+
+# taken from the code that evaluated each control sample and verifier node alone
+FROZEN_TRAJECTORY = "9e5d84a573bc7c000de7adc8e2af3960fa23d692ff14758d65caf4f322e48241"
+FROZEN_TERMINAL_ERROR = 1.7440240272678173e-05
+
+
+def test_control_samples_are_frozen(tmp_path, capsys):
+    field = ["--nx", "16", "--ny", "4", "--kmax", "3", "--lmax", "1", "--seed", "5"]
+    assert main(["--out", str(tmp_path), "random-field"] + field) == 0
+    argv = ["control", "--initial", str(tmp_path / "field.bin"), "--verify-steps", "200"]
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "control")] + argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    trajectory = (tmp_path / "control" / "trajectory.bin").read_bytes()
+    assert hashlib.sha256(trajectory).hexdigest() == FROZEN_TRAJECTORY
+    error = report["terminal_error"]
+    assert abs(error - FROZEN_TERMINAL_ERROR) <= 1e-12 * FROZEN_TERMINAL_ERROR

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kpilab as kl
+from kpilab.dispersion import unit_phases
 from kpilab.errors import NonConvergenceError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
 from kpilab.hum import ControlGramian, quadrature_gramian_apply
+from kpilab.observe import apply_control
+from kpilab.propagate import _cached_grid_frequencies
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,27 @@ class TestSynthesis:
             )
 
 
+def _simpson_loop_verify(u0, traj, steps):
+    """The verifier as a per-step loop: one forcing evaluation per RK4 node."""
+    omega = _cached_grid_frequencies(u0.grid, traj.params)
+
+    def forcing(t):
+        control = kl.evolve(traj.phi_final, t - traj.horizon, traj.params)
+        for _ in range(2):
+            control = apply_control(control, traj.profile, traj.orientation)
+        return control.coeffs * unit_phases(omega, -t)
+
+    dt = traj.horizon / steps
+    acc = np.zeros(u0.grid.shape, dtype=np.complex128)
+    left = forcing(0.0)
+    for j in range(steps):
+        mid, right = forcing(j * dt + 0.5 * dt), forcing(j * dt + dt)
+        acc += (dt / 6.0) * (left + 4.0 * mid + right)
+        left = right
+    acc[u0.grid.k_values == 0] = 0.0
+    return kl.evolve(kl.SpectralField(u0.grid, u0.coeffs + acc), traj.horizon, traj.params)
+
+
 class TestVerification:
     def test_zero_control_reproduces_free_flow(self, small_setup):
         grid, params, profile = small_setup
@@ -177,6 +203,33 @@ class TestVerification:
             errors.append((out - reference).norm())
         ratio = errors[0] / errors[1]
         assert 10.0 < ratio < 22.0
+
+    @pytest.mark.parametrize("steps", [101, 333])
+    def test_stacks_match_the_per_step_simpson_loop(self, steps):
+        grid = kl.TorusGrid(16, 4)
+        params = kl.DispersionParams.kp1(2.0)
+        profile = kl.make_control_profile(
+            np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16)
+        )
+        u0 = random_field(grid, seeded_rng(23, "stacks"), kmax=3, lmax=1)
+        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-12)
+        # at 16x4 a stack holds 128 nodes, so both step counts end in a partial one
+        out = kl.verify_control(u0, traj, steps=steps)
+        assert (out - _simpson_loop_verify(u0, traj, steps)).norm() <= 1e-14 * u0.norm()
+
+    def test_memory_stays_bounded(self):
+        grid = kl.TorusGrid(64, 16)
+        params = kl.DispersionParams.kp1(2.0)
+        u0 = kl.mode_field(grid, 1, 1) + kl.mode_field(grid, 2, -1)
+        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, kl.default_profile(64), params)
+        # all 20,001 nodes in one stack would take 320 MB
+        tracemalloc.start()
+        try:
+            kl.verify_control(u0, traj, steps=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_steps_guard(self, small_setup):
         grid, params, profile = small_setup

@@ -2,7 +2,8 @@
 
 The control operator is written once for both axes and both dimensions, and
 the containers once for both dimensions; these checks hold for every grid
-that path can meet. The HUM solve's residuals never grow, and a damaged
+that path can meet. The closed-form Gramians agree with the time-batched
+quadrature oracles, the HUM solve's residuals never grow, and a damaged
 container is read back exactly or rejected as a ``DimensionError``.
 """
 
@@ -15,7 +16,14 @@ from hypothesis import given, settings, strategies as st
 import kpilab as kl
 from kpilab.errors import DimensionError
 from kpilab.experiments import random_field
-from kpilab.observe import GramianBlock, apply_control
+from kpilab.hum import ControlGramian, quadrature_gramian_apply
+from kpilab.observe import (
+    GramianBlock,
+    apply_control,
+    gramian_observed_energy,
+    quadrature_observed_energy,
+)
+from kpilab.propagate import _cached_grid_frequencies
 from kpilab.storage import (
     _FIELD_HEADER,
     _MATRIX_HEADER,
@@ -122,6 +130,33 @@ def test_conjugate_residual_histories_never_grow(nx, ny, horizontal, horizon, se
     traj = kl.synthesize_control(u0, u0 * 0.0, horizon, profile, params, orientation=orientation)
     for history in traj.diagnostics["residual_histories"].values():
         assert np.all(np.diff(history) <= 1e-12 * history[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nx=st.sampled_from([4, 8, 16]),
+    ny=st.sampled_from([None, 4, 8]),
+    horizontal=st.booleans(),
+    horizon=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gramian_equals_batched_quadrature(nx, ny, horizontal, horizon, seed):
+    grid = kl.TorusGrid(nx) if ny is None else kl.TorusGrid(nx, ny)
+    orientation = "horizontal" if horizontal and ny else "vertical"
+    axis = 1 if orientation == "horizontal" else 0
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(grid.shape[axis]))
+    params = kl.DispersionParams.kp1(2.0) if ny else kl.DispersionParams.reduced(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    u0 = random_field(grid, rng, kmax=nx // 2 - 1, lmax=ny // 2 - 1 if ny else None)
+    # at most 8 radians of any frequency difference per 24-node panel
+    spread = float(np.ptp(_cached_grid_frequencies(grid, params).astype(float)))
+    panels = int(np.ceil(horizon * spread / 8.0)) + 1
+    gram = gramian_observed_energy(u0, horizon, profile, params, orientation)
+    quad = quadrature_observed_energy(u0, horizon, profile, params, orientation, panels, 24)
+    assert abs(gram - quad) <= 1e-10 * gram
+    dense = ControlGramian(grid, horizon, profile, params, orientation).apply(u0)
+    quad_op = quadrature_gramian_apply(u0, horizon, profile, params, orientation, panels, 24)
+    assert (quad_op - dense).norm() <= 1e-10 * dense.norm()
 
 
 def _damaged(data, raw: bytes, header_size: int):

@@ -1,4 +1,7 @@
+import struct
+
 import numpy as np
+import pytest
 
 import kpilab as kl
 from kpilab.experiments import random_field
@@ -106,3 +109,18 @@ def test_gramian_container_length_guard(tmp_path, profile_64, kp_params):
         path.write_bytes(data)
         with pytest.raises(DimensionError):
             read_gramian(path)
+
+
+@pytest.mark.parametrize("horizon", [-1.5, 0.0, float("nan"), float("inf")])
+def test_gramian_container_horizon_guard(tmp_path, profile_64, kp_params, horizon):
+    from kpilab.errors import DimensionError
+    from kpilab.storage import _MATRIX_HEADER
+
+    path = tmp_path / "g.bin"
+    write_gramian(kl.assemble_observability_gramian(1.0, 3, 1, profile_64, kp_params), path)
+    raw = path.read_bytes()
+    # the horizon is the header's last field, a little-endian float64
+    head = _MATRIX_HEADER.size
+    path.write_bytes(raw[: head - 8] + struct.pack("<d", horizon) + raw[head:])
+    with pytest.raises(DimensionError, match="horizon"):
+        read_gramian(path)
