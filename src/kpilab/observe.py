@@ -615,71 +615,78 @@ def observability_constant(blocks: Sequence[GramianBlock]) -> ObservabilityEstim
 
 def concentration_matrix(profile: ControlProfile, m0: int) -> np.ndarray:
     """Toeplitz matrix ``integral g^2 e^{i(k-j)x} dx`` over ``|j|,|k| <= m0``."""
-    idx = np.arange(-m0, m0 + 1)
-    return profile.gsq_moment(idx[None, :] - idx[:, None])
+    return plain_weight_gram_matrix(profile, np.arange(-m0, m0 + 1))
+
+
+# inverse-power warm start: share of the generic unit vector; relative stop
+_GENERIC_SHARE = 0.5
+_SWEEP_TOL = 1e-18
+_SINGULAR = "concentration matrix is numerically singular; the constant diverges"
 
 
 def _mp_concentration_moments(profile: ControlProfile, m_abs: int, dps: int) -> list:
-    """g^2 moments in extended precision from the profile samples."""
+    """Extended-precision g^2 moments: one phase per support node, powered by a running product."""
     import mpmath as mp
 
     nx = profile.grid.nx
     with mp.workdps(dps):
-        gsq = [(j, mp.mpf(float(v)) ** 2) for j, v in enumerate(profile.values) if v != 0.0]
+        support = [j for j, v in enumerate(profile.values) if v != 0.0]
+        terms = [mp.mpf(float(profile.values[j])) ** 2 for j in support]
+        steps = [mp.expjpi(mp.mpf(2 * j) / nx) for j in support]
         weight = 2 * mp.pi / nx
         moments = []
         for m in range(m_abs + 1):
-            s = mp.mpc(0)
-            for j, v in gsq:
-                s += v * mp.expjpi(mp.mpf(2 * m * j) / nx)
-            moments.append(s * weight * (-1 if m % 2 else 1))
+            moments.append(mp.fsum(terms) * weight * (-1 if m % 2 else 1))
+            terms = [t * e for t, e in zip(terms, steps)]
         return moments
 
 
-def _mp_smallest_eigenvalue(moments: list, m0: int, dps: int):
-    """Smallest eigenvalue of the hermitian Toeplitz matrix, inverse power.
+def _mp_bottom_eigenvalues(moments: list, m_max: int) -> list:
+    """Smallest eigenvalue of every leading Toeplitz block, at the caller's precision.
 
-    The bottom of the spectrum is exponentially separated, so a Cholesky
-    factorization plus a handful of inverse-power sweeps converges fast.
+    The order-m0 matrix and its Cholesky factor ``L`` are the leading
+    ``2*m0+1`` blocks of the order-m_max ones. Inverse power solves ``L z = x``
+    and ``L^H y = z``; ``|x|^2 / |z|^2 = x^H x / x^H A^-1 x`` estimates the
+    eigenvalue. Each order starts from the previous eigenvector padded with
+    zeros plus a share of a generic vector: the eigenvectors of a symmetric
+    g^2 have definite parity, which the padded vector alone may miss.
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    size = 2 * m_max + 1
+    toeplitz = [
+        [moments[j - i] if j >= i else mp.conj(moments[i - j]) for j in range(size)]
+        for i in range(size)
+    ]
+    try:
+        lower = mp.cholesky(mp.matrix(toeplitz))
+    except ValueError:  # not positive definite at this precision
+        raise NumericalConsistencyError(_SINGULAR) from None
+    inv = [1 / lower[i, i] for i in range(size)]
+    rows = [[lower[i, k] for k in range(i)] for i in range(size)]
+    cols = [[lower[k, i] for k in range(i + 1, size)] for i in range(size)]
+    x, out = [], []
+    for m0 in range(m_max + 1):
         n = 2 * m0 + 1
-        a = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                d = j - i
-                a[i, j] = moments[d] if d >= 0 else mp.conj(moments[-d])
-        try:
-            lower = mp.cholesky(a)
-        except ValueError:  # not positive definite at this precision
-            return None
-        x = mp.matrix([mp.mpf(1) + mp.mpf(i) / n for i in range(n)])
-        rayleigh = None
+        generic = [mp.mpf(1) + mp.mpf(i) / n for i in range(n)]
+        share = _GENERIC_SHARE / mp.sqrt(mp.fsum(generic, squared=True))
+        x = [v + share * g for v, g in zip([0, *x, 0] if x else [0], generic)]
+        lam = mp.inf
         for _ in range(80):
-            z = mp.matrix(n, 1)
+            z = []
             for i in range(n):
-                s = x[i]
-                for k in range(i):
-                    s -= lower[i, k] * z[k]
-                z[i] = s / lower[i, i]
-            y = mp.matrix(n, 1)
+                z.append((x[i] - mp.fdot(rows[i], z)) * inv[i])
+            y = [0] * n
             for i in reversed(range(n)):
-                s = z[i]
-                for k in range(i + 1, n):
-                    s -= mp.conj(lower[k, i]) * y[k]
-                y[i] = s / lower[i, i]
-            nrm = mp.sqrt(sum(abs(v) ** 2 for v in y))
-            x = y / nrm
-            ax = a * x
-            new_rayleigh = sum(mp.conj(x[i]) * ax[i] for i in range(n)).real
-            if rayleigh is not None and abs(new_rayleigh - rayleigh) <= mp.mpf("1e-25") * abs(
-                new_rayleigh
-            ):
-                return new_rayleigh
-            rayleigh = new_rayleigh
-        return rayleigh
+                y[i] = (z[i] - mp.fdot(y[i + 1 :], cols[i][: n - 1 - i], conjugate=True)) * inv[i]
+            xx, zz, yy = (mp.fsum(v, absolute=True, squared=True) for v in (x, z, y))
+            nrm = mp.sqrt(yy)
+            x = [v / nrm for v in y]
+            lam, previous = xx / zz, lam
+            if abs(lam - previous) <= _SWEEP_TOL * lam:
+                break
+        out.append(lam)
+    return out
 
 
 def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
@@ -692,7 +699,7 @@ def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
     the returned constants are floats.
     """
     if m_max < 0:
-        raise ParameterError("m0 must be nonnegative")
+        raise ParameterError(f"m_max must be nonnegative, got {m_max}")
     if m_max > profile.grid.nx // 2 - 1:
         raise ParameterError(
             f"window 2*m0+1 = {2 * m_max + 1} exceeds the grid (nx={profile.grid.nx})"
@@ -703,19 +710,11 @@ def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
     moments = _mp_concentration_moments(profile, 2 * m_max, dps)
     with mp.workdps(dps):
         if moments[0].real <= 0:
-            raise NumericalConsistencyError(
-                "profile has no quadrature mass; the constant diverges"
-            )
-        out = []
-        for m0 in range(m_max + 1):
-            lam = _mp_smallest_eigenvalue(moments, m0, dps)
-            if lam is None or lam <= 0:
-                raise NumericalConsistencyError(
-                    "concentration matrix is numerically singular; "
-                    "the constant diverges"
-                )
-            out.append(float(1 / lam))
-        return out
+            raise NumericalConsistencyError("profile has no quadrature mass; the constant diverges")
+        lams = _mp_bottom_eigenvalues(moments, m_max)
+        if any(lam <= 0 for lam in lams):
+            raise NumericalConsistencyError(_SINGULAR)
+        return [float(1 / lam) for lam in lams]
 
 
 def spectral_constant(profile: ControlProfile, m0: int) -> float:

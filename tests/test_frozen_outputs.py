@@ -16,12 +16,20 @@ last digits may depend on the BLAS build and its thread count.
 Their bytes were frozen while each sample was still evaluated on its own;
 the Duhamel verifier's terminal error depends on its summation order and is
 held to a relative tolerance instead.
+
+``kpi-lab spectral-constant`` writes the table of sharp constants
+``kappa(m0)``. Its bytes, and the table of a two-interval profile, were
+frozen while every order still had its own Cholesky factorization and a
+cold-started inverse-power loop; the constants are converged far below
+float64 resolution, so the factorization shared by all orders must give the
+same floats.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import kpilab as kl
 from kpilab.cli import main
 
 FIELDS = {
@@ -113,3 +121,25 @@ def test_control_samples_are_frozen(tmp_path, capsys):
     assert hashlib.sha256(trajectory).hexdigest() == FROZEN_TRAJECTORY
     error = report["terminal_error"]
     assert abs(error - FROZEN_TERMINAL_ERROR) <= 1e-12 * FROZEN_TERMINAL_ERROR
+
+
+# taken from the code that factored and solved every order on its own
+FROZEN_SPECTRAL_CSV = "9fcedb803bcdc4f9016e91a20bae4040d301fa77f0e6fe7c045571bac61d3bff"
+FROZEN_TWO_INTERVAL_TABLE = [
+    1.5428571426429727, 28.186764242215798, 381.9070837707781, 4035.650489253182,
+    37201.09368994569, 390644.73076678894, 5390571.6745268935, 71112250.7868068,
+    814377296.1976806, 7746685302.657948, 61157930012.97731, 422585268911.4344,
+    2792256002074.9736,
+]
+
+
+def test_spectral_constant_csv_is_frozen(tmp_path):
+    assert main(["--out", str(tmp_path), "spectral-constant", "--m-max", "16"]) == 0
+    csv = (tmp_path / "spectral_constant.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == FROZEN_SPECTRAL_CSV
+
+
+def test_two_interval_spectral_table_is_frozen():
+    intervals = [(-2.6, -1.4), (0.3, 2.1)]
+    profile = kl.make_region_profile(intervals, "hann-squared", kl.TorusGrid(512))
+    assert kl.spectral_constant_table(profile, 12) == FROZEN_TWO_INTERVAL_TABLE

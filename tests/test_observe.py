@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -5,7 +6,7 @@ import kpilab as kl
 from kpilab.errors import ConstraintError, DimensionError, ParameterError
 from kpilab.experiments import random_field
 from kpilab.fourier import TWO_PI, inverse_transform
-from kpilab.observe import concentration_matrix, time_factor
+from kpilab.observe import _mp_bottom_eigenvalues, concentration_matrix, time_factor
 
 
 def quad_integral(values, grid):
@@ -269,6 +270,27 @@ class TestObservabilityConstant:
         assert diff >= -1e-12 * np.max(np.abs(hi.matrix))
 
 
+def _mp_bottom_eigenvalue(profile, m0, dps=80):
+    """Smallest eigenvalue of the order-m0 Toeplitz block by dense mp.eigh.
+
+    The moments ``integral g^2 e^{imx} dx`` are summed node by node, one
+    complex exponential per (m, node) pair.
+    """
+    nx = profile.grid.nx
+    n = 2 * m0 + 1
+    with mp.workdps(dps):
+        gsq = [(j, mp.mpf(float(v)) ** 2) for j, v in enumerate(profile.values) if v != 0.0]
+        moments = []
+        for m in range(n):
+            phases = (v * mp.expjpi(mp.mpf(2 * m * j) / nx) for j, v in gsq)
+            moments.append((-1) ** m * 2 * mp.pi / nx * mp.fsum(phases))
+        block = mp.matrix(n, n)
+        for r in range(n):
+            for c in range(n):
+                block[r, c] = moments[c - r] if c >= r else mp.conj(moments[r - c])
+        return mp.eigh(block, eigvals_only=True)[0]
+
+
 class TestSpectralConstant:
     def test_kappa_zero(self, profile_default):
         g = profile_default.grid
@@ -300,6 +322,29 @@ class TestSpectralConstant:
                 p = phases @ c
                 rhs = np.sum((profile_default.values * np.abs(p)) ** 2) * g.cell_volume
                 assert np.sum(np.abs(c) ** 2) <= kappa * rhs * (1.0 + 1e-8)
+
+    @pytest.mark.parametrize(
+        "intervals, kind, nx",
+        [
+            ([(np.pi / 4, 3 * np.pi / 4)], "smooth-exp", 1024),  # symmetric about a node
+            ([(0.3, 1.7)], "hann-squared", 256),  # no node at the centre
+            ([(-2.6, -1.4), (0.3, 2.1)], "hann-squared", 512),
+        ],
+    )
+    def test_matches_dense_mpmath_eigensolve(self, intervals, kind, nx):
+        # mp.eigh shares no code with the Cholesky and inverse-power path
+        profile = kl.make_region_profile(intervals, kind, kl.TorusGrid(nx))
+        table = kl.spectral_constant_table(profile, 6)
+        for m0 in range(7):
+            kappa = 1 / float(_mp_bottom_eigenvalue(profile, m0))
+            assert abs(table[m0] - kappa) <= 1e-12 * kappa
+
+    def test_warm_start_finds_a_bottom_eigenvector_of_the_other_parity(self):
+        # [[1, 0, .5], [0, 1, 0], [.5, 0, 1]] has eigenvalues .5 (odd vector
+        # (1, 0, -1)), 1 and 1.5; the order-0 vector padded with zeros is even
+        with mp.workdps(50):
+            lams = _mp_bottom_eigenvalues([mp.mpf(1), mp.mpf(0), mp.mpf("0.5")], 1)
+            assert [float(lam) for lam in lams] == [1.0, 0.5]
 
     def test_window_guard(self, profile_64):
         with pytest.raises(ParameterError):

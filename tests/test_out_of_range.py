@@ -121,6 +121,13 @@ def test_kernel_rejects_non_finite_horizon():
             gramian_from_frequencies(horizon, idx, idx.astype(float) ** 3, profile)
 
 
+def test_negative_spectral_order(tmp_path, capsys):
+    needle = "m_max must be nonnegative, got -1"
+    _section(tmp_path, capsys, "spec", "type = spectral-constant\nm_max = -1\n", needle)
+    _command(tmp_path, capsys, ["spectral-constant", "--m-max", "-1"], needle)
+    assert not (tmp_path / "cli" / "spectral_constant.csv").exists()
+
+
 def test_singular_spectral_constant_exits_3(tmp_path, capsys):
     argv = [
         "spectral-constant", "--profile-nx", "16", "--support-a", "0.3",

@@ -3,8 +3,10 @@
 The control operator is written once for both axes and both dimensions, and
 the containers once for both dimensions; these checks hold for every grid
 that path can meet. The closed-form Gramians agree with the time-batched
-quadrature oracles, the HUM solve's residuals never grow, and a damaged
-container is read back exactly or rejected as a ``DimensionError``.
+quadrature oracles, the HUM solve's residuals never grow, a damaged
+container is read back exactly or rejected as a ``DimensionError``, and
+the spectral-constant table is nondecreasing with every prefix equal to the
+table of that order.
 """
 
 import tempfile
@@ -214,3 +216,22 @@ def test_damaged_gramian_container_round_trips_or_is_rejected(n, seed, data):
                 assert pos in _GRAMIAN_VALUE_BYTES
                 write_gramian(back, path)
                 assert path.read_bytes() == damaged
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.sampled_from([64, 128, 256]),
+    kind=st.sampled_from(["smooth-exp", "hann-squared"]),
+    a=st.floats(-3.0, 1.0),
+    width=st.floats(1.0, 2.1),
+    data=st.data(),
+)
+def test_spectral_table_is_nondecreasing_and_prefix_consistent(nx, kind, a, width, data):
+    profile = kl.make_control_profile(a, a + width, kind, kl.TorusGrid(nx))
+    # the matrix is singular once the window 2*m_max+1 exceeds the support's nodes
+    nodes = int(np.count_nonzero(profile.values))
+    m_max = data.draw(st.integers(0, min(6, (nodes - 1) // 2)), label="m_max")
+    table = kl.spectral_constant_table(profile, m_max)
+    assert all(hi >= lo for lo, hi in zip(table, table[1:]))
+    for m0 in range(m_max + 1):
+        assert abs(kl.spectral_constant(profile, m0) - table[m0]) <= 1e-12 * table[m0]
