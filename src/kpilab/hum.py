@@ -32,7 +32,8 @@ from .observe import (
     gauss_legendre_nodes,
 )
 from .propagate import (
-    _cached_grid_frequencies, _node_slices, _zero_excluded_modes, evolve, evolve_many,
+    _cached_grid_frequencies, _node_slices, _support_evolution, _zero_excluded_modes, evolve,
+    evolve_many,
 )
 
 
@@ -110,10 +111,11 @@ def quadrature_gramian_apply(
     """
     omega = _cached_grid_frequencies(v.grid, params)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
+    evolve_back = _support_evolution(v, params)
     acc = np.zeros(v.grid.shape, dtype=np.complex128)
     for part in _node_slices(nodes.size, v.grid):
         s = nodes[part]
-        mid = apply_control(evolve_many(v, -s, params), profile, orientation)
+        mid = apply_control(evolve_back(-s), profile, orientation)
         mid = apply_control(mid, profile, orientation)
         acc += np.einsum("b,b...->...", weights[part], mid * unit_phases(omega, s))
     return SpectralField(v.grid, _zero_excluded_modes(acc, v.grid))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Literal, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .fourier import (
     inverse_transform,
     require_mean_zero,
 )
-from .propagate import _cached_grid_frequencies, _node_slices, evolve_many
+from .propagate import _cached_grid_frequencies, _node_slices, _support_evolution
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
 Orientation = Literal["vertical", "horizontal"]
@@ -489,7 +489,10 @@ def gramian_from_frequencies(
 def gauss_legendre_nodes(
     horizon: float, panels: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, T]."""
+    """Composite Gauss-Legendre rule on [0, T]; panels and order are positive integers."""
+    _check_horizon(horizon)
+    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in (panels, order)):
+        raise ParameterError(f"panels and order must be positive integers: {panels!r}, {order!r}")
     base_x, base_w = np.polynomial.legendre.leggauss(order)
     width = horizon / panels
     starts = width * np.arange(panels)
@@ -512,16 +515,16 @@ def quadrature_observed_energy(
 
     Evolves the field to a stack of nodes at a time and applies the control
     operator in physical space; entirely independent of the closed-form time
-    kernel. ``evolve_fn(u0, times)`` returns the stack of the field at
-    ``times`` (default :func:`~kpilab.propagate.evolve_many`). The node
-    energies are added one at a time in node order.
+    kernel. ``evolve_fn(u0, times)`` returns the stack at ``times``; the default
+    takes the phases on the field's support only, with the bits of
+    :func:`~kpilab.propagate.evolve_many`. Node energies are added in node order.
     """
-    evolve_fn = evolve_fn or (lambda f, times: evolve_many(f, times, params))
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
+    evolve = _support_evolution(u0, params) if evolve_fn is None else partial(evolve_fn, u0)
     dim = u0.grid.dimension
     total = 0.0
     for part in _node_slices(nodes.size, u0.grid):
-        observed = apply_control(evolve_fn(u0, nodes[part]), profile, orientation)
+        observed = apply_control(evolve(nodes[part]), profile, orientation)
         # SpectralField.norm of each field of the stack
         sums = np.sum(np.abs(observed) ** 2, axis=tuple(range(1, dim + 1)))
         for w, norm in zip(weights[part], np.sqrt(TWO_PI**dim * sums).tolist()):

@@ -78,6 +78,21 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     return _zero_excluded_modes(u0.coeffs * phases, u0.grid)
 
 
+def _support_evolution(u0: SpectralField, params: DispersionParams):
+    """``times -> evolve_many(u0, times, params)``, phases on the support only; zeros are +0."""
+    _check_mode(u0, params)
+    require_mean_zero(u0)
+    support = _zero_excluded_modes(u0.coeffs != 0, u0.grid)
+    omega, coeffs = _cached_grid_frequencies(u0.grid, params)[support], u0.coeffs[support]
+
+    def stack(times: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(times),) + u0.grid.shape, dtype=np.complex128)
+        out[:, support] = coeffs * unit_phases(omega, times)
+        return out
+
+    return stack
+
+
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:
     """Propagate to time ``t``: :func:`evolve_many` at the single time ``t``."""
     return u0.with_coeffs(evolve_many(u0, [t], params)[0])

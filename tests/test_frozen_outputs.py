@@ -6,6 +6,10 @@ phases, the control operator and the exporters, and through nothing from
 LAPACK. Their bytes were frozen before the 1D and 2D code paths were merged
 into one; a change of any of them changes a published output.
 
+The quadrature takes its phases on the field's support only. The ratios of
+a 128x32 field with 144 of its 4,096 coefficients nonzero were frozen while
+the phases were still taken on every grid mode.
+
 ``kpi-lab gramian`` writes one container per transverse frequency and the
 eigenvalue table. Its bytes were frozen while every block was still
 assembled and diagonalized on its own, before the block at ``-l`` became
@@ -62,6 +66,14 @@ FROZEN = {
 }
 
 
+def quadrature_line(field: Path, control: str, capsys) -> str:
+    """The ratio line that ``observe --method quadrature`` prints for ``field``."""
+    capsys.readouterr()
+    argv = ["observe", "--input", str(field), "--method", "quadrature"]
+    assert main(argv + PROFILE + ["--control", control, "--horizon", "0.75"]) == 0
+    return capsys.readouterr().out
+
+
 def frozen_outputs(root: Path, capsys) -> dict:
     """sha256 of every written file and each printed ratio line, by name."""
     found = {}
@@ -73,10 +85,7 @@ def frozen_outputs(root: Path, capsys) -> dict:
             argv = ["--out", str(out), "--format", fmt, "evolve", "--input", str(field)]
             assert main(argv + EVOLVE) == 0
         for control in OBSERVE[name]:
-            capsys.readouterr()
-            argv = ["observe", "--input", str(field), "--method", "quadrature"]
-            assert main(argv + PROFILE + ["--control", control, "--horizon", "0.75"]) == 0
-            found[f"{name}/observe-{control}"] = capsys.readouterr().out
+            found[f"{name}/observe-{control}"] = quadrature_line(field, control, capsys)
     for path in sorted(root.rglob("*.*")):
         found[path.relative_to(root).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
     return found
@@ -84,6 +93,26 @@ def frozen_outputs(root: Path, capsys) -> dict:
 
 def test_array_path_outputs_are_frozen(tmp_path, capsys):
     assert frozen_outputs(tmp_path, capsys) == FROZEN
+
+
+# taken from the code that took the quadrature's phases on every grid mode
+SPARSE_FIELD = ["--nx", "128", "--ny", "32", "--kmax", "8", "--lmax", "4", "--seed", "6"]
+FROZEN_SPARSE = {
+    "field.bin": "ed0a73b7bf779f686fb72a83be7034f0912f1c5ae757abb9bcd47c4885494d10",
+    "observe-vertical": '{"ratio": 0.061188627678056315, "horizon": 0.75, "control": "vertical"}\n',
+    "observe-horizontal": (
+        '{"ratio": 0.031352271028588334, "horizon": 0.75, "control": "horizontal"}\n'
+    ),
+}
+
+
+def test_sparse_field_quadrature_ratios_are_frozen(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "random-field"] + SPARSE_FIELD) == 0
+    field = tmp_path / "field.bin"
+    found = {"field.bin": hashlib.sha256(field.read_bytes()).hexdigest()}
+    for control in ("vertical", "horizontal"):
+        found[f"observe-{control}"] = quadrature_line(field, control, capsys)
+    assert found == FROZEN_SPARSE
 
 
 # taken from the code that assembled and diagonalized the blocks at l and -l apart

@@ -13,8 +13,8 @@ import kpilab as kl
 from kpilab.cli import main
 from kpilab.errors import NumericalConsistencyError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
-from kpilab.hum import synthesize_control
-from kpilab.observe import GramianBlock, gramian_from_frequencies
+from kpilab.hum import quadrature_gramian_apply, synthesize_control
+from kpilab.observe import GramianBlock, gramian_from_frequencies, quadrature_observed_energy
 from kpilab.storage import write_field
 
 
@@ -103,6 +103,25 @@ def test_synthesis_rejects_out_of_range_before_work(small_setup_1d):
     for kwargs in ({"tol": float("nan")}, {"tol": -1e-3}, {"tol": 2.0}, {"max_iter": 0}):
         with pytest.raises(ParameterError):
             synthesize_control(u0, u0 * 0.0, 1.0, profile, params, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"horizon": -1.0}, {"horizon": float("nan")}, {"horizon": float("inf")},
+        {"panels": 0}, {"panels": 2.0}, {"order": 0}, {"order": -3}, {"order": "24"},
+    ],
+)
+def test_quadratures_reject_out_of_range_before_work(small_setup_1d, bad):
+    u0, profile, params = small_setup_1d
+    args = {"horizon": 1.0, "panels": 2, "order": 8} | bad
+    horizon, rule = args.pop("horizon"), args
+    with pytest.raises(ParameterError):
+        quadrature_observed_energy(u0, horizon, profile, params, **rule)
+    with pytest.raises(ParameterError):
+        quadrature_gramian_apply(u0, horizon, profile, params, **rule)
+    with pytest.raises(ParameterError):
+        kl.observability_ratio(u0, horizon, profile, params, method="quadrature", **rule)
 
 
 def test_gramian_block_rejects_non_finite_entries():

@@ -6,7 +6,8 @@ that path can meet. The closed-form Gramians agree with the time-batched
 quadrature oracles, the HUM solve's residuals never grow, a damaged
 container is read back exactly or rejected as a ``DimensionError``, and
 the spectral-constant table is nondecreasing with every prefix equal to the
-table of that order.
+table of that order. The quadrature's phases on the field's support give the
+energy of the full-grid evolution bit for bit.
 """
 
 import tempfile
@@ -25,7 +26,7 @@ from kpilab.observe import (
     gramian_observed_energy,
     quadrature_observed_energy,
 )
-from kpilab.propagate import _cached_grid_frequencies
+from kpilab.propagate import _cached_grid_frequencies, evolve_many
 from kpilab.storage import (
     _FIELD_HEADER,
     _MATRIX_HEADER,
@@ -159,6 +160,43 @@ def test_gramian_equals_batched_quadrature(nx, ny, horizontal, horizon, seed):
     dense = ControlGramian(grid, horizon, profile, params, orientation).apply(u0)
     quad_op = quadrature_gramian_apply(u0, horizon, profile, params, orientation, panels, 24)
     assert (quad_op - dense).norm() <= 1e-10 * dense.norm()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=grids(),
+    horizontal=st.booleans(),
+    window=st.tuples(st.integers(1, 31), st.integers(0, 31)),
+    keep=st.floats(0.05, 1.0),
+    nyquist=st.tuples(st.booleans(), st.booleans()),
+    dust=st.booleans(),
+    horizon=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_quadrature_equals_full_grid_bitwise(
+    grid, horizontal, window, keep, nyquist, dust, horizon, seed
+):
+    nx, ny = grid.nx, grid.ny
+    orientation = "horizontal" if horizontal and ny else "vertical"
+    axis = 1 if orientation == "horizontal" else 0
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(grid.shape[axis]))
+    params = kl.DispersionParams.kp1(2.0) if ny else kl.DispersionParams.reduced(2.0, 1.0)
+    rng = np.random.default_rng(seed)
+    kmax, lmax = min(window[0], nx // 2 - 1), min(window[1], ny // 2 - 1) if ny else None
+    coeffs = random_field(grid, rng, kmax=kmax, lmax=lmax).coeffs
+    coeffs = np.where(rng.random(grid.shape) < keep, coeffs, 0.0)
+    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    if nyquist[0]:
+        coeffs[0] = noise[0]  # k = -nx/2
+    if nyquist[1] and ny:
+        coeffs[:, 0] = noise[:, 0]  # l = -ny/2
+    # k = 0 mass, if any, below require_mean_zero's 1e-14 relative tolerance
+    k0 = grid.index_of_k(0)
+    coeffs[k0] = 1e-16 * np.max(np.abs(coeffs)) * noise[k0] if dust else 0.0
+    u0 = kl.SpectralField(grid, coeffs)
+    args = (u0, horizon, profile, params, orientation, 2, 8)
+    full = quadrature_observed_energy(*args, evolve_fn=lambda f, t: evolve_many(f, t, params))
+    assert quadrature_observed_energy(*args) == full
 
 
 def _damaged(data, raw: bytes, header_size: int):
