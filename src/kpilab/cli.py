@@ -175,15 +175,12 @@ def _cmd_random_field(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kpi-lab")
     parser.add_argument("--seed", type=int, default=None)
-    # kept so existing command lines still parse
-    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", default="csv", choices=["csv", "json", "bin"])
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["csv", "json", "bin"], default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)

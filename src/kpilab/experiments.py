@@ -39,6 +39,7 @@ from .observe import (
     spectral_constant_table,
 )
 from .packets import DichotomyResult, PacketParams, dichotomy_experiment
+from .propagate import _kept_modes
 from .storage import json_text, rows_to_csv
 
 
@@ -89,12 +90,12 @@ def leakage_fraction(field: SpectralField) -> float:
     return mass / total
 
 
-def check_leakage(field: SpectralField, tol: float = 1e-10) -> None:
+def check_leakage(field: SpectralField) -> None:
     frac = leakage_fraction(field)
-    if frac > tol:
+    if frac > 1e-10:
         raise NumericalConsistencyError(
             f"initial data carries {frac:.3e} relative mass in the outer "
-            f"10% of the frequency window (tolerance {tol:.1e})"
+            "10% of the frequency window (tolerance 1.0e-10)"
         )
 
 
@@ -143,7 +144,7 @@ def frequency_localized_scan(
     kv = grid.k_values
     for n in n_values:
         weights = DEFAULT_LP_FAMILY.block(n, h * kv.astype(float))
-        active = np.nonzero((weights > 0.0) & (kv != 0) & (kv != -grid.nx // 2))[0]
+        active = np.nonzero((weights > 0.0) & _kept_modes(grid))[0]
         if active.size == 0:
             continue
         idx = kv[active]
@@ -180,23 +181,21 @@ def weak_observability_diagnostic(
     rng: np.random.Generator | None = None,
     alpha: float = 2.0,
     kmax: int | None = None,
-    h_max: float = 1.0,
 ) -> list[dict]:
     """Smallest constant closing the two-term weak bound, per random trial.
 
     Each trial reports ``||u0||^2 / (observed energy + ||u0||_{-1}^2)``; the
     max over trials is the empirical constant for this h. The diagnostic is
-    a semiclassical statement, so ``h`` must stay below ``h_max``.
+    a semiclassical statement, so ``h`` must lie in (0, 1).
     """
-    if not 0.0 < h < h_max:
-        raise ParameterError(f"h must lie in (0, {h_max}), got {h}")
+    if not 0.0 < h < 1.0:
+        raise ParameterError(f"h must lie in (0, 1), got {h}")
     _check_trials(trials)
     rng = rng or np.random.default_rng(0)
     grid = profile.grid
     params = DispersionParams.reduced(alpha, 1.0 / h**2)
-    kv = grid.k_values
-    active = np.nonzero((kv != 0) & (kv != -grid.nx // 2))[0]
-    idx = kv[active]
+    active = np.nonzero(_kept_modes(grid))[0]
+    idx = grid.k_values[active]
     omega = frequencies_1d(idx, params).astype(float)
     block = gramian_from_frequencies(horizon, idx, omega, profile, plain_weight=True)
     rows = []
@@ -523,13 +522,11 @@ def run_experiment(
     config_path: str | Path,
     output_root: str | Path | None = None,
     seed_override: int | None = None,
-    threads: int = 1,
 ) -> dict:
     """Execute every experiment section of a config file.
 
     Writes one CSV per experiment, a JSON summary, and ``manifest.json``
     listing each output with its sha256. Returns the manifest dict.
-    ``threads`` is accepted for compatibility and has no effect.
     """
     config_path = Path(config_path)
     text = config_path.read_text()

@@ -250,11 +250,11 @@ def mean_zero_defect(field: SpectralField) -> tuple[float, int | None]:
     return float(np.abs(row[j])), int(field.grid.l_values[j])
 
 
-def require_mean_zero(field: SpectralField, rel_tol: float = 1e-14) -> None:
-    """Raise ``ConstraintError`` when the field carries x-mean mass."""
+def require_mean_zero(field: SpectralField) -> None:
+    """Raise ``ConstraintError`` when the x-mean exceeds 1e-14 of the largest coefficient."""
     defect, l = mean_zero_defect(field)
     scale = max(np.max(np.abs(field.coeffs)), 1e-300)
-    if defect > rel_tol * scale:
+    if defect > 1e-14 * scale:
         where = "" if l is None else f" at transverse frequency l={l}"
         raise ConstraintError(
             f"field has nonzero x-mean content{where}: |coeff| = {defect:.3e}"
@@ -340,10 +340,9 @@ def littlewood_paley_block(
     field: SpectralField,
     n: int,
     h: float,
-    family: LPFamily = DEFAULT_LP_FAMILY,
 ) -> SpectralField:
     """Apply the dyadic block multiplier ``psi(2^n h k)`` along x-frequencies."""
     if h <= 0:
         raise ParameterError(f"semiclassical parameter h must be positive, got {h}")
-    weights = family.block(n, h * field.grid.k_values.astype(float))
+    weights = DEFAULT_LP_FAMILY.block(n, h * field.grid.k_values.astype(float))
     return field.with_coeffs(field.coeffs * along_axis(weights, 0, field.grid.dimension))

@@ -32,8 +32,7 @@ from .observe import (
     gauss_legendre_nodes,
 )
 from .propagate import (
-    _cached_grid_frequencies, _node_slices, _support_evolution, _zero_excluded_modes, evolve,
-    evolve_many,
+    _cached_grid_frequencies, _evolution, _kept_modes, _node_slices, evolve, evolve_many,
 )
 
 
@@ -111,14 +110,14 @@ def quadrature_gramian_apply(
     """
     omega = _cached_grid_frequencies(v.grid, params)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    evolve_back = _support_evolution(v, params)
+    evolve_back = _evolution(v, params, _kept_modes(v.grid) & (v.coeffs != 0))
     acc = np.zeros(v.grid.shape, dtype=np.complex128)
     for part in _node_slices(nodes.size, v.grid):
         s = nodes[part]
         mid = apply_control(evolve_back(-s), profile, orientation)
         mid = apply_control(mid, profile, orientation)
         acc += np.einsum("b,b...->...", weights[part], mid * unit_phases(omega, s))
-    return SpectralField(v.grid, _zero_excluded_modes(acc, v.grid))
+    return SpectralField(v.grid, np.where(_kept_modes(v.grid), acc, 0.0))
 
 
 def _conjugate_residual(
@@ -317,7 +316,7 @@ def verify_control(
         g_f = apply_control(traj.controls_at(t), traj.profile, traj.orientation)
         acc += np.einsum("b,b...->...", weights[part], g_f * unit_phases(omega, -t))
     acc *= dt / 6.0
-    # the forcing is mean-zero by construction; drop accumulated rounding dust
-    acc[grid.k_values == 0] = 0.0
+    # the forcing lives on the kept modes; drop the rounding dust off them
+    acc[~_kept_modes(grid)] = 0.0
     integrated = SpectralField(grid, u0.coeffs + acc)
     return evolve(integrated, horizon, traj.params)

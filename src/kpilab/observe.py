@@ -39,7 +39,7 @@ from .fourier import (
     inverse_transform,
     require_mean_zero,
 )
-from .propagate import _cached_grid_frequencies, _node_slices, _support_evolution
+from .propagate import _cached_grid_frequencies, _evolution, _kept_modes, _node_slices
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
 Orientation = Literal["vertical", "horizontal"]
@@ -85,13 +85,6 @@ class ControlProfile:
         v = np.ascontiguousarray(self.values, dtype=float)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Single support interval; raises for multi-component profiles."""
-        if len(self.intervals) != 1:
-            raise ParameterError("profile has multiple support components")
-        return self.intervals[0]
 
     @cached_property
     def g_hat(self) -> np.ndarray:
@@ -464,10 +457,9 @@ def gramian_from_frequencies(
     indices: np.ndarray,
     omega: np.ndarray,
     profile: ControlProfile,
-    fixed_freq: int = 0,
     plain_weight: bool = False,
 ) -> GramianBlock:
-    """Block with caller-supplied per-mode frequencies.
+    """Block, labelled 0, with caller-supplied per-mode frequencies.
 
     Used for the semiclassical (translated-frame) evolutions, where the
     frequency table is not the standard multiplier. ``plain_weight`` selects
@@ -478,7 +470,7 @@ def gramian_from_frequencies(
     if omega.shape != indices.shape:
         raise DimensionError("frequency table must match the index window")
     matrix = _gramian_kernel(profile, indices, omega, horizon, plain_weight)
-    return GramianBlock(indices, fixed_freq, horizon, matrix, "x")
+    return GramianBlock(indices, 0, horizon, matrix, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +507,13 @@ def quadrature_observed_energy(
 
     Evolves the field to a stack of nodes at a time and applies the control
     operator in physical space; entirely independent of the closed-form time
-    kernel. ``evolve_fn(u0, times)`` returns the stack at ``times``; the default
-    takes the phases on the field's support only, with the bits of
-    :func:`~kpilab.propagate.evolve_many`. Node energies are added in node order.
+    kernel. ``evolve_fn(u0, times)`` returns the stack at ``times``; the default is
+    :func:`~kpilab.propagate.evolve_many`'s path with the phases taken on the field's
+    support only, which keeps the energy's bits. Node energies are added in node order.
     """
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    evolve = _support_evolution(u0, params) if evolve_fn is None else partial(evolve_fn, u0)
+    support = _kept_modes(u0.grid) & (u0.coeffs != 0)
+    evolve = _evolution(u0, params, support) if evolve_fn is None else partial(evolve_fn, u0)
     dim = u0.grid.dimension
     total = 0.0
     for part in _node_slices(nodes.size, u0.grid):

@@ -19,7 +19,7 @@ import numpy as np
 from .dispersion import DispersionParams, critical_shift, semiclassical_frequencies
 from .errors import DimensionError, ParameterError, TruncationError
 from .fourier import TWO_PI, SpectralField, TorusGrid, mode_field, smooth_step
-from .observe import ControlProfile, ProfileKind, gramian_from_frequencies, make_region_profile
+from .observe import ControlProfile, gramian_from_frequencies, make_region_profile
 
 
 def _next_pow2(n: int) -> int:
@@ -33,7 +33,7 @@ def _next_pow2(n: int) -> int:
 class PacketParams:
     """Recipe for the dispersion-critical packet family.
 
-    ``h(n) = h_base**n`` is the semiclassical sequence. The frequency
+    ``h(n) = 0.5**n`` is the semiclassical sequence. The frequency
     localization scale is ``htilde = h**(1-alpha)`` for ``alpha < 1``; the
     probes at ``alpha >= 1`` reuse the recipe with ``htilde = sqrt(h)`` so the
     packet still concentrates. ``eps = sqrt(htilde)`` sets the Gaussian width.
@@ -44,7 +44,6 @@ class PacketParams:
     big_cutoff: float = 1.0
     small_cutoff: float = 0.5
     beta: float = np.pi / 4
-    h_base: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
@@ -53,11 +52,9 @@ class PacketParams:
             raise ParameterError("cutoff bounds need 0 < b < B")
         if not 0.0 < self.beta < np.pi:
             raise ParameterError(f"beta must lie in (0, pi), got {self.beta}")
-        if not 0.0 < self.h_base < 1.0:
-            raise ParameterError("h_base must lie in (0, 1)")
 
     def h(self, n: int) -> float:
-        return self.h_base**n
+        return 0.5**n
 
     def htilde(self, n: int) -> float:
         exponent = 1.0 - self.alpha if self.alpha < 1.0 else 0.5
@@ -270,7 +267,6 @@ def dichotomy_experiment(
     params: PacketParams,
     horizon: float,
     n_values=range(4, 10),
-    profile_kind: ProfileKind = "hann-squared",
 ) -> DichotomyResult:
     """Observed-energy ratios of the packet family across the h sequence.
 
@@ -288,7 +284,7 @@ def dichotomy_experiment(
     for n in n_values:
         grid = packet_grid(params, n)
         v0 = packet_initial_data(params, n, grid)
-        profile = make_region_profile(params.region_intervals(), profile_kind, grid)
+        profile = make_region_profile(params.region_intervals(), "hann-squared", grid)
         ratio = packet_observed_ratio(v0, horizon, params.h(n), dparams, profile)
         rows.append(
             DichotomyRow(n=n, h=params.h(n), eps=params.eps(n), ratio=ratio, grid_nx=grid.nx)

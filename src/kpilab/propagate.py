@@ -34,13 +34,15 @@ def _node_slices(count: int, grid) -> list[slice]:
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
-def _zero_excluded_modes(coeffs: np.ndarray, grid) -> np.ndarray:
-    """Zero the k = 0 row and the Nyquist row/column of a field or stack, in place."""
-    rows = coeffs.reshape((-1,) + grid.shape)
-    rows[:, grid.index_of_k(0)] = 0.0
-    rows[:, 0] = 0.0  # k = -nx/2
-    rows[..., 0] = 0.0  # l = -ny/2 (k = -nx/2 again in 1D)
-    return coeffs
+@lru_cache(maxsize=128)
+def _kept_modes(grid) -> np.ndarray:
+    """Read-only mask of the modes every evolution keeps: not k = 0, not the Nyquist row/column."""
+    kept = np.ones(grid.shape, dtype=bool)
+    kept[grid.index_of_k(0)] = False
+    kept[0] = False  # k = -nx/2
+    kept[..., 0] = False  # l = -ny/2 (k = -nx/2 again in 1D)
+    kept.flags.writeable = False
+    return kept
 
 
 def _check_mode(field: SpectralField, params: DispersionParams) -> None:
@@ -65,6 +67,23 @@ def _cached_grid_frequencies(grid, params) -> np.ndarray:
     return table
 
 
+def _evolution(u0: SpectralField, params: DispersionParams, keep: np.ndarray):
+    """``times ->`` the stack of ``u0`` at ``times``, the phases taken on the modes ``keep`` only.
+
+    ``keep`` lies within :func:`_kept_modes`; every other mode of the stack is +0.
+    """
+    _check_mode(u0, params)
+    require_mean_zero(u0)
+    omega, coeffs = _cached_grid_frequencies(u0.grid, params)[keep], u0.coeffs[keep]
+
+    def stack(times: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(times),) + u0.grid.shape, dtype=np.complex128)
+        out[:, keep] = coeffs * unit_phases(omega, times)
+        return out
+
+    return stack
+
+
 def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) -> np.ndarray:
     """The field at each of ``times``, coefficients times ``exp(i*t*omega)``: a stack.
 
@@ -72,25 +91,7 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     Norm is conserved to rounding; the group law holds exactly up to the
     extended-precision phase reduction.
     """
-    _check_mode(u0, params)
-    require_mean_zero(u0)
-    phases = unit_phases(_cached_grid_frequencies(u0.grid, params), np.asarray(times, dtype=float))
-    return _zero_excluded_modes(u0.coeffs * phases, u0.grid)
-
-
-def _support_evolution(u0: SpectralField, params: DispersionParams):
-    """``times -> evolve_many(u0, times, params)``, phases on the support only; zeros are +0."""
-    _check_mode(u0, params)
-    require_mean_zero(u0)
-    support = _zero_excluded_modes(u0.coeffs != 0, u0.grid)
-    omega, coeffs = _cached_grid_frequencies(u0.grid, params)[support], u0.coeffs[support]
-
-    def stack(times: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(times),) + u0.grid.shape, dtype=np.complex128)
-        out[:, support] = coeffs * unit_phases(omega, times)
-        return out
-
-    return stack
+    return _evolution(u0, params, _kept_modes(u0.grid))(np.asarray(times, dtype=float))
 
 
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:
@@ -114,7 +115,7 @@ def evolve_modewise(u0: SpectralField, t: float, alpha: float) -> SpectralField:
         reduced = DispersionParams.reduced(alpha=alpha, lam=float(abs(l)))
         phases = unit_phases(frequencies_1d(grid.k_values, reduced), t)
         out[:, j] = u0.coeffs[:, j] * phases
-    return u0.with_coeffs(_zero_excluded_modes(out, grid))
+    return u0.with_coeffs(np.where(_kept_modes(grid), out, 0.0))
 
 
 def evolve_semiclassical(
@@ -165,7 +166,7 @@ def rk4_reference_evolve(
     _check_mode(u0, params)
     require_mean_zero(u0)
     rate = 1j * _cached_grid_frequencies(u0.grid, params).astype(np.float64)
-    u = _zero_excluded_modes(u0.coeffs.copy(), u0.grid)
+    u = np.where(_kept_modes(u0.grid), u0.coeffs, 0.0)
     dt = t / steps
     for _ in range(steps):
         k1 = rate * u

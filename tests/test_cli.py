@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import kpilab as kl
 from kpilab.cli import main
@@ -23,6 +24,16 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     code = main(["run", str(cfg)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[run]\nseed = 3\n")
+    for argv in (["--threads", "2", "run", str(cfg)], ["run", str(cfg), "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: kpi-lab")
 
 
 def test_dispersion_table(tmp_path):

@@ -223,16 +223,6 @@ class TestRunExperiment:
         # the dichotomy is deterministic and seed-independent
         assert (out1 / "dichotomy-weak.csv").read_bytes() == (out2 / "dichotomy-weak.csv").read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(
-            "[run]\nseed = 5\n\n[floor]\ntype = gramian-floor\nk_window = 8\nl_window = 2\nprofile_nx = 256\n"
-        )
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_experiment(cfg, output_root=out1, threads=1)
-        run_experiment(cfg, output_root=out2, threads=4)
-        assert (out1 / "floor.csv").read_bytes() == (out2 / "floor.csv").read_bytes()
-
 
 class TestScanGoldens:
     def test_near_critical_block_has_largest_exact_constant(self, profile_default):

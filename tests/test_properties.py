@@ -7,7 +7,8 @@ quadrature oracles, the HUM solve's residuals never grow, a damaged
 container is read back exactly or rejected as a ``DimensionError``, and
 the spectral-constant table is nondecreasing with every prefix equal to the
 table of that order. The quadrature's phases on the field's support give the
-energy of the full-grid evolution bit for bit.
+energy of the full-grid evolution bit for bit, and ``evolve_many`` gives the
+bytes of the full-grid formula, signed zeros included.
 """
 
 import tempfile
@@ -26,7 +27,8 @@ from kpilab.observe import (
     gramian_observed_energy,
     quadrature_observed_energy,
 )
-from kpilab.propagate import _cached_grid_frequencies, evolve_many
+from kpilab.dispersion import unit_phases
+from kpilab.propagate import _cached_grid_frequencies, _kept_modes, evolve_many
 from kpilab.storage import (
     _FIELD_HEADER,
     _MATRIX_HEADER,
@@ -197,6 +199,46 @@ def test_support_quadrature_equals_full_grid_bitwise(
     args = (u0, horizon, profile, params, orientation, 2, 8)
     full = quadrature_observed_energy(*args, evolve_fn=lambda f, t: evolve_many(f, t, params))
     assert quadrature_observed_energy(*args) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=grids(),
+    alpha=st.floats(0.5, 2.5),
+    lam=st.floats(0.0, 3.0),
+    keep=st.floats(0.0, 1.0),
+    nyquist=st.tuples(st.booleans(), st.booleans()),
+    dust=st.booleans(),
+    times=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_many_is_the_full_grid_formula_bytewise(
+    grid, alpha, lam, keep, nyquist, dust, times, seed
+):
+    params = kl.DispersionParams.kp1(alpha) if grid.ny else kl.DispersionParams.reduced(alpha, lam)
+    freqs = np.meshgrid(*grid.frequencies, indexing="ij")
+    kept = freqs[0] != 0
+    for f, n in zip(freqs, grid.shape):
+        kept &= f != -n // 2
+    assert np.array_equal(_kept_modes(grid), kept)
+
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    # zeros of both signs inside the kept set, content on the Nyquist row/column
+    zeros = np.where(rng.random(grid.shape) < 0.5, 0.0, complex(-0.0, -0.0))
+    coeffs = np.where(rng.random(grid.shape) < keep, noise, zeros)
+    if nyquist[0]:
+        coeffs[0] = noise[0]  # k = -nx/2
+    if nyquist[1]:
+        coeffs[..., 0] = noise[..., 0]  # l = -ny/2 (k = -nx/2 again in 1D)
+    k0 = grid.index_of_k(0)
+    coeffs[k0] = 1e-16 * np.max(np.abs(coeffs)) * noise[k0] if dust else 0.0
+    u0 = kl.SpectralField(grid, coeffs)
+
+    # the formula before the kept-mode mask: every mode's phase, then zeroing
+    expect = u0.coeffs * unit_phases(_cached_grid_frequencies(grid, params), np.asarray(times))
+    expect[:, ~kept] = 0.0
+    assert evolve_many(u0, times, params).tobytes() == expect.tobytes()
 
 
 def _damaged(data, raw: bytes, header_size: int):
