@@ -32,7 +32,7 @@ from .observe import (
     gauss_legendre_nodes,
 )
 from .propagate import (
-    _cached_grid_frequencies, _evolution, _kept_modes, _node_slices, evolve, evolve_many,
+    _cached_grid_frequencies, _evolution, _kept_modes, _stack_slices, evolve, evolve_many,
 )
 
 
@@ -112,7 +112,7 @@ def quadrature_gramian_apply(
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     evolve_back = _evolution(v, params, _kept_modes(v.grid) & (v.coeffs != 0))
     acc = np.zeros(v.grid.shape, dtype=np.complex128)
-    for part in _node_slices(nodes.size, v.grid):
+    for part in _stack_slices(nodes.size, v.grid.shape):
         s = nodes[part]
         mid = apply_control(evolve_back(-s), profile, orientation)
         mid = apply_control(mid, profile, orientation)
@@ -257,7 +257,7 @@ def synthesize_control(
     )
     samples = [
         SpectralField(u0.grid, row)
-        for part in _node_slices(times.size, u0.grid)
+        for part in _stack_slices(times.size, u0.grid.shape)
         for row in traj.controls_at(times[part])
     ]
     object.__setattr__(traj, "samples", tuple(samples))
@@ -311,7 +311,7 @@ def verify_control(
     weights = np.append(1.0, np.tile([4.0, 2.0], steps))
     weights[-1] = 1.0
     acc = np.zeros(grid.shape, dtype=np.complex128)
-    for part in _node_slices(times.size, grid):
+    for part in _stack_slices(times.size, grid.shape):
         t = times[part]
         g_f = apply_control(traj.controls_at(t), traj.profile, traj.orientation)
         acc += np.einsum("b,b...->...", weights[part], g_f * unit_phases(omega, -t))

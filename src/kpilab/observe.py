@@ -39,7 +39,7 @@ from .fourier import (
     inverse_transform,
     require_mean_zero,
 )
-from .propagate import _cached_grid_frequencies, _evolution, _kept_modes, _node_slices
+from .propagate import _cached_grid_frequencies, _evolution, _kept_modes, _stack_slices
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
 Orientation = Literal["vertical", "horizontal"]
@@ -101,10 +101,13 @@ class ControlProfile:
         return float(np.sum(self.values) * TWO_PI / self.grid.nx)
 
     def exp_moment(self, k: np.ndarray) -> np.ndarray:
-        """``integral g(x) exp(i k x) dx`` for integer k inside the window."""
-        k = np.asarray(k)
-        idx = np.array([self.grid.index_of_k(int(-m)) for m in np.ravel(k)])
-        return (TWO_PI * self.g_hat[idx]).reshape(k.shape)
+        """``integral g(x) exp(i k x) dx`` for integer k with ``-k`` a grid frequency."""
+        k = np.asarray(k, dtype=int)
+        nx = self.grid.nx
+        outside = (-k < -nx // 2) | (-k >= nx // 2)
+        if np.any(outside):
+            raise ParameterError(f"moment frequency k={k[outside][0]} outside window of nx={nx}")
+        return TWO_PI * self.g_hat[nx // 2 - k]
 
     def gsq_moment(self, m: np.ndarray) -> np.ndarray:
         """``integral g(x)^2 exp(i m x) dx`` with periodic index wrapping.
@@ -222,6 +225,29 @@ def apply_control(
 # ---------------------------------------------------------------------------
 
 
+def _static_gram(
+    profile: ControlProfile, rows: np.ndarray, cols: np.ndarray, plain_weight: bool
+) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of the static Gram ``<G e_{kj}, G e_{ki}>``.
+
+    ``plain_weight`` selects multiplication by g instead of the mean-corrected
+    control operator. Each entry is computed alone, so a block of rows holds
+    the bits of the same rows of the full matrix.
+    """
+    q_diff = profile.gsq_moment(cols[None, :] - rows[:, None])
+    if plain_weight:
+        return q_diff
+    c_row, c_col = profile.exp_moment(rows), profile.exp_moment(cols)  # integral g e^{ikx}
+    q_row, q_col = profile.gsq_moment(rows), profile.gsq_moment(cols)
+    q_zero = profile.gsq_moment(np.array(0))
+    return (
+        q_diff
+        - np.conj(c_row)[:, None] * q_col[None, :]
+        - np.conj(q_row)[:, None] * c_col[None, :]
+        + q_zero * np.conj(c_row)[:, None] * c_col[None, :]
+    )
+
+
 def control_gram_matrix(profile: ControlProfile, indices: np.ndarray) -> np.ndarray:
     """Static Gram ``M[i, j] = <G e_{kj}, G e_{ki}>`` over a frequency window.
 
@@ -229,39 +255,30 @@ def control_gram_matrix(profile: ControlProfile, indices: np.ndarray) -> np.ndar
     physical-space operator restricted to the window.
     """
     indices = np.asarray(indices, dtype=int)
-    c = profile.exp_moment(indices)  #  integral g e^{ikx}
-    q_diff = profile.gsq_moment(indices[None, :] - indices[:, None])
-    q_single = profile.gsq_moment(indices)
-    q_zero = profile.gsq_moment(np.array(0))
-    m = (
-        q_diff
-        - np.conj(c)[:, None] * q_single[None, :]
-        - np.conj(q_single)[:, None] * c[None, :]
-        + q_zero * np.conj(c)[:, None] * c[None, :]
-    )
-    return m
+    return _static_gram(profile, indices, indices, plain_weight=False)
 
 
 def plain_weight_gram_matrix(profile: ControlProfile, indices: np.ndarray) -> np.ndarray:
     """Static Gram of plain multiplication by g: ``<g e_{kj}, g e_{ki}>``."""
     indices = np.asarray(indices, dtype=int)
-    return profile.gsq_moment(indices[None, :] - indices[:, None])
+    return _static_gram(profile, indices, indices, plain_weight=True)
 
 
 def time_factor(delta: np.ndarray, horizon: float) -> np.ndarray:
     """``E(delta, T) = (exp(i T delta) - 1)/(i delta)`` with a Taylor branch.
 
     The series branch for ``|T delta| < 1e-4`` keeps the resonant diagonal
-    (delta = 0, value exactly T) and its neighborhood fully accurate.
+    (delta = 0, value exactly T) and its neighborhood fully accurate; the
+    closed form runs on every entry and the series overwrites its own.
     """
     delta = np.asarray(delta, dtype=float)
+    # the series entries (0/0 at delta = 0, overflow at subnormal delta) are replaced
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.asarray((unit_phases(delta, horizon) - 1.0) / (1j * delta))
     z = horizon * delta
-    out = np.empty(delta.shape, dtype=np.complex128)
     small = np.abs(z) < 1e-4
     zs = z[small]
     out[small] = horizon * (1.0 + 1j * zs / 2.0 - zs**2 / 6.0 - 1j * zs**3 / 24.0)
-    db = delta[~small]
-    out[~small] = (unit_phases(db, horizon) - 1.0) / (1j * db)
     return out
 
 
@@ -283,18 +300,28 @@ class GramianBlock:
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if not np.all(np.isfinite(m)):
-            raise NumericalConsistencyError("Gramian block has non-finite entries")
-        scale = float(np.max(np.abs(m))) or 1.0
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise DimensionError(f"Gramian block must be a nonempty square matrix, got {m.shape}")
+        # checked and symmetrized a stack of rows at a time, within the
+        # budget of the time-domain stacks
+        sym = np.empty_like(m, order="C")
+        scale = herm = 0.0
+        for part in _stack_slices(m.shape[0], m.shape[1:]):
+            rows, mirror = m[part], m[:, part].conj().T
+            if not np.all(np.isfinite(rows)):
+                raise NumericalConsistencyError("Gramian block has non-finite entries")
+            scale = max(scale, float(np.max(np.abs(rows))))
+            herm = max(herm, float(np.max(np.abs(rows - mirror))))
+            sym[part] = 0.5 * (rows + mirror)
+        scale = scale or 1.0
         # absolute dust allowance keeps degenerate (zero to rounding) blocks
         # from tripping on rounding noise
         dust = 1e-15 * (1.0 + scale)
-        herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERMITICITY_TOL * scale + dust:
             raise NumericalConsistencyError(
                 f"Gramian block lost hermiticity: defect {herm:.3e} at scale {scale:.3e}"
             )
-        m = 0.5 * (m + m.conj().T)
+        m = sym
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         idx = np.ascontiguousarray(self.indices, dtype=int)
@@ -391,16 +418,21 @@ def _gramian_kernel(
     blocks along its leading axes, which then share the static Gram. With
     ``-omega`` the kernel runs backward in time and gives the control
     Gramian. ``plain_weight`` selects multiplication by g instead of the
-    mean-corrected control operator.
+    mean-corrected control operator. The output is the only full-size
+    array: it is filled a stack of rows at a time, within the budget of the
+    time-domain stacks, and each entry keeps the bits of the one-shot formula.
     """
     _check_horizon(horizon)
-    e_mat = time_factor(omega[..., None, :] - omega[..., :, None], horizon)
-    m = (
-        plain_weight_gram_matrix(profile, indices)
-        if plain_weight
-        else control_gram_matrix(profile, indices)
-    )
-    return m * e_mat / TWO_PI
+    indices = np.asarray(indices, dtype=int)
+    n = indices.size
+    if n == 0:
+        raise ParameterError("the frequency window is empty")
+    out = np.empty(omega.shape[:-1] + (n, n), dtype=np.complex128)
+    for part in _stack_slices(n, omega.shape):
+        m = _static_gram(profile, indices[part], indices, plain_weight)
+        e = time_factor(omega[..., None, :] - omega[..., part, None], horizon)
+        out[..., part, :] = m * e / TWO_PI
+    return out
 
 
 def assemble_observability_gramian(
@@ -516,7 +548,7 @@ def quadrature_observed_energy(
     evolve = _evolution(u0, params, support) if evolve_fn is None else partial(evolve_fn, u0)
     dim = u0.grid.dimension
     total = 0.0
-    for part in _node_slices(nodes.size, u0.grid):
+    for part in _stack_slices(nodes.size, u0.grid.shape):
         observed = apply_control(evolve(nodes[part]), profile, orientation)
         # SpectralField.norm of each field of the stack
         sums = np.sum(np.abs(observed) ** 2, axis=tuple(range(1, dim + 1)))

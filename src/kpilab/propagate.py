@@ -23,14 +23,18 @@ from .errors import ConstraintError, DimensionError, ParameterError
 from .fourier import SpectralField, require_mean_zero
 
 
-# bytes of one complex stack of time nodes: the time-domain oracles work a
-# stack at a time, which bounds their memory whatever the node count
+# bytes of one complex stack: the time-domain oracles work a stack of time
+# nodes at a time, and the Gramian blocks a stack of rows, which bounds their
+# memory whatever the node count or block size
 _STACK_BYTES = 128 * 1024
 
 
-def _node_slices(count: int, grid) -> list[slice]:
-    """Consecutive slices of ``count`` time nodes, one stack within ``_STACK_BYTES`` each."""
-    size = max(1, _STACK_BYTES // (16 * int(np.prod(grid.shape))))
+def _stack_slices(count: int, item_shape: tuple[int, ...]) -> list[slice]:
+    """Consecutive slices of ``count`` complex items of ``item_shape``, each within the budget.
+
+    The items are time nodes of a grid's shape, or rows of a Gramian block.
+    """
+    size = max(1, _STACK_BYTES // (16 * int(np.prod(item_shape))))
     return [slice(i, i + size) for i in range(0, count, size)]
 
 

@@ -1,12 +1,22 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 import kpilab as kl
+from kpilab.dispersion import frequencies_1d
 from kpilab.errors import ConstraintError, DimensionError, ParameterError
 from kpilab.experiments import random_field
 from kpilab.fourier import TWO_PI, inverse_transform
-from kpilab.observe import _mp_bottom_eigenvalues, concentration_matrix, time_factor
+from kpilab.observe import (
+    GramianBlock,
+    _gramian_kernel,
+    _mp_bottom_eigenvalues,
+    concentration_matrix,
+    time_factor,
+    window_indices,
+)
 
 
 def quad_integral(values, grid):
@@ -188,6 +198,25 @@ class TestGramianBlocks:
     def test_window_guard(self, profile_64, kp_params):
         with pytest.raises(ParameterError):
             kl.assemble_observability_gramian(1.0, 40, 0, profile_64, kp_params)
+
+    def test_assembly_allocates_little_beyond_the_block(self, profile_default):
+        # a 754-mode window, the largest block of the lab's frequency scan;
+        # the one-shot assembly peaked at 5.56 times the block, its check at 2.01
+        idx = window_indices(377, exclude_zero=True)
+        omega = frequencies_1d(idx, kl.DispersionParams.reduced(2.0, 3.0)).astype(float)
+        _gramian_kernel(profile_default, idx[:2], omega[:2], 1.0)  # the profile's DFTs
+        tracemalloc.start()
+        try:
+            matrix = _gramian_kernel(profile_default, idx, omega, 1.0)
+            kernel_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            GramianBlock(idx, 3, 1.0, matrix)
+            block_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kernel_peak <= 1.25 * matrix.nbytes
+        assert block_peak <= 1.25 * matrix.nbytes
 
     def test_block_zero_to_rounding_is_accepted(self):
         # the profile covers one node of the 8-point grid, so G vanishes on

@@ -11,7 +11,7 @@ import pytest
 
 import kpilab as kl
 from kpilab.cli import main
-from kpilab.errors import NumericalConsistencyError, ParameterError
+from kpilab.errors import DimensionError, NumericalConsistencyError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
 from kpilab.hum import quadrature_gramian_apply, synthesize_control
 from kpilab.observe import GramianBlock, gramian_from_frequencies, quadrature_observed_energy
@@ -138,6 +138,29 @@ def test_kernel_rejects_non_finite_horizon():
     for horizon in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ParameterError):
             gramian_from_frequencies(horizon, idx, idx.astype(float) ** 3, profile)
+
+
+def test_kernel_rejects_an_empty_window_before_work(monkeypatch):
+    profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(64))
+    for work in ("_static_gram", "time_factor"):
+        monkeypatch.setattr(kl.observe, work, None)
+    with pytest.raises(ParameterError, match="empty"):
+        gramian_from_frequencies(1.0, np.array([], int), np.array([]), profile)
+    with pytest.raises(ParameterError, match="empty"):
+        kl.assemble_horizontal_gramian(1.0, -1, 1, profile, kl.DispersionParams.kp1(2.0))
+    for matrix in (np.zeros((0, 0)), np.eye(3)[:2]):
+        with pytest.raises(DimensionError, match="nonempty square"):
+            GramianBlock(np.arange(len(matrix)), 0, 1.0, matrix)
+
+
+def test_moments_name_the_frequency_the_caller_gave():
+    # the moment of k reads the coefficient of -k; a 64-point grid holds -32 .. 31
+    profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(64))
+    with pytest.raises(ParameterError, match="k=40 "):
+        gramian_from_frequencies(1.0, np.array([1, 40]), np.array([1.0, 64000.0]), profile)
+    with pytest.raises(ParameterError, match="k=-32 "):
+        profile.exp_moment(np.array([[3, -32], [1, 2]]))
+    assert profile.exp_moment(np.array([32, -31])).shape == (2,)
 
 
 def test_negative_spectral_order(tmp_path, capsys):

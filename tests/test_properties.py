@@ -3,12 +3,14 @@
 The control operator is written once for both axes and both dimensions, and
 the containers once for both dimensions; these checks hold for every grid
 that path can meet. The closed-form Gramians agree with the time-batched
-quadrature oracles, the HUM solve's residuals never grow, a damaged
-container is read back exactly or rejected as a ``DimensionError``, and
-the spectral-constant table is nondecreasing with every prefix equal to the
-table of that order. The quadrature's phases on the field's support give the
-energy of the full-grid evolution bit for bit, and ``evolve_many`` gives the
-bytes of the full-grid formula, signed zeros included.
+quadrature oracles, the Gramian kernel and the block check, which work a
+stack of rows at a time, give the bytes of their one-shot formulas, the HUM
+solve's residuals never grow, a damaged container is read back exactly or
+rejected as a ``DimensionError``, and the spectral-constant table is
+nondecreasing with every prefix equal to the table of that order. The
+quadrature's phases on the field's support give the energy of the full-grid
+evolution bit for bit, and ``evolve_many`` gives the bytes of the full-grid
+formula, signed zeros included.
 """
 
 import tempfile
@@ -20,12 +22,18 @@ from hypothesis import given, settings, strategies as st
 import kpilab as kl
 from kpilab.errors import DimensionError
 from kpilab.experiments import random_field
+from kpilab.fourier import TWO_PI
 from kpilab.hum import ControlGramian, quadrature_gramian_apply
 from kpilab.observe import (
     GramianBlock,
+    _gramian_kernel,
     apply_control,
+    control_gram_matrix,
     gramian_observed_energy,
+    plain_weight_gram_matrix,
     quadrature_observed_energy,
+    time_factor,
+    window_indices,
 )
 from kpilab.dispersion import unit_phases
 from kpilab.propagate import _cached_grid_frequencies, _kept_modes, evolve_many
@@ -162,6 +170,51 @@ def test_gramian_equals_batched_quadrature(nx, ny, horizontal, horizon, seed):
     dense = ControlGramian(grid, horizon, profile, params, orientation).apply(u0)
     quad_op = quadrature_gramian_apply(u0, horizon, profile, params, orientation, panels, 24)
     assert (quad_op - dense).norm() <= 1e-10 * dense.norm()
+
+
+# a block row holds 16 * n bytes per stacked block, so windows of more than
+# 90 modes, or stacks of smaller ones, are built and checked in several row
+# slices, the last one short
+@settings(max_examples=40, deadline=None)
+@given(
+    symmetric=st.booleans(),
+    lo=st.integers(-300, 0),
+    size=st.integers(1, 301),
+    stack=st.sampled_from([(), (3,), (2, 2)]),
+    plain_weight=st.booleans(),
+    kind=st.sampled_from(["smooth-exp", "hann-squared"]),
+    # the smaller horizons put off-diagonal entries on the Taylor branch
+    horizon=st.sampled_from([1e-9, 1e-5, 0.7, 5.0]),
+    spread=st.sampled_from([1e-3, 1.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_is_the_one_shot_formula_bytewise(
+    symmetric, lo, size, stack, plain_weight, kind, horizon, spread, seed
+):
+    profile = kl.make_control_profile(-2.0, 1.0, kind, kl.TorusGrid(1024))
+    idx = window_indices(size // 2 + 1, exclude_zero=True) if symmetric else np.arange(lo, lo + size)
+    omega = spread * np.random.default_rng(seed).standard_normal(stack + idx.shape)
+    static = (plain_weight_gram_matrix if plain_weight else control_gram_matrix)(profile, idx)
+    # the time factor is named: numpy reuses a large temporary right operand for
+    # the product, which swaps the operands of the fused complex multiply and
+    # can move its last bit
+    e = time_factor(omega[..., None, :] - omega[..., :, None], horizon)
+    expect = static * e / TWO_PI
+    matrix = _gramian_kernel(profile, idx, omega, horizon, plain_weight)
+    assert matrix.shape == expect.shape
+    assert matrix.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_check_is_the_one_shot_symmetrization_bytewise(n, fortran, seed):
+    rng = np.random.default_rng(seed)
+    a, dust = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    # hermitian to 1e-14 relative, so that the symmetrization moves bits
+    matrix = a @ a.conj().T + 1e-14 * n * dust
+    block = GramianBlock(np.arange(n), 0, 1.0, np.asfortranarray(matrix) if fortran else matrix)
+    assert block.matrix.flags.c_contiguous
+    assert block.matrix.tobytes() == (0.5 * (matrix + matrix.conj().T)).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
