@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dispersion import DispersionParams, group_velocity
-from .errors import ConfigError, KPILabError, NumericalConsistencyError
+from .errors import ConfigError, KPILabError, NumericalConsistencyError, ParameterError
 from .experiments import (
     DICHOTOMY_KEYS,
     GRAMIAN_FLOOR_KEYS,
@@ -75,6 +75,10 @@ def _cmd_run(args) -> int:
 def _cmd_dispersion(args) -> int:
     """Tabulate the multiplier and group velocity."""
     params = DispersionParams.reduced(args.alpha, args.lam)
+    if args.count < 0:
+        raise ParameterError(f"count must be nonnegative, got {args.count}")
+    if not np.isfinite([args.xi_min, args.xi_max]).all():
+        raise ParameterError(f"xi-min and xi-max must be finite, got {args.xi_min}, {args.xi_max}")
     xi = np.linspace(args.xi_min, args.xi_max, args.count)
     xi = xi[xi != 0.0]
     rows = [

@@ -37,10 +37,10 @@ class DispersionParams:
     mode: Literal["reduced-1d", "full-2d"] = "reduced-1d"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.lam < 0:
-            raise ParameterError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 < self.alpha < np.inf:
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.lam < np.inf:
+            raise ParameterError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.mode not in ("reduced-1d", "full-2d"):
             raise ParameterError(f"unknown mode {self.mode!r}")
 

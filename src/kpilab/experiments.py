@@ -37,6 +37,7 @@ from .observe import (
     make_control_profile,
     observability_constant,
     spectral_constant_table,
+    window_mask,
 )
 from .packets import DichotomyResult, PacketParams, dichotomy_experiment
 from .propagate import _kept_modes
@@ -61,12 +62,11 @@ def random_field(
     lmax: int | None = None,
     unit_norm: bool = True,
 ) -> SpectralField:
-    """Random complex-Gaussian field on an inner window, mean-zero, Nyquist-free."""
+    """Random complex-Gaussian field on :func:`window_mask`'s windows: mean-zero, Nyquist-free."""
     masks = []
-    for freqs, n, size in zip(grid.frequencies, grid.shape, (kmax, lmax)):
+    for a, (freqs, n, size) in enumerate(zip(grid.frequencies, grid.shape, (kmax, lmax))):
         size = size if size is not None else max(1, int(0.4 * (n // 2)))
-        masks.append(np.abs(freqs) <= size)
-    masks[0] &= grid.k_values != 0
+        masks.append(window_mask(freqs, size, exclude_zero=a == 0))
     draw = rng.standard_normal(tuple(int(m.sum()) for m in masks) + (2,))
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[np.ix_(*masks)] = draw[..., 0] + 1j * draw[..., 1]

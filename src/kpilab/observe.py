@@ -347,22 +347,18 @@ class GramianBlock:
         return float(np.real(np.vdot(vec, self.matrix @ vec)))
 
 
-def window_indices(size: int, exclude_zero: bool) -> np.ndarray:
-    """Symmetric frequency window ``[-size, size]``, optionally without 0."""
-    idx = np.arange(-size, size + 1)
-    return idx[idx != 0] if exclude_zero else idx
-
-
 def window_mask(freqs: np.ndarray, size: int, exclude_zero: bool) -> np.ndarray:
     """Boolean mask of the window ``|f| <= size`` over the frequencies of a grid axis.
 
-    Selects the entries of :func:`window_indices` in storage order. The
-    window must stay below the axis Nyquist frequency, which has no
-    positive partner on the grid.
+    ``freqs[mask]`` is ``-size .. size``, without 0 if ``exclude_zero``, in
+    storage order. The window must be nonempty and stay below the axis Nyquist
+    frequency, which has no positive partner on the grid.
     """
-    if size > freqs.size // 2 - 1:
+    lo, hi = int(exclude_zero), freqs.size // 2 - 1
+    if not lo <= size <= hi:
         raise ParameterError(
-            f"window {size} reaches the Nyquist frequency of a {freqs.size}-point axis"
+            f"window {size} is outside {lo} .. {hi}: empty, or reaching the Nyquist "
+            f"frequency of a {freqs.size}-point axis"
         )
     mask = np.abs(freqs) <= size
     return mask & (freqs != 0) if exclude_zero else mask
@@ -450,11 +446,8 @@ def assemble_observability_gramian(
     """
     if k_window < 1:
         raise ParameterError("k_window must be >= 1")
-    if k_window > profile.grid.nx // 2 - 1:
-        raise ParameterError(
-            f"window K={k_window} exceeds the profile grid (nx={profile.grid.nx})"
-        )
-    idx = window_indices(k_window, exclude_zero=True)
+    k = profile.grid.k_values
+    idx = k[window_mask(k, k_window, exclude_zero=True)]
     reduced = DispersionParams.reduced(params.alpha, float(abs(l)))
     omega = frequencies_1d(idx, reduced).astype(float)
     return GramianBlock(idx, l, horizon, _gramian_kernel(profile, idx, omega, horizon), "x")
@@ -475,11 +468,8 @@ def assemble_horizontal_gramian(
     """
     if k == 0:
         raise ParameterError("x-frequency k = 0 is excluded by the mean-zero constraint")
-    if l_window > profile.grid.nx // 2 - 1:
-        raise ParameterError(
-            f"window L={l_window} exceeds the profile grid (nx={profile.grid.nx})"
-        )
-    idx = window_indices(l_window, exclude_zero=False)
+    freqs = profile.grid.k_values  # the profile's axis is y
+    idx = freqs[window_mask(freqs, l_window, exclude_zero=False)]
     omega = frequencies_2d([k], idx, params)[0].astype(float)
     return GramianBlock(idx, k, horizon, _gramian_kernel(profile, idx, omega, horizon), "y")
 
@@ -728,10 +718,7 @@ def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be nonnegative, got {m_max}")
-    if m_max > profile.grid.nx // 2 - 1:
-        raise ParameterError(
-            f"window 2*m0+1 = {2 * m_max + 1} exceeds the grid (nx={profile.grid.nx})"
-        )
+    window_mask(profile.grid.k_values, m_max, exclude_zero=False)  # the window -m_max .. m_max
     import mpmath as mp
 
     dps = max(50, 60 + 3 * m_max)

@@ -95,7 +95,11 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     Norm is conserved to rounding; the group law holds exactly up to the
     extended-precision phase reduction.
     """
-    return _evolution(u0, params, _kept_modes(u0.grid))(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ParameterError(f"evolution times must be finite, got {times[~finite][0]}")
+    return _evolution(u0, params, _kept_modes(u0.grid))(times)
 
 
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:

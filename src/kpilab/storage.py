@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,6 @@ TRAJECTORY_MAGIC = b"KPIT"
 _VERSION = 1
 _FIELD_HEADER = struct.Struct("<4sBBIII")
 _MATRIX_HEADER = struct.Struct("<4sBBiId")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def json_text(obj, **kwargs) -> str:
@@ -89,10 +86,8 @@ def _coefficient_rows(field: SpectralField):
 
 
 def field_to_csv(field: SpectralField, path: str | Path) -> None:
-    lines = ["k,l,re,im"]
-    for k, l, c in _coefficient_rows(field):
-        lines.append(f"{k},{l},{_fmt(c.real)},{_fmt(c.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((k, l, c.real, c.imag) for k, l, c in _coefficient_rows(field))
+    rows_to_csv(["k", "l", "re", "im"], rows, path)
 
 
 def field_to_json(field: SpectralField, path: str | Path) -> None:
@@ -139,11 +134,8 @@ def read_gramian(path: str | Path) -> GramianBlock:
 
 
 def eigenvalues_to_csv(blocks, path: str | Path) -> None:
-    lines = ["fixed_freq,index,eigenvalue"]
-    for block in blocks:
-        for i, lam in enumerate(block.eigenvalues):
-            lines.append(f"{block.fixed_freq},{i},{_fmt(float(lam))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((b.fixed_freq, i, float(lam)) for b in blocks for i, lam in enumerate(b.eigenvalues))
+    rows_to_csv(["fixed_freq", "index", "eigenvalue"], rows, path)
 
 
 def write_trajectory(traj, path: str | Path) -> None:
@@ -166,10 +158,10 @@ def write_trajectory(traj, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
-def rows_to_csv(header: list[str], rows: list[list], path: str | Path) -> None:
-    """Write rows with deterministic float formatting."""
+def rows_to_csv(header: list[str], rows: Iterable[Sequence], path: str | Path) -> None:
+    """Write rows with deterministic float formatting: floats in 17 significant digits."""
     lines = [",".join(header)]
     for row in rows:
-        cells = [_fmt(c) if isinstance(c, float) else str(c) for c in row]
+        cells = [f"{c:.17g}" if isinstance(c, float) else str(c) for c in row]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")

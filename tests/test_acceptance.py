@@ -17,7 +17,6 @@ from kpilab.observe import (
     control_gram_matrix,
     gauss_legendre_nodes,
     quadrature_observed_energy,
-    window_indices,
 )
 from kpilab.packets import PacketParams
 
@@ -130,7 +129,8 @@ def test_criterion_4_observability_floor():
     ]
     estimate = kl.observability_constant(blocks)
     # oracle path: quadrature-assembled blocks at two node counts
-    idx = window_indices(k_window, exclude_zero=True)
+    idx = np.arange(-k_window, k_window + 1)
+    idx = idx[idx != 0]
     static = control_gram_matrix(profile, idx)
 
     def quadrature_lambda_min(panels: int) -> float:

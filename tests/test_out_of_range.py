@@ -90,6 +90,68 @@ def test_control_numbers_out_of_range(tmp_path, capsys, field_32x8, key, value):
     assert not (tmp_path / "cli" / "control_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--nx", "16", "--kmax", "8"],
+        ["--nx", "16", "--ny", "4", "--lmax", "2"],
+        ["--kmax", "0"],
+        ["--kmax", "-3"],
+    ],
+)
+def test_random_field_window_must_be_nonempty_and_below_nyquist(tmp_path, capsys, window):
+    _command(tmp_path, capsys, ["random-field", *window], "window")
+    assert not (tmp_path / "cli" / "field.bin").exists()
+
+
+@pytest.mark.parametrize("kmax, lmax", [(16, 2), (0, 2), (6, 4)])
+def test_hum_steer_window_must_be_nonempty_and_below_nyquist(tmp_path, capsys, kmax, lmax):
+    body = f"type = hum-steer\nnx = 32\nny = 8\nkmax = {kmax}\nlmax = {lmax}\n"
+    _section(tmp_path, capsys, "steer", body, "window")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_alpha_must_be_positive_and_finite(tmp_path, capsys, field_32x8, value):
+    body = f"type = hum-steer\nnx = 32\nny = 8\nkmax = 6\nlmax = 2\nalpha = {value}\n"
+    _section(tmp_path, capsys, "steer", body, "alpha")
+    _command(tmp_path, capsys, ["control", "--initial", field_32x8, "--alpha", value], "alpha")
+    assert not (tmp_path / "cli" / "control_report.json").exists()
+    _command(tmp_path, capsys, ["dispersion", "--alpha", value], "alpha")
+    assert not (tmp_path / "cli" / "dispersion.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--count", "-1"], "count"),
+        (["--xi-min", "nan"], "xi-min"),
+        (["--xi-max", "inf"], "xi-max"),
+        (["--xi-min=-inf"], "xi-min"),
+        (["--lam=nan"], "lam"),
+        (["--lam=inf"], "lam"),
+        (["--lam=-1"], "lam"),
+    ],
+)
+def test_dispersion_table_bounds(tmp_path, capsys, argv, needle):
+    _command(tmp_path, capsys, ["dispersion", *argv], needle)
+    assert not (tmp_path / "cli" / "dispersion.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_evolution_times_must_be_finite(tmp_path, capsys, field_32x8, fmt, time):
+    argv = ["--format", fmt, "evolve", "--input", field_32x8, f"--times={time}"]
+    _command(tmp_path, capsys, argv, "times must be finite")
+    assert not list((tmp_path / "cli").glob("snapshot_*"))
+
+
+def test_evolve_many_rejects_non_finite_times_before_work(monkeypatch, small_setup_1d):
+    u0, _, params = small_setup_1d
+    monkeypatch.setattr(kl.propagate, "_evolution", None)
+    with pytest.raises(ParameterError, match="finite"):
+        kl.evolve_many(u0, [0.0, np.nan], params)
+
+
 @pytest.fixture()
 def small_setup_1d():
     grid = kl.TorusGrid(16)
