@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .fourier import TorusGrid
 from .observe import observability_ratio, spectral_constant_table
-from .propagate import evolve
+from .propagate import evolve, finite_times
 from .storage import (
     eigenvalues_to_csv,
     field_to_csv,
@@ -95,6 +95,7 @@ def _cmd_evolve(args) -> int:
     """Propagate a stored field to given times."""
     field = read_field(args.input)
     params = _field_params(field, args)
+    finite_times(args.times)  # every time, before the first snapshot is written
     out = _out_dir(args)
     write = {"csv": field_to_csv, "json": field_to_json, "bin": write_field}[args.format]
     for t in args.times:

@@ -529,20 +529,26 @@ def quadrature_observed_energy(
 
     Evolves the field to a stack of nodes at a time and applies the control
     operator in physical space; entirely independent of the closed-form time
-    kernel. ``evolve_fn(u0, times)`` returns the stack at ``times``; the default is
-    :func:`~kpilab.propagate.evolve_many`'s path with the phases taken on the field's
-    support only, which keeps the energy's bits. Node energies are added in node order.
+    kernel. G acts along the control axis alone, so it observes, as 1D fields, only
+    the lines along that axis that hold a kept, nonzero coefficient of ``u0`` (a 1D
+    field is one line). ``evolve_fn(u0, times)`` returns the stack at ``times`` and
+    must be a Fourier multiplier; the default is :func:`~kpilab.propagate.evolve_many`'s
+    path with the phases taken on the field's support only, which keeps the energy's
+    bits. Node energies are added in node order.
     """
+    axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     support = _kept_modes(u0.grid) & (u0.coeffs != 0)
+    lines = np.any(support, axis=axis)
     evolve = _evolution(u0, params, support) if evolve_fn is None else partial(evolve_fn, u0)
-    dim = u0.grid.dimension
     total = 0.0
     for part in _stack_slices(nodes.size, u0.grid.shape):
-        observed = apply_control(evolve(nodes[part]), profile, orientation)
-        # SpectralField.norm of each field of the stack
-        sums = np.sum(np.abs(observed) ** 2, axis=tuple(range(1, dim + 1)))
-        for w, norm in zip(weights[part], np.sqrt(TWO_PI**dim * sums).tolist()):
+        # (nodes, lines, n): the control axis last, the lines that carry the field
+        stack = np.moveaxis(evolve(nodes[part]), 1 + axis, -1)[:, lines]
+        observed = apply_vertical_control(stack.reshape(-1, stack.shape[-1]), profile)
+        # SpectralField.norm of each node's field
+        sums = np.sum(np.abs(observed.reshape(stack.shape)) ** 2, axis=(1, 2))
+        for w, norm in zip(weights[part], np.sqrt(TWO_PI**u0.grid.dimension * sums).tolist()):
             total += w * norm**2
     return total
 

@@ -88,6 +88,15 @@ def _evolution(u0: SpectralField, params: DispersionParams, keep: np.ndarray):
     return stack
 
 
+def finite_times(times) -> np.ndarray:
+    """``times`` as a float array; a ``ParameterError`` unless every one is finite."""
+    times = np.asarray(times, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ParameterError(f"evolution times must be finite, got {times[~finite][0]}")
+    return times
+
+
 def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) -> np.ndarray:
     """The field at each of ``times``, coefficients times ``exp(i*t*omega)``: a stack.
 
@@ -95,10 +104,7 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     Norm is conserved to rounding; the group law holds exactly up to the
     extended-precision phase reduction.
     """
-    times = np.asarray(times, dtype=float)
-    finite = np.isfinite(times)
-    if not finite.all():
-        raise ParameterError(f"evolution times must be finite, got {times[~finite][0]}")
+    times = finite_times(times)
     return _evolution(u0, params, _kept_modes(u0.grid))(times)
 
 

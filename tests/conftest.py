@@ -3,6 +3,8 @@ import pytest
 
 from kpilab import DispersionParams, TorusGrid, default_profile, make_control_profile
 from kpilab.experiments import random_field, seeded_rng
+from kpilab.fourier import TWO_PI
+from kpilab.observe import apply_control, gauss_legendre_nodes
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,24 @@ def rng():
 
 def make_random_field(grid, rng, **kw):
     return random_field(grid, rng, **kw)
+
+
+def _full_grid_quadrature_energy(u0, horizon, profile, orientation, panels, order, evolve):
+    """The observed energy by G on the whole grid at every node, all nodes in one stack.
+
+    The formula of the time-quadrature oracle before it worked line by line;
+    ``evolve(u0, times)`` returns the stack of the field at ``times``.
+    """
+    nodes, weights = gauss_legendre_nodes(horizon, panels, order)
+    observed = apply_control(evolve(u0, nodes), profile, orientation)
+    dim = u0.grid.dimension
+    sums = np.sum(np.abs(observed) ** 2, axis=tuple(range(1, dim + 1)))
+    total = 0.0
+    for w, norm in zip(weights, np.sqrt(TWO_PI**dim * sums).tolist()):
+        total += w * norm**2
+    return total
+
+
+@pytest.fixture(scope="session")
+def full_grid_quadrature_energy():
+    return _full_grid_quadrature_energy

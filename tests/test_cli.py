@@ -71,6 +71,16 @@ def test_evolve_and_observe_round_trip(tmp_path, rng, capsys):
     assert report["ratio"] == direct
 
 
+def test_evolve_rejects_a_non_finite_time_before_any_write(tmp_path, rng, capsys):
+    src = tmp_path / "u0.bin"
+    write_field(random_field(kl.TorusGrid(32, 8), rng, kmax=5, lmax=2), src)
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "evolve", "--input", str(src), "--times", "0,nan"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(out.glob("snapshot_*"))
+
+
 def test_gramian_subcommand(tmp_path, capsys):
     code = main(
         [

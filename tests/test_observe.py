@@ -14,6 +14,7 @@ from kpilab.observe import (
     _gramian_kernel,
     _mp_bottom_eigenvalues,
     concentration_matrix,
+    quadrature_observed_energy,
     time_factor,
 )
 
@@ -272,6 +273,29 @@ class TestObservabilityRatio:
     def test_zero_field_rejected(self, grid_2d, profile_64, kp_params):
         with pytest.raises(ConstraintError):
             kl.observability_ratio(kl.zero_field(grid_2d), 1.0, profile_64, kp_params)
+
+
+class TestQuadratureLines:
+    """The quadrature oracle observes the control-axis lines that carry the field."""
+
+    def test_zero_field_has_zero_energy(self, grid_1d, grid_2d, profile_64, kp_params):
+        reduced = kl.DispersionParams.reduced(2.0, 1.0)
+        for grid, params in ((grid_2d, kp_params), (grid_1d, reduced)):
+            zero = kl.zero_field(grid)
+            assert quadrature_observed_energy(zero, 1.0, profile_64, params, panels=2) == 0.0
+
+    def test_orientation_is_checked_before_any_evolution(self, grid_1d, grid_2d, profile_64):
+        # x-mean content, which the evolution refuses with a ConstraintError
+        with pytest.raises(ParameterError):
+            quadrature_observed_energy(
+                kl.mode_field(grid_2d, 0, 1), 1.0, profile_64, kl.DispersionParams.kp1(2.0),
+                orientation="diagonal",
+            )
+        with pytest.raises(DimensionError):
+            quadrature_observed_energy(
+                kl.mode_field(grid_1d, 0), 1.0, profile_64, kl.DispersionParams.reduced(2.0, 1.0),
+                orientation="horizontal",
+            )
 
 
 class TestObservabilityConstant:
