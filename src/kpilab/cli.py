@@ -96,10 +96,13 @@ def _cmd_evolve(args) -> int:
     field = read_field(args.input)
     params = _field_params(field, args)
     finite_times(args.times)  # every time, before the first snapshot is written
+    names = [f"snapshot_t{t:g}.{args.format}" for t in args.times]
+    if len(set(names)) < len(names):
+        raise ParameterError(f"two evolution times would write one snapshot: {', '.join(names)}")
     out = _out_dir(args)
     write = {"csv": field_to_csv, "json": field_to_json, "bin": write_field}[args.format]
-    for t in args.times:
-        write(evolve(field, t, params), out / f"snapshot_t{t:g}.{args.format}")
+    for t, name in zip(args.times, names):
+        write(evolve(field, t, params), out / name)
     print(out)
     return 0
 

@@ -24,12 +24,8 @@ from .dispersion import DispersionParams, unit_phases
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
-    ControlProfile,
-    Orientation,
-    _block_layout,
-    _gramian_kernel,
-    apply_control,
-    gauss_legendre_nodes,
+    ControlProfile, Orientation, _block_layout, _control_axis, _control_lines, _gramian_kernel,
+    apply_control, apply_vertical_control, gauss_legendre_nodes,
 )
 from .propagate import (
     _cached_grid_frequencies, _evolution, _kept_modes, _stack_slices, evolve, evolve_many,
@@ -106,18 +102,40 @@ def quadrature_gramian_apply(
 ) -> SpectralField:
     """Matrix-free oracle: Gauss-Legendre quadrature of S(s) G^2 S(-s) v.
 
-    Sums a stack of nodes at a time; the modes ``S(s)`` zeroes are zeroed once, in the sum.
+    G acts along the control axis alone, so the nodes are summed, as 1D fields, on the lines
+    along that axis that hold ``v``'s support; every other mode of the result is +0.
     """
-    omega = _cached_grid_frequencies(v.grid, params)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    evolve_back = _evolution(v, params, _kept_modes(v.grid) & (v.coeffs != 0))
-    acc = np.zeros(v.grid.shape, dtype=np.complex128)
-    for part in _stack_slices(nodes.size, v.grid.shape):
-        s = nodes[part]
-        mid = apply_control(evolve_back(-s), profile, orientation)
-        mid = apply_control(mid, profile, orientation)
-        acc += np.einsum("b,b...->...", weights[part], mid * unit_phases(omega, s))
-    return SpectralField(v.grid, np.where(_kept_modes(v.grid), acc, 0.0))
+    return SpectralField(v.grid, _g2_sum(v, params, profile, orientation, weights, -nodes, nodes))
+
+
+def _g2_sum(
+    v: SpectralField, params: DispersionParams, profile: ControlProfile, orientation: Orientation,
+    weights: np.ndarray, before: np.ndarray, after: np.ndarray,
+) -> np.ndarray:
+    """``sum_j weights[j] S(after[j]) G^2 S(before[j]) v`` on the grid, +0 off the kept modes.
+
+    G acts along the control axis alone, so the sum runs, as 1D fields, over the lines along
+    that axis that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line), with the
+    phases on their kept modes only. The nodes go a stack at a time, in node order.
+    """
+    grid = v.grid
+    axis = _control_axis(grid, profile, orientation)
+    support = _kept_modes(grid) & (v.coeffs != 0)
+    lines = np.any(support, axis=axis)
+    stack_at = _evolution(v, params, support)
+    # the lines' kept modes and their frequencies, the control axis last
+    kept = _control_lines(_kept_modes(grid)[None], axis, lines)
+    omega = _control_lines(_cached_grid_frequencies(grid, params)[None], axis, lines)[kept]
+    acc = np.zeros(kept.shape, dtype=np.complex128)
+    for part in _stack_slices(weights.size, grid.shape):
+        t = before[part]
+        g_f = apply_vertical_control(_control_lines(stack_at(t), axis, lines), profile)
+        g2 = apply_vertical_control(g_f, profile).reshape(t.size, *kept.shape)[:, kept]
+        acc[kept] += np.einsum("b,b...->...", weights[part], g2 * unit_phases(omega, after[part]))
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    np.moveaxis(out, axis, -1)[lines] = acc
+    return out
 
 
 def _conjugate_residual(
@@ -295,14 +313,14 @@ def verify_control(
     composite Simpson rule over the control samples. The forcing is
     re-derived from the synthesis rule at every node ``t_j``,
     ``t_j + dt/2``, ``t_j + dt``, under the trajectory's own dynamics
-    ``traj.params``; the nodes are evaluated and summed with the Simpson
-    weights a stack at a time.
+    ``traj.params``. The forcing ``S(-t) G^2 S(t - T) phi`` is summed line by
+    line, as :func:`quadrature_gramian_apply` sums its nodes, with the Simpson
+    weights in node order; the exported control samples keep the whole-grid
+    :meth:`ControlTrajectory.controls_at`.
     """
     if steps < 100:
         raise ParameterError("verification needs at least 100 steps")
     require_mean_zero(u0)
-    grid = u0.grid
-    omega = _cached_grid_frequencies(grid, traj.params)
     horizon = traj.horizon
     dt = horizon / steps
     starts = np.arange(steps) * dt
@@ -310,13 +328,6 @@ def verify_control(
     # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 (times dt/6)
     weights = np.append(1.0, np.tile([4.0, 2.0], steps))
     weights[-1] = 1.0
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for part in _stack_slices(times.size, grid.shape):
-        t = times[part]
-        g_f = apply_control(traj.controls_at(t), traj.profile, traj.orientation)
-        acc += np.einsum("b,b...->...", weights[part], g_f * unit_phases(omega, -t))
-    acc *= dt / 6.0
-    # the forcing lives on the kept modes; drop the rounding dust off them
-    acc[~_kept_modes(grid)] = 0.0
-    integrated = SpectralField(grid, u0.coeffs + acc)
-    return evolve(integrated, horizon, traj.params)
+    rule = (traj.phi_final, traj.params, traj.profile, traj.orientation)
+    acc = _g2_sum(*rule, weights, times - horizon, -times) * (dt / 6.0)
+    return evolve(SpectralField(u0.grid, u0.coeffs + acc), horizon, traj.params)

@@ -195,6 +195,12 @@ def _apply_control_along(
     return forward_transform(g * (samples - mean), grid)
 
 
+def _control_lines(stack: np.ndarray, axis: int, lines: np.ndarray) -> np.ndarray:
+    """``(B·L, n)``: the L lines ``lines`` along ``axis`` of each of the B fields, as 1D fields."""
+    lined = np.moveaxis(stack, 1 + axis, -1)[:, lines]
+    return lined.reshape(-1, lined.shape[-1])
+
+
 def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
     """``G u = g(x) (u - integral g(x') u(x', y) dx')``.
 
@@ -543,11 +549,10 @@ def quadrature_observed_energy(
     evolve = _evolution(u0, params, support) if evolve_fn is None else partial(evolve_fn, u0)
     total = 0.0
     for part in _stack_slices(nodes.size, u0.grid.shape):
-        # (nodes, lines, n): the control axis last, the lines that carry the field
-        stack = np.moveaxis(evolve(nodes[part]), 1 + axis, -1)[:, lines]
-        observed = apply_vertical_control(stack.reshape(-1, stack.shape[-1]), profile)
+        t = nodes[part]
+        observed = apply_vertical_control(_control_lines(evolve(t), axis, lines), profile)
         # SpectralField.norm of each node's field
-        sums = np.sum(np.abs(observed.reshape(stack.shape)) ** 2, axis=(1, 2))
+        sums = np.sum(np.abs(observed.reshape(t.size, -1)) ** 2, axis=1)
         for w, norm in zip(weights[part], np.sqrt(TWO_PI**u0.grid.dimension * sums).tolist()):
             total += w * norm**2
     return total

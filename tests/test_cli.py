@@ -81,6 +81,18 @@ def test_evolve_rejects_a_non_finite_time_before_any_write(tmp_path, rng, capsys
     assert not list(out.glob("snapshot_*"))
 
 
+def test_evolve_rejects_times_that_share_a_snapshot_name(tmp_path, rng, capsys):
+    src = tmp_path / "u0.bin"
+    write_field(random_field(kl.TorusGrid(32, 8), rng, kmax=5, lmax=2), src)
+    out = tmp_path / "out"
+    # both times print as 0.123457, so the second snapshot would overwrite the first
+    times = ["--times", "0.1234567,0.1234568"]
+    code = main(["--out", str(out), "evolve", "--input", str(src)] + times)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(out.glob("snapshot_*"))
+
+
 def test_gramian_subcommand(tmp_path, capsys):
     code = main(
         [

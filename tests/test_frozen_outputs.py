@@ -17,9 +17,11 @@ the block at ``|l|`` relabelled. The eigenvalues come from LAPACK, so their
 last digits may depend on the BLAS build and its thread count.
 
 ``kpi-lab control`` writes the 256 control samples to ``trajectory.bin``.
-Their bytes were frozen while each sample was still evaluated on its own;
-the Duhamel verifier's terminal error depends on its summation order and is
-held to a relative tolerance instead.
+Their bytes were frozen while each sample was still evaluated on its own.
+The Duhamel verifier's terminal error, a difference of nearly equal fields,
+is held to 1e-12 relative, which pins its summation order; it was frozen
+from the verifier that sums its nodes line by line, and is checked apart
+from the samples so that neither frozen value can hide the other.
 
 ``kpi-lab spectral-constant`` writes the table of sharp constants
 ``kappa(m0)``. Its bytes, and the table of a two-interval profile, were
@@ -32,6 +34,8 @@ same floats.
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 import kpilab as kl
 from kpilab.cli import main
@@ -136,18 +140,31 @@ def test_gramian_outputs_are_frozen(tmp_path):
 
 # taken from the code that evaluated each control sample and verifier node alone
 FROZEN_TRAJECTORY = "9e5d84a573bc7c000de7adc8e2af3960fa23d692ff14758d65caf4f322e48241"
-FROZEN_TERMINAL_ERROR = 1.7440240272678173e-05
+# taken from the verifier that sums its nodes line by line; the whole-grid verifier,
+# which carried the roundoff of a transform round trip across the lines, gave
+# 1.7440240272678173e-05
+FROZEN_TERMINAL_ERROR = 1.744024027273117e-05
 
 
-def test_control_samples_are_frozen(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def frozen_control(tmp_path_factory):
+    """``(trajectory.bin bytes, report)`` of the frozen 16x4 control run."""
+    out = tmp_path_factory.mktemp("frozen_control")
     field = ["--nx", "16", "--ny", "4", "--kmax", "3", "--lmax", "1", "--seed", "5"]
-    assert main(["--out", str(tmp_path), "random-field"] + field) == 0
-    argv = ["control", "--initial", str(tmp_path / "field.bin"), "--verify-steps", "200"]
-    capsys.readouterr()
-    assert main(["--out", str(tmp_path / "control")] + argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    trajectory = (tmp_path / "control" / "trajectory.bin").read_bytes()
+    assert main(["--out", str(out), "random-field"] + field) == 0
+    argv = ["control", "--initial", str(out / "field.bin"), "--verify-steps", "200"]
+    assert main(["--out", str(out / "control")] + argv) == 0
+    report = json.loads((out / "control" / "control_report.json").read_text())
+    return (out / "control" / "trajectory.bin").read_bytes(), report
+
+
+def test_control_samples_are_frozen(frozen_control):
+    trajectory, _ = frozen_control
     assert hashlib.sha256(trajectory).hexdigest() == FROZEN_TRAJECTORY
+
+
+def test_terminal_error_is_frozen(frozen_control):
+    _, report = frozen_control
     error = report["terminal_error"]
     assert abs(error - FROZEN_TERMINAL_ERROR) <= 1e-12 * FROZEN_TERMINAL_ERROR
 

@@ -63,6 +63,19 @@ class TestControlGramianOperator:
         quad_op = quadrature_gramian_apply(v, 1.0, profile, params, panels=48, order=16)
         assert (dense - quad_op).norm() <= 1e-10 * dense.norm()
 
+    def test_quadrature_memory_stays_bounded(self):
+        grid = kl.TorusGrid(64, 16)
+        params = kl.DispersionParams.kp1(2.0)
+        v = kl.mode_field(grid, 1, 1) + kl.mode_field(grid, 2, -1)
+        # all 6,400 nodes in one stack would take 105 MB
+        tracemalloc.start()
+        try:
+            quadrature_gramian_apply(v, 1.0, kl.default_profile(64), params, panels=400, order=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestSynthesis:
     def test_free_evolution_needs_no_control(self, small_setup, rng):

@@ -11,20 +11,24 @@ nondecreasing with every prefix equal to the table of that order. The
 quadrature's phases on the field's support give the energy of the full-grid
 evolution bit for bit, its line-by-line energy is the full-grid formula's
 (bit for bit in 1D), and ``evolve_many`` gives the bytes of the full-grid
-formula, signed zeros included.
+formula, signed zeros included. The line-by-line verifier and
+``quadrature_gramian_apply`` agree with the whole-grid Simpson sum and the
+dense Gramian on fields supported on a few lines, and the verifier of a
+steering that needs no control is the free flow.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
-from kpilab.errors import DimensionError
+from kpilab.errors import DimensionError, ParameterError
 from kpilab.experiments import random_field
 from kpilab.fourier import TWO_PI
-from kpilab.hum import ControlGramian, quadrature_gramian_apply
+from kpilab.hum import ControlGramian, ControlTrajectory, quadrature_gramian_apply
 from kpilab.observe import (
     GramianBlock,
     _gramian_kernel,
@@ -46,13 +50,11 @@ from kpilab.storage import (
     write_gramian,
 )
 
-SIDES = st.sampled_from([4, 8, 16, 32, 64])
-
 
 @st.composite
-def grids(draw):
-    nx = draw(SIDES)
-    ny = draw(st.one_of(st.none(), SIDES))
+def grids(draw, sides=(4, 8, 16, 32, 64)):
+    nx = draw(st.sampled_from(sides))
+    ny = draw(st.one_of(st.none(), st.sampled_from(sides)))
     return kl.TorusGrid(nx) if ny is None else kl.TorusGrid(nx, ny)
 
 
@@ -280,6 +282,116 @@ def test_line_energy_is_the_full_grid_formula(full_grid_quadrature_energy, case)
         # lines, relative to the field and not to G of it: 1e-15 relative for a field
         # that G sees (E ~ T ||u0||^2), looser for one that G nearly annihilates
         assert abs(energy - expect) <= 1e-15 * np.sqrt(expect * horizon) * u0.norm()
+
+
+@st.composite
+def line_fields(draw, sides):
+    """``(phi, profile, params, orientation)`` of a field on a few lines along the control axis.
+
+    In 2D at most three of those lines carry a random share of their kept modes;
+    a 1D field is one line. The field may be zero.
+    """
+    grid = draw(grids(sides))
+    orientation = "horizontal" if draw(st.booleans()) and grid.ny else "vertical"
+    axis = 1 if orientation == "horizontal" else 0
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(grid.shape[axis]))
+    params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    count = grid.shape[1 - axis] if grid.ny else 1
+    lines = np.zeros(count, dtype=bool)
+    lines[rng.choice(count, size=draw(st.integers(0, min(3, count))), replace=False)] = True
+    # (lines, n) with the control axis last, then back to the grid's layout
+    mask = lines[:, None] & (rng.random((count, grid.shape[axis])) < draw(st.floats(0.1, 1.0)))
+    mask = np.moveaxis(mask, -1, axis) if grid.ny else mask[0]
+    coeffs = np.where(_kept_modes(grid) & mask, _random_field(grid, seed).coeffs, 0.0)
+    return kl.SpectralField(grid, coeffs), profile, params, orientation
+
+
+def _whole_grid_verify(u0, traj, steps):
+    """The Duhamel verifier with G on the whole grid at every node, all nodes in one stack."""
+    horizon, params, grid = traj.horizon, traj.params, u0.grid
+    dt = horizon / steps
+    starts = np.arange(steps) * dt
+    times = np.append(0.0, np.column_stack((starts + 0.5 * dt, starts + dt)))
+    weights = np.append(1.0, np.tile([4.0, 2.0], steps))
+    weights[-1] = 1.0
+    forcing = evolve_many(traj.phi_final, times - horizon, params)
+    for _ in range(2):
+        forcing = apply_control(forcing, traj.profile, traj.orientation)
+    forcing *= unit_phases(_cached_grid_frequencies(grid, params), -times)
+    acc = np.einsum("b,b...->...", weights, forcing) * (dt / 6.0)
+    acc[~_kept_modes(grid)] = 0.0
+    return kl.evolve(kl.SpectralField(grid, u0.coeffs + acc), horizon, params)
+
+
+def _kept_random_field(grid, seed):
+    coeffs = np.where(_kept_modes(grid), _random_field(grid, seed).coeffs, 0.0)
+    return kl.SpectralField(grid, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=line_fields([4, 8, 16, 32]),
+    horizon=st.floats(0.1, 2.0),
+    steps=st.integers(100, 140),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_verifier_is_the_whole_grid_simpson_sum(case, horizon, steps, seed):
+    phi, profile, params, orientation = case
+    u0 = _kept_random_field(phi.grid, seed)
+    traj = ControlTrajectory(horizon, phi, profile, params, orientation, np.empty(0), ())
+    out = kl.verify_control(u0, traj, steps)
+    # ||G|| <= 1 + 2 max g; the forcing sums to at most T ||G||^2 ||phi||
+    bound = 1.0 + 2.0 * profile.values.max()
+    scale = u0.norm() + horizon * bound**2 * phi.norm()
+    assert (out - _whole_grid_verify(u0, traj, steps)).norm() <= 1e-14 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=line_fields([4, 8, 16]), horizon=st.floats(0.1, 1.0))
+def test_line_quadrature_apply_is_the_dense_gramian(case, horizon):
+    v, profile, params, orientation = case
+    # at most 8 radians of any frequency difference per 24-node panel
+    spread = float(np.ptp(_cached_grid_frequencies(v.grid, params).astype(float)))
+    panels = int(np.ceil(horizon * spread / 8.0)) + 1
+    quad = quadrature_gramian_apply(v, horizon, profile, params, orientation, panels, 24)
+    dense = ControlGramian(v.grid, horizon, profile, params, orientation).apply(v)
+    # a field that G annihilates (y-independent lines under horizontal control) leaves
+    # only the roundoff of the dense blocks, relative to the field
+    bound = 1.0 + 2.0 * profile.values.max()
+    allowed = 1e-10 * dense.norm() + 1e-14 * horizon * bound**2 * v.norm()
+    assert (quad - dense).norm() <= allowed
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=line_fields([4, 8, 16]), horizon=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_verifier_without_control_is_the_free_flow(case, horizon, seed):
+    _, profile, params, orientation = case
+    u0 = _kept_random_field(case[0].grid, seed)
+    target = kl.evolve(u0, horizon, params)
+    traj = kl.synthesize_control(u0, target, horizon, profile, params, orientation=orientation)
+    # u1 = S(T) u0 needs no control: phi = 0, and the verifier sums over no line
+    assert not traj.phi_final.coeffs.any()
+    assert np.array_equal(kl.verify_control(u0, traj, 100).coeffs, target.coeffs)
+
+
+def test_line_oracles_check_the_orientation():
+    params = kl.DispersionParams.kp1(2.0)
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(8))
+    v = _kept_random_field(kl.TorusGrid(8, 8), 3)
+    traj = ControlTrajectory(1.0, v, profile, params, "diagonal", np.empty(0), ())
+    with pytest.raises(ParameterError):
+        kl.verify_control(v, traj, 100)
+    with pytest.raises(ParameterError):
+        quadrature_gramian_apply(v, 1.0, profile, params, "diagonal")
+    reduced = kl.DispersionParams.reduced(2.0, 1.0)
+    v = _kept_random_field(kl.TorusGrid(8), 3)
+    traj = ControlTrajectory(1.0, v, profile, reduced, "horizontal", np.empty(0), ())
+    with pytest.raises(DimensionError):
+        kl.verify_control(v, traj, 100)
+    with pytest.raises(DimensionError):
+        quadrature_gramian_apply(v, 1.0, profile, reduced, "horizontal")
 
 
 @settings(max_examples=60, deadline=None)
