@@ -9,6 +9,7 @@ deterministic given the config and seed; timings live only in the manifest.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -525,8 +526,8 @@ def run_experiment(
 ) -> dict:
     """Execute every experiment section of a config file.
 
-    Writes one CSV per experiment, a JSON summary, and ``manifest.json``
-    listing each output with its sha256. Returns the manifest dict.
+    Writes one CSV per experiment, a JSON summary, and ``manifest.json``: each output's
+    sha256, wall times and BLAS thread variables (null if unset). Returns the manifest.
     """
     config_path = Path(config_path)
     text = config_path.read_text()
@@ -535,12 +536,15 @@ def run_experiment(
     out_dir = Path(output_root or run["output"]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     manifest = {
         "config": config_path.name,
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "seed": seed,
+        # the last digits of the Gramian eigenvalues depend on the BLAS thread count
+        "blas_threads": {name: os.environ.get(name) for name in blas},
         "outputs": [],
         "timings": {},
     }

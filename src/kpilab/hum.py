@@ -17,6 +17,7 @@ times and never touches the closed-form Gramian kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -115,22 +116,23 @@ def _g2_sum(
 ) -> np.ndarray:
     """``sum_j weights[j] S(after[j]) G^2 S(before[j]) v`` on the grid, +0 off the kept modes.
 
-    G acts along the control axis alone, so the sum runs, as 1D fields, over the lines along
-    that axis that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line), with the
-    phases on their kept modes only. The nodes go a stack at a time, in node order.
+    G acts along the control axis alone, so the evolution writes, as 1D fields, only the lines
+    along that axis that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line); the
+    outgoing phases are taken on their kept modes only. The nodes go a stack at a time, in order.
     """
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
     support = _kept_modes(grid) & (v.coeffs != 0)
     lines = np.any(support, axis=axis)
-    stack_at = _evolution(v, params, support)
+    view = partial(_control_lines, axis=axis, lines=lines)
+    stack_at = _evolution(v, params, support, view)
     # the lines' kept modes and their frequencies, the control axis last
-    kept = _control_lines(_kept_modes(grid)[None], axis, lines)
-    omega = _control_lines(_cached_grid_frequencies(grid, params)[None], axis, lines)[kept]
+    kept = view(_kept_modes(grid))
+    omega = view(_cached_grid_frequencies(grid, params))[kept]
     acc = np.zeros(kept.shape, dtype=np.complex128)
     for part in _stack_slices(weights.size, grid.shape):
         t = before[part]
-        g_f = apply_vertical_control(_control_lines(stack_at(t), axis, lines), profile)
+        g_f = apply_vertical_control(stack_at(t).reshape(-1, kept.shape[-1]), profile)
         g2 = apply_vertical_control(g_f, profile).reshape(t.size, *kept.shape)[:, kept]
         acc[kept] += np.einsum("b,b...->...", weights[part], g2 * unit_phases(omega, after[part]))
     out = np.zeros(grid.shape, dtype=np.complex128)
@@ -232,6 +234,8 @@ def synthesize_control(
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if not isinstance(sample_count, (int, np.integer)) or sample_count < 0:
+        raise ParameterError(f"sample_count must be a nonnegative integer, got {sample_count!r}")
     if u0.grid != u1.grid:
         raise DimensionError("initial and target fields live on different grids")
     require_mean_zero(u0)
@@ -320,6 +324,8 @@ def verify_control(
     """
     if steps < 100:
         raise ParameterError("verification needs at least 100 steps")
+    if u0.grid != traj.phi_final.grid:
+        raise DimensionError("initial field and control trajectory live on different grids")
     require_mean_zero(u0)
     horizon = traj.horizon
     dt = horizon / steps

@@ -181,10 +181,10 @@ def _control_axis(grid: TorusGrid, profile: ControlProfile, orientation: Orienta
     return axis
 
 
-def _apply_control_along(
+def apply_control(
     u: FieldOrStack, profile: ControlProfile, orientation: Orientation
 ) -> FieldOrStack:
-    """``g (u - integral g u)`` with g and the integral along the control axis."""
+    """``g (u - integral g u)`` along the control axis of ``orientation``, on a field or stack."""
     grid, _ = grid_and_coeffs(u)
     # counted from the trailing grid axes, so that it holds in a stack too
     axis = _control_axis(grid, profile, orientation) - grid.dimension
@@ -195,10 +195,9 @@ def _apply_control_along(
     return forward_transform(g * (samples - mean), grid)
 
 
-def _control_lines(stack: np.ndarray, axis: int, lines: np.ndarray) -> np.ndarray:
-    """``(B·L, n)``: the L lines ``lines`` along ``axis`` of each of the B fields, as 1D fields."""
-    lined = np.moveaxis(stack, 1 + axis, -1)[:, lines]
-    return lined.reshape(-1, lined.shape[-1])
+def _control_lines(a: np.ndarray, axis: int, lines: np.ndarray) -> np.ndarray:
+    """``(L, n)``: the L lines ``lines`` along ``axis`` of the grid array ``a``, as 1D fields."""
+    return np.moveaxis(a, axis, -1)[lines]
 
 
 def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
@@ -207,23 +206,12 @@ def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrS
     Self-adjoint on L^2 and, because g has unit integral, the output has zero
     x-mean for every y.
     """
-    return _apply_control_along(u, profile, "vertical")
+    return apply_control(u, profile, "vertical")
 
 
 def apply_horizontal_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
     """``g(y) (u - integral g(y') u(x, y') dy')``; annihilates y-independent fields."""
-    return _apply_control_along(u, profile, "horizontal")
-
-
-def apply_control(
-    u: FieldOrStack, profile: ControlProfile, orientation: Orientation
-) -> FieldOrStack:
-    """The control operator of ``orientation``, on a field or on each field of a stack."""
-    if orientation == "vertical":
-        return apply_vertical_control(u, profile)
-    if orientation == "horizontal":
-        return apply_horizontal_control(u, profile)
-    raise ParameterError(f"unknown control orientation {orientation!r}")
+    return apply_control(u, profile, "horizontal")
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +259,20 @@ def plain_weight_gram_matrix(profile: ControlProfile, indices: np.ndarray) -> np
 
 
 def time_factor(delta: np.ndarray, horizon: float) -> np.ndarray:
-    """``E(delta, T) = (exp(i T delta) - 1)/(i delta)`` with a Taylor branch.
+    """``E(delta, T) = (exp(i T delta) - 1)/(i delta)`` with a near-resonant branch.
 
-    The series branch for ``|T delta| < 1e-4`` keeps the resonant diagonal
-    (delta = 0, value exactly T) and its neighborhood fully accurate; the
-    closed form runs on every entry and the series overwrites its own.
+    For ``|T delta| < 1e-3`` the closed form cancels, so those entries take the
+    equal ``T exp(i T delta/2) sinc(T delta/2)``, which has no cancellation and is
+    exactly T on the resonant diagonal (delta = 0). The closed form runs on every
+    entry and the near-resonant form overwrites its own.
     """
     delta = np.asarray(delta, dtype=float)
-    # the series entries (0/0 at delta = 0, overflow at subnormal delta) are replaced
+    # the near-resonant entries (0/0 at delta = 0, overflow at subnormal delta) are replaced
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.asarray((unit_phases(delta, horizon) - 1.0) / (1j * delta))
     z = horizon * delta
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = horizon * (1.0 + 1j * zs / 2.0 - zs**2 / 6.0 - 1j * zs**3 / 24.0)
+    small = np.abs(z) < 1e-3
+    out[small] = horizon * unit_phases(delta[small], horizon / 2.0) * np.sinc(z[small] / TWO_PI)
     return out
 
 
@@ -529,28 +517,25 @@ def quadrature_observed_energy(
     orientation: Orientation = "vertical",
     panels: int = 16,
     order: int = 24,
-    evolve_fn=None,
 ) -> float:
     """Time-quadrature oracle for ``integral_0^T ||G u(t)||^2 dt``.
 
     Evolves the field to a stack of nodes at a time and applies the control
     operator in physical space; entirely independent of the closed-form time
-    kernel. G acts along the control axis alone, so it observes, as 1D fields, only
-    the lines along that axis that hold a kept, nonzero coefficient of ``u0`` (a 1D
-    field is one line). ``evolve_fn(u0, times)`` returns the stack at ``times`` and
-    must be a Fourier multiplier; the default is :func:`~kpilab.propagate.evolve_many`'s
-    path with the phases taken on the field's support only, which keeps the energy's
-    bits. Node energies are added in node order.
+    kernel. G acts along the control axis alone, so the evolution writes, as 1D
+    fields, only the lines along that axis that hold a kept, nonzero coefficient of
+    ``u0`` (a 1D field is one line), with the phases on the field's support only.
+    Node energies are added in node order.
     """
     axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     support = _kept_modes(u0.grid) & (u0.coeffs != 0)
     lines = np.any(support, axis=axis)
-    evolve = _evolution(u0, params, support) if evolve_fn is None else partial(evolve_fn, u0)
+    evolve = _evolution(u0, params, support, partial(_control_lines, axis=axis, lines=lines))
     total = 0.0
     for part in _stack_slices(nodes.size, u0.grid.shape):
         t = nodes[part]
-        observed = apply_vertical_control(_control_lines(evolve(t), axis, lines), profile)
+        observed = apply_vertical_control(evolve(t).reshape(-1, profile.grid.nx), profile)
         # SpectralField.norm of each node's field
         sums = np.sum(np.abs(observed.reshape(t.size, -1)) ** 2, axis=1)
         for w, norm in zip(weights[part], np.sqrt(TWO_PI**u0.grid.dimension * sums).tolist()):

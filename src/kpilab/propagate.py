@@ -71,17 +71,19 @@ def _cached_grid_frequencies(grid, params) -> np.ndarray:
     return table
 
 
-def _evolution(u0: SpectralField, params: DispersionParams, keep: np.ndarray):
+def _evolution(u0: SpectralField, params: DispersionParams, keep: np.ndarray, view=np.asarray):
     """``times ->`` the stack of ``u0`` at ``times``, the phases taken on the modes ``keep`` only.
 
     ``keep`` lies within :func:`_kept_modes`; every other mode of the stack is +0.
+    ``view`` maps a grid array (``keep`` too) to each field's layout, e.g. lines along an axis.
     """
     _check_mode(u0, params)
     require_mean_zero(u0)
-    omega, coeffs = _cached_grid_frequencies(u0.grid, params)[keep], u0.coeffs[keep]
+    keep = view(keep)
+    omega, coeffs = view(_cached_grid_frequencies(u0.grid, params))[keep], view(u0.coeffs)[keep]
 
     def stack(times: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(times),) + u0.grid.shape, dtype=np.complex128)
+        out = np.zeros((len(times),) + keep.shape, dtype=np.complex128)
         out[:, keep] = coeffs * unit_phases(omega, times)
         return out
 

@@ -179,6 +179,18 @@ class TestRunExperiment:
         files = {e["file"] for e in manifest["outputs"]}
         assert files == {"summary.json"}
 
+    def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[run]\nseed = 1\n")
+        run_experiment(cfg, output_root=tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
+        }
+
     def test_dichotomy_rows_and_shape(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(CONFIG_OK)

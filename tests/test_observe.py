@@ -14,6 +14,7 @@ from kpilab.observe import (
     _gramian_kernel,
     _mp_bottom_eigenvalues,
     concentration_matrix,
+    gramian_from_frequencies,
     quadrature_observed_energy,
     time_factor,
 )
@@ -155,6 +156,26 @@ class TestTimeFactor:
         delta = np.array([0.5, -3.0, 40.0])
         expect = (np.exp(1j * delta * 2.0) - 1.0) / (1j * delta)
         assert np.max(np.abs(time_factor(delta, 2.0) - expect)) < 1e-13
+
+    @pytest.mark.parametrize("horizon", [0.001, 0.7, 2.0, 5.0])
+    def test_near_resonance_against_mpmath(self, horizon):
+        # the closed form cancels here: up to 4e-12 relative error for 1e-4 <= |T delta| < 1e-3
+        z = np.geomspace(1e-7, 1e-3, 40, endpoint=False)
+        delta = np.concatenate([z, -z]) / horizon
+        with mp.workdps(40):
+            expect = [
+                complex((mp.expj(mp.mpf(horizon) * mp.mpf(d)) - 1) / (1j * mp.mpf(d)))
+                for d in delta
+            ]
+        err = np.abs(time_factor(delta, horizon) - expect) / np.abs(expect)
+        assert np.max(err) <= 2e-15
+
+    def test_close_frequencies_pass_the_block_check(self):
+        # off-diagonal entries with 1e-4 <= |T delta| <= 1e-3 once failed the hermiticity check
+        omega = 1e-3 * np.random.default_rng(0).standard_normal(6)
+        profile = kl.make_control_profile(-2.0, 1.0, "smooth-exp", kl.TorusGrid(1024))
+        block = gramian_from_frequencies(0.7, np.arange(1, 7), omega, profile)
+        assert block.matrix.shape == (6, 6)
 
 
 class TestGramianBlocks:
@@ -404,7 +425,7 @@ class TestSpectralConstant:
             kl.spectral_constant(profile_64, 40)
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,6 +433,8 @@ from hypothesis import given, settings, strategies as st
     delta=st.floats(-1e6, 1e6, allow_nan=False),
     horizon=st.floats(0.01, 10.0, allow_nan=False),
 )
+# |T delta| = 1.2e-4: the closed form's reflection defect was 4.0e-12 here
+@example(delta=6.103515625e-05, horizon=2.0)
 def test_time_factor_properties(delta, horizon):
     import numpy as np
 

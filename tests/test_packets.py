@@ -4,7 +4,6 @@ import pytest
 import kpilab as kl
 from kpilab.errors import ParameterError, TruncationError
 from kpilab.fourier import TWO_PI
-from kpilab.observe import quadrature_observed_energy
 from kpilab.packets import (
     PacketParams,
     packet_cutoff,
@@ -186,7 +185,7 @@ class TestInvisibleSolutions:
 
 
 class TestDichotomy:
-    def test_kernel_matches_quadrature(self):
+    def test_kernel_matches_quadrature(self, full_grid_quadrature_energy):
         # low-dispersion regime keeps the oscillation budget small enough for
         # a direct time-quadrature cross-check of the exact kernel
         params = PacketParams(alpha=0.5)
@@ -197,34 +196,12 @@ class TestDichotomy:
         profile = kl.make_region_profile(params.region_intervals(), "hann-squared", grid)
         h = params.h(n)
         exact = packet_observed_ratio(v0, 1.0, h, dparams, profile)
-        quad = quadrature_observed_energy(
-            v0,
-            1.0,
-            profile,
-            dparams,
-            panels=24,
-            order=24,
-            evolve_fn=lambda f, t: kl.evolve_semiclassical(f, t, h, dparams),
-        ) / v0.norm() ** 2
-        assert abs(exact - quad) <= 1e-10 * exact
-
-    def test_semiclassical_energy_is_the_full_grid_formula(self, full_grid_quadrature_energy):
-        # a 1D field is one line, observed whole, k = 0 of the translated frame included
-        params = PacketParams(alpha=0.5)
-        n = 4
-        grid = packet_grid(params, n)
-        v0 = kl.packet_initial_data(params, n, grid)
-        dparams = kl.DispersionParams.reduced(0.5, 1.0)
-        profile = kl.make_region_profile(params.region_intervals(), "hann-squared", grid)
-        h = params.h(n)
 
         def evolve(f, t):
             return kl.evolve_semiclassical(f, t, h, dparams)
 
-        quad = quadrature_observed_energy(
-            v0, 1.0, profile, dparams, panels=24, order=24, evolve_fn=evolve
-        )
-        assert quad == full_grid_quadrature_energy(v0, 1.0, profile, "vertical", 24, 24, evolve)
+        quad = full_grid_quadrature_energy(v0, 1.0, profile, "vertical", 24, 24, evolve)
+        assert abs(exact - quad / v0.norm() ** 2) <= 1e-10 * exact
 
     def test_weak_dispersion_ratios_decay(self):
         params = PacketParams(alpha=0.5)

@@ -8,8 +8,9 @@ stack of rows at a time, give the bytes of their one-shot formulas, the HUM
 solve's residuals never grow, a damaged container is read back exactly or
 rejected as a ``DimensionError``, and the spectral-constant table is
 nondecreasing with every prefix equal to the table of that order. The
-quadrature's phases on the field's support give the energy of the full-grid
-evolution bit for bit, its line-by-line energy is the full-grid formula's
+evolution written straight into the control-axis lines that carry the field's
+support is the full-grid evolution on those lines bit for bit, the
+quadrature's line-by-line energy is the full-grid formula's
 (bit for bit in 1D), and ``evolve_many`` gives the bytes of the full-grid
 formula, signed zeros included. The line-by-line verifier and
 ``quadrature_gramian_apply`` agree with the whole-grid Simpson sum and the
@@ -18,6 +19,7 @@ steering that needs no control is the free flow.
 """
 
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +33,18 @@ from kpilab.fourier import TWO_PI
 from kpilab.hum import ControlGramian, ControlTrajectory, quadrature_gramian_apply
 from kpilab.observe import (
     GramianBlock,
+    _control_lines,
     _gramian_kernel,
     apply_control,
     control_gram_matrix,
+    gauss_legendre_nodes,
     gramian_observed_energy,
     plain_weight_gram_matrix,
     quadrature_observed_energy,
     time_factor,
 )
 from kpilab.dispersion import unit_phases
-from kpilab.propagate import _cached_grid_frequencies, _kept_modes, evolve_many
+from kpilab.propagate import _cached_grid_frequencies, _evolution, _kept_modes, evolve_many
 from kpilab.storage import (
     _FIELD_HEADER,
     _MATRIX_HEADER,
@@ -185,7 +189,7 @@ def test_gramian_equals_batched_quadrature(nx, ny, horizontal, horizon, seed):
     stack=st.sampled_from([(), (3,), (2, 2)]),
     plain_weight=st.booleans(),
     kind=st.sampled_from(["smooth-exp", "hann-squared"]),
-    # the smaller horizons put off-diagonal entries on the Taylor branch
+    # the smaller horizons put off-diagonal entries on the near-resonant branch
     horizon=st.sampled_from([1e-9, 1e-5, 0.7, 5.0]),
     spread=st.sampled_from([1e-3, 1.0, 1e4]),
     seed=st.integers(0, 2**32 - 1),
@@ -261,10 +265,16 @@ def sparse_quadratures(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=sparse_quadratures())
 def test_support_quadrature_equals_full_grid_bitwise(case):
-    params = case[3]
-    args = (*case, 2, 8)
-    full = quadrature_observed_energy(*args, evolve_fn=lambda f, t: evolve_many(f, t, params))
-    assert quadrature_observed_energy(*args) == full
+    # the stack the line-wise oracles evolve, against evolve_many's gathered onto its lines
+    u0, horizon, _, params, orientation = case
+    axis = 1 if orientation == "horizontal" else 0
+    support = _kept_modes(u0.grid) & (u0.coeffs != 0)
+    lines = np.any(support, axis=axis)
+    times = gauss_legendre_nodes(horizon, 2, 8)[0]
+    view = partial(_control_lines, axis=axis, lines=lines)
+    lined = _evolution(u0, params, support, view)(times)
+    full = np.moveaxis(evolve_many(u0, times, params), 1 + axis, -1)[:, lines]
+    assert np.array_equal(lined, full)
 
 
 @settings(max_examples=60, deadline=None)
