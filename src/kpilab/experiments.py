@@ -519,6 +519,15 @@ def read_config(text: str) -> tuple[dict, list[tuple[str, Callable, dict]]]:
     return run, experiments
 
 
+def _blas_build() -> dict | None:
+    """Name and version of numpy's BLAS build; None where numpy cannot report them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode argument
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def run_experiment(
     config_path: str | Path,
     output_root: str | Path | None = None,
@@ -527,7 +536,7 @@ def run_experiment(
     """Execute every experiment section of a config file.
 
     Writes one CSV per experiment, a JSON summary, and ``manifest.json``: each output's
-    sha256, wall times and BLAS thread variables (null if unset). Returns the manifest.
+    sha256, wall times, the BLAS build and thread variables (null if unknown). Returns it.
     """
     config_path = Path(config_path)
     text = config_path.read_text()
@@ -543,7 +552,8 @@ def run_experiment(
         "package_version": __version__,
         "numpy_version": np.__version__,
         "seed": seed,
-        # the last digits of the Gramian eigenvalues depend on the BLAS thread count
+        # the last digits of the Gramian eigenvalues depend on the BLAS build and thread count
+        "blas": _blas_build(),
         "blas_threads": {name: os.environ.get(name) for name in blas},
         "outputs": [],
         "timings": {},

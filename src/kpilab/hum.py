@@ -17,7 +17,6 @@ times and never touches the closed-form Gramian kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
     ControlProfile, Orientation, _block_layout, _control_axis, _control_lines, _gramian_kernel,
-    apply_control, apply_vertical_control, gauss_legendre_nodes,
+    _support_columns, apply_control, apply_vertical_control, gauss_legendre_nodes,
 )
 from .propagate import (
     _cached_grid_frequencies, _evolution, _kept_modes, _stack_slices, evolve, evolve_many,
@@ -117,23 +116,24 @@ def _g2_sum(
     """``sum_j weights[j] S(after[j]) G^2 S(before[j]) v`` on the grid, +0 off the kept modes.
 
     G acts along the control axis alone, so the evolution writes, as 1D fields, only the lines
-    along that axis that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line); the
-    outgoing phases are taken on their kept modes only. The nodes go a stack at a time, in order.
+    along that axis that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line), at
+    the s modes they hold; each stack times G^2's ``(s, n)`` columns on those modes, G applied
+    twice in physical space once per call, takes the outgoing phases on the lines' kept modes.
+    The nodes go a stack at a time, in order.
     """
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
     support = _kept_modes(grid) & (v.coeffs != 0)
-    lines = np.any(support, axis=axis)
-    view = partial(_control_lines, axis=axis, lines=lines)
+    lines, view, columns = _support_columns(support, axis, profile)
+    square = apply_vertical_control(columns, profile)
     stack_at = _evolution(v, params, support, view)
     # the lines' kept modes and their frequencies, the control axis last
-    kept = view(_kept_modes(grid))
-    omega = view(_cached_grid_frequencies(grid, params))[kept]
+    kept = _control_lines(_kept_modes(grid), axis, lines)
+    omega = _control_lines(_cached_grid_frequencies(grid, params), axis, lines)[kept]
     acc = np.zeros(kept.shape, dtype=np.complex128)
     for part in _stack_slices(weights.size, grid.shape):
         t = before[part]
-        g_f = apply_vertical_control(stack_at(t).reshape(-1, kept.shape[-1]), profile)
-        g2 = apply_vertical_control(g_f, profile).reshape(t.size, *kept.shape)[:, kept]
+        g2 = (stack_at(t) @ square)[:, kept]
         acc[kept] += np.einsum("b,b...->...", weights[part], g2 * unit_phases(omega, after[part]))
     out = np.zeros(grid.shape, dtype=np.complex128)
     np.moveaxis(out, axis, -1)[lines] = acc
@@ -232,8 +232,8 @@ def synthesize_control(
     """
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not isinstance(sample_count, (int, np.integer)) or sample_count < 0:
         raise ParameterError(f"sample_count must be a nonnegative integer, got {sample_count!r}")
     if u0.grid != u1.grid:
@@ -322,8 +322,8 @@ def verify_control(
     weights in node order; the exported control samples keep the whole-grid
     :meth:`ControlTrajectory.controls_at`.
     """
-    if steps < 100:
-        raise ParameterError("verification needs at least 100 steps")
+    if not isinstance(steps, (int, np.integer)) or steps < 100:
+        raise ParameterError(f"verification needs an integer of at least 100 steps, got {steps!r}")
     if u0.grid != traj.phi_final.grid:
         raise DimensionError("initial field and control trajectory live on different grids")
     require_mean_zero(u0)

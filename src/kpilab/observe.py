@@ -195,9 +195,22 @@ def apply_control(
     return forward_transform(g * (samples - mean), grid)
 
 
-def _control_lines(a: np.ndarray, axis: int, lines: np.ndarray) -> np.ndarray:
-    """``(L, n)``: the L lines ``lines`` along ``axis`` of the grid array ``a``, as 1D fields."""
-    return np.moveaxis(a, axis, -1)[lines]
+def _control_lines(a: np.ndarray, axis: int, lines: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """``(L, n)``, or ``(L, s)`` at ``cols``: the lines ``lines`` along ``axis`` of ``a``."""
+    return np.moveaxis(a, axis, -1)[lines][:, cols]
+
+
+def _support_columns(support: np.ndarray, axis: int, profile: ControlProfile):
+    """``(lines, view, columns)``: the lines along ``axis`` that hold the kept modes ``support``.
+
+    ``view`` maps a grid array to ``(L, s)``, those lines at the s modes they hold; the rows of
+    ``columns``, ``(s, n)``, are the physical-space G of the unit 1D fields on those modes.
+    """
+    lines = np.any(support, axis=axis)
+    cols = np.any(_control_lines(support, axis, lines), axis=0)
+    units = np.flatnonzero(cols)[:, None] == np.arange(cols.size)
+    view = partial(_control_lines, axis=axis, lines=lines, cols=cols)
+    return lines, view, apply_vertical_control(units.astype(np.complex128), profile)
 
 
 def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
@@ -520,22 +533,22 @@ def quadrature_observed_energy(
 ) -> float:
     """Time-quadrature oracle for ``integral_0^T ||G u(t)||^2 dt``.
 
-    Evolves the field to a stack of nodes at a time and applies the control
-    operator in physical space; entirely independent of the closed-form time
-    kernel. G acts along the control axis alone, so the evolution writes, as 1D
-    fields, only the lines along that axis that hold a kept, nonzero coefficient of
-    ``u0`` (a 1D field is one line), with the phases on the field's support only.
+    Evolves the field to a stack of nodes at a time; G, built once in physical space, is
+    independent of the closed-form time kernel. G acts along the control axis alone, so the
+    evolution writes, as 1D fields, only the lines along that axis that hold a kept, nonzero
+    coefficient of ``u0`` (a 1D field is one line), at the s modes they hold, with the phases on
+    the field's support only; a stack times G's ``(s, n)`` columns on those modes is G of it.
     Node energies are added in node order.
     """
     axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     support = _kept_modes(u0.grid) & (u0.coeffs != 0)
-    lines = np.any(support, axis=axis)
-    evolve = _evolution(u0, params, support, partial(_control_lines, axis=axis, lines=lines))
+    _, view, columns = _support_columns(support, axis, profile)
+    evolve = _evolution(u0, params, support, view)
     total = 0.0
     for part in _stack_slices(nodes.size, u0.grid.shape):
         t = nodes[part]
-        observed = apply_vertical_control(evolve(t).reshape(-1, profile.grid.nx), profile)
+        observed = evolve(t) @ columns
         # SpectralField.norm of each node's field
         sums = np.sum(np.abs(observed.reshape(t.size, -1)) ** 2, axis=1)
         for w, norm in zip(weights[part], np.sqrt(TWO_PI**u0.grid.dimension * sums).tolist()):

@@ -190,6 +190,19 @@ class TestRunExperiment:
         assert manifest["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None
         }
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+    def test_manifest_blas_is_null_where_numpy_cannot_report_it(self, tmp_path, monkeypatch):
+        def old_show_config():  # numpy < 1.26 takes no mode
+            return None
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[run]\nseed = 1\n")
+        run_experiment(cfg, output_root=tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["blas"] is None
 
     def test_dichotomy_rows_and_shape(self, tmp_path):
         cfg = tmp_path / "c.cfg"

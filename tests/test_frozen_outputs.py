@@ -19,9 +19,14 @@ last digits may depend on the BLAS build and its thread count.
 ``kpi-lab control`` writes the 256 control samples to ``trajectory.bin``.
 Their bytes were frozen while each sample was still evaluated on its own.
 The Duhamel verifier's terminal error, a difference of nearly equal fields,
-is held to 1e-12 relative, which pins its summation order; it was frozen
-from the verifier that sums its nodes line by line, and is checked apart
-from the samples so that neither frozen value can hide the other.
+is held to 1e-12 relative, which pins its summation order, and is checked
+apart from the samples so that neither frozen value can hide the other.
+
+The quadrature and the verifier build G once per call, as a matrix on the
+support modes of the control-axis lines, and multiply each node's lines by
+it. That moved two frozen values, which were re-frozen from that code: the
+1D quadrature ratio by 1 ulp, and the terminal error by 3.0e-17 (1.7e-12
+relative). Every other frozen value kept its bytes.
 
 ``kpi-lab spectral-constant`` writes the table of sharp constants
 ``kappa(m0)``. Its bytes, and the table of a two-interval profile, were
@@ -57,7 +62,8 @@ FROZEN = {
     "1d-json/snapshot_t0.5.json": "0324dd9ce776c69b3633c87831a70e5a05939ccac4a5acc531a663340e5ca5e3",
     "1d-json/snapshot_t1.25.json": "7d5c78b06848de21a58194526d68c94e60378c72424df7d4227272e581f81264",
     "1d/field.bin": "76a70e26b073898e45f782e00eeb37fe642ca7afb55b5f8394165cfaf4c54818",
-    "1d/observe-vertical": '{"ratio": 0.0617471601111265, "horizon": 0.75, "control": "vertical"}\n',
+    # G as a matrix on the support moved this ratio by 1 ulp from 0.0617471601111265
+    "1d/observe-vertical": '{"ratio": 0.061747160111126506, "horizon": 0.75, "control": "vertical"}\n',
     "2d-bin/snapshot_t0.5.bin": "ee3a4b5b6976213b0fd9cd646fe0a7200ef3c899495ed93421ab7a4d73ba8b99",
     "2d-bin/snapshot_t1.25.bin": "49aeff3e69551a350242f33fe81097ce1499c6d02d3961b53a8c6413770e402b",
     "2d-csv/snapshot_t0.5.csv": "aa493ad175e0d43390ccefe6a1e3fefb1a0a9c215d136592fe1a38f2bc785939",
@@ -140,10 +146,11 @@ def test_gramian_outputs_are_frozen(tmp_path):
 
 # taken from the code that evaluated each control sample and verifier node alone
 FROZEN_TRAJECTORY = "9e5d84a573bc7c000de7adc8e2af3960fa23d692ff14758d65caf4f322e48241"
-# taken from the verifier that sums its nodes line by line; the whole-grid verifier,
-# which carried the roundoff of a transform round trip across the lines, gave
-# 1.7440240272678173e-05
-FROZEN_TERMINAL_ERROR = 1.744024027273117e-05
+# taken from the verifier that multiplies its lines by G^2 as a matrix on their support;
+# the verifier that applied G twice in physical space at every stack of lines gave
+# 1.744024027273117e-05, and the whole-grid verifier, which carried the roundoff of a
+# transform round trip across the lines, 1.7440240272678173e-05
+FROZEN_TERMINAL_ERROR = 1.744024027270084e-05
 
 
 @pytest.fixture(scope="module")

@@ -172,6 +172,12 @@ class TestSynthesis:
         with pytest.raises(ParameterError):
             kl.synthesize_control(u0, u0, 1.0, profile, params, sample_count=-1)
 
+    def test_max_iter_must_be_an_integer(self, small_setup):
+        grid, params, profile = small_setup
+        u0 = kl.mode_field(grid, 1, 0)
+        with pytest.raises(ParameterError):
+            kl.synthesize_control(u0, u0, 1.0, profile, params, max_iter=2.5)
+
 
 def _simpson_loop_verify(u0, traj, steps):
     """The verifier as a per-step loop: one forcing evaluation per RK4 node."""
@@ -256,6 +262,14 @@ class TestVerification:
         traj = kl.synthesize_control(u0, kl.evolve(u0, 1.0, params), 1.0, profile, params)
         with pytest.raises(ParameterError):
             kl.verify_control(u0, traj, steps=10)
+
+    @pytest.mark.parametrize("steps", [150.5, float("nan")])
+    def test_steps_must_be_an_integer(self, small_setup, steps):
+        grid, params, profile = small_setup
+        u0 = kl.mode_field(grid, 1, 0)
+        traj = kl.synthesize_control(u0, kl.evolve(u0, 1.0, params), 1.0, profile, params)
+        with pytest.raises(ParameterError):
+            kl.verify_control(u0, traj, steps)
 
     def test_grid_mismatch(self, small_setup):
         grid, params, profile = small_setup

@@ -285,13 +285,51 @@ def test_line_energy_is_the_full_grid_formula(full_grid_quadrature_energy, case)
     expect = full_grid_quadrature_energy(
         u0, horizon, profile, orientation, 2, 8, lambda f, t: evolve_many(f, t, params)
     )
-    if u0.grid.dimension == 1:
-        assert energy == expect
-    else:
-        # the 2D formula carries the roundoff of a transform round trip across the
-        # lines, relative to the field and not to G of it: 1e-15 relative for a field
-        # that G sees (E ~ T ||u0||^2), looser for one that G nearly annihilates
-        assert abs(energy - expect) <= 1e-15 * np.sqrt(expect * horizon) * u0.norm()
+    # the whole-grid formula carries the roundoff of a transform round trip across the
+    # lines, and the oracle that of G's columns on the support, relative to the field and
+    # not to G of it: 1e-15 relative for a field that G sees (E ~ T ||u0||^2), looser for
+    # one that G nearly annihilates
+    assert abs(energy - expect) <= 1e-15 * np.sqrt(expect * horizon) * u0.norm()
+
+
+@pytest.mark.parametrize("shape, orientation", [((512,), "vertical"), ((256, 8), "horizontal")])
+def test_wide_dense_line_energy_is_the_full_grid_formula(
+    full_grid_quadrature_energy, shape, orientation
+):
+    # every kept mode set: the largest matrix of G's columns on the support that a line holds
+    grid, axis, horizon = kl.TorusGrid(*shape), 1 if orientation == "horizontal" else 0, 0.5
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(grid.shape[axis]))
+    params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
+    u0 = _kept_random_field(grid, 29)
+    energy = quadrature_observed_energy(u0, horizon, profile, params, orientation, 2, 8)
+    expect = full_grid_quadrature_energy(
+        u0, horizon, profile, orientation, 2, 8, lambda f, t: evolve_many(f, t, params)
+    )
+    assert abs(energy - expect) <= 1e-15 * np.sqrt(expect * horizon) * u0.norm()
+
+
+@pytest.mark.parametrize("orientation", ["vertical", "horizontal"])
+@pytest.mark.parametrize("panels, order, steps", [(2, 8, 100), (16, 24, 1000)])
+def test_oracles_build_g_once_per_call(monkeypatch, orientation, panels, order, steps):
+    # G's columns on the support come from the physical-space G once per call, whatever
+    # the number of node stacks (64x16 holds 8 nodes in a stack: 2 to 251 stacks here)
+    calls = []
+
+    def counted(u, profile):
+        calls.append(np.shape(u))
+        return apply_control(u, profile, "vertical")
+
+    for module in (kl.observe, kl.hum):
+        monkeypatch.setattr(module, "apply_vertical_control", counted)
+    grid, axis = kl.TorusGrid(64, 16), 1 if orientation == "horizontal" else 0
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(grid.shape[axis]))
+    params = kl.DispersionParams.kp1(2.0)
+    u0 = kl.mode_field(grid, 1, 1) + kl.mode_field(grid, 3, -2) + kl.mode_field(grid, -5, 4)
+    quadrature_observed_energy(u0, 1.0, profile, params, orientation, panels, order)
+    assert len(calls) == 1
+    traj = ControlTrajectory(1.0, u0, profile, params, orientation, np.empty(0), ())
+    kl.verify_control(u0, traj, steps)
+    assert len(calls) == 3
 
 
 @st.composite
