@@ -1,7 +1,8 @@
 """kpi-lab command line interface.
 
-Exit codes: 0 success, 2 config error, 3 numerical-consistency error,
-1 for any other package error. Output root defaults to the
+Exit codes: 0 success, 2 config error (a config file that cannot be read
+too), 3 numerical-consistency error, 1 for any other package error and for
+a file that cannot be read or written. Output root defaults to the
 ``KPI_LAB_OUTPUT_ROOT`` environment variable, then the working directory.
 """
 
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"numerical consistency error: {exc}", file=sys.stderr)
         return 3
-    except KPILabError as exc:
+    except (KPILabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

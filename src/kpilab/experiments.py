@@ -539,7 +539,10 @@ def run_experiment(
     sha256, wall times, the BLAS build and thread variables (null if unknown). Returns it.
     """
     config_path = Path(config_path)
-    text = config_path.read_text()
+    try:
+        text = config_path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     run, experiments = read_config(text)
     seed = seed_override if seed_override is not None else run["seed"]
     out_dir = Path(output_root or run["output"]).resolve()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .dispersion import DispersionParams, unit_phases
+from .dispersion import DispersionParams
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
@@ -28,7 +28,8 @@ from .observe import (
     _support_columns, apply_control, apply_vertical_control, gauss_legendre_nodes,
 )
 from .propagate import (
-    _cached_grid_frequencies, _evolution, _kept_modes, _stack_slices, evolve, evolve_many,
+    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _lattice_phases,
+    _stack_slices, evolve, evolve_many,
 )
 
 
@@ -106,35 +107,39 @@ def quadrature_gramian_apply(
     along that axis that hold ``v``'s support; every other mode of the result is +0.
     """
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    return SpectralField(v.grid, _g2_sum(v, params, profile, orientation, weights, -nodes, nodes))
+    # the Gauss-Legendre nodes are not equispaced: each node's phases directly
+    phases = (_direct_phases(-nodes), _direct_phases(nodes))
+    return SpectralField(v.grid, _g2_sum(v, params, profile, orientation, weights, *phases))
 
 
 def _g2_sum(
     v: SpectralField, params: DispersionParams, profile: ControlProfile, orientation: Orientation,
-    weights: np.ndarray, before: np.ndarray, after: np.ndarray,
+    weights: np.ndarray, before, after,
 ) -> np.ndarray:
-    """``sum_j weights[j] S(after[j]) G^2 S(before[j]) v`` on the grid, +0 off the kept modes.
+    """``sum_j weights[j] S(after_j) G^2 S(before_j) v`` on the grid, +0 off the kept modes.
 
-    G acts along the control axis alone, so the evolution writes, as 1D fields, only the lines
-    along that axis that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line), at
-    the s modes they hold; each stack times G^2's ``(s, n)`` columns on those modes, G applied
-    twice in physical space once per call, takes the outgoing phases on the lines' kept modes.
-    The nodes go a stack at a time, in order.
+    ``before`` and ``after`` are the phase sources of the incoming and outgoing times, both
+    :func:`~kpilab.propagate._direct_phases` or both :func:`~kpilab.propagate._lattice_phases`
+    over the same nodes. G acts along the control axis alone, so the evolution writes, as 1D
+    fields, only the lines along that axis that hold a kept, nonzero coefficient of ``v`` (a 1D
+    field is one line), at the s modes they hold; each stack times G^2's ``(s, n)`` columns on
+    those modes, G applied twice in physical space once per call, takes the outgoing phases on
+    the lines' kept modes. The nodes go a stack at a time, in order.
     """
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
     support = _kept_modes(grid) & (v.coeffs != 0)
     lines, view, columns = _support_columns(support, axis, profile)
     square = apply_vertical_control(columns, profile)
-    stack_at = _evolution(v, params, support, view)
+    stack_at = _evolution(v, params, support, before, view)
     # the lines' kept modes and their frequencies, the control axis last
     kept = _control_lines(_kept_modes(grid), axis, lines)
     omega = _control_lines(_cached_grid_frequencies(grid, params), axis, lines)[kept]
+    after_at = after(omega)
     acc = np.zeros(kept.shape, dtype=np.complex128)
     for part in _stack_slices(weights.size, grid.shape):
-        t = before[part]
-        g2 = (stack_at(t) @ square)[:, kept]
-        acc[kept] += np.einsum("b,b...->...", weights[part], g2 * unit_phases(omega, after[part]))
+        g2 = (stack_at(part) @ square)[:, kept]
+        acc[kept] += np.einsum("b,b...->...", weights[part], g2 * after_at(part))
     out = np.zeros(grid.shape, dtype=np.complex128)
     np.moveaxis(out, axis, -1)[lines] = acc
     return out
@@ -315,11 +320,14 @@ def verify_control(
     Classical RK4 in the integrating-factor frame: with ``w = S(-t) u`` the
     forced equation becomes ``dw/dt = S(-t) G f(t)``, which RK4 reduces to a
     composite Simpson rule over the control samples. The forcing is
-    re-derived from the synthesis rule at every node ``t_j``,
-    ``t_j + dt/2``, ``t_j + dt``, under the trajectory's own dynamics
+    re-derived from the synthesis rule at every node ``t_j = j h``,
+    ``h = T / (2 steps)``, under the trajectory's own dynamics
     ``traj.params``. The forcing ``S(-t) G^2 S(t - T) phi`` is summed line by
     line, as :func:`quadrature_gramian_apply` sums its nodes, with the Simpson
-    weights in node order; the exported control samples keep the whole-grid
+    weights in node order. Its incoming phases, at ``t_j - T``, and outgoing ones, at ``-t_j``,
+    lie on the lattice ``m h`` and come from a two-level table
+    (:func:`~kpilab.propagate._lattice_phases`): about ``2 sqrt(2 steps)`` extended-precision
+    phases per mode instead of one per node. The exported control samples keep the whole-grid
     :meth:`ControlTrajectory.controls_at`.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 100:
@@ -329,11 +337,12 @@ def verify_control(
     require_mean_zero(u0)
     horizon = traj.horizon
     dt = horizon / steps
-    starts = np.arange(steps) * dt
-    times = np.append(0.0, np.column_stack((starts + 0.5 * dt, starts + dt)))
     # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 (times dt/6)
     weights = np.append(1.0, np.tile([4.0, 2.0], steps))
     weights[-1] = 1.0
+    j = np.arange(2 * steps + 1)
+    h = np.longdouble(horizon) / (2 * steps)
+    phases = (_lattice_phases(h, j - 2 * steps), _lattice_phases(h, -j))
     rule = (traj.phi_final, traj.params, traj.profile, traj.orientation)
-    acc = _g2_sum(*rule, weights, times - horizon, -times) * (dt / 6.0)
+    acc = _g2_sum(*rule, weights, *phases) * (dt / 6.0)
     return evolve(SpectralField(u0.grid, u0.coeffs + acc), horizon, traj.params)

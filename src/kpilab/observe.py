@@ -39,7 +39,9 @@ from .fourier import (
     inverse_transform,
     require_mean_zero,
 )
-from .propagate import _cached_grid_frequencies, _evolution, _kept_modes, _stack_slices
+from .propagate import (
+    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _stack_slices,
+)
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
 Orientation = Literal["vertical", "horizontal"]
@@ -544,13 +546,12 @@ def quadrature_observed_energy(
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     support = _kept_modes(u0.grid) & (u0.coeffs != 0)
     _, view, columns = _support_columns(support, axis, profile)
-    evolve = _evolution(u0, params, support, view)
+    evolve = _evolution(u0, params, support, _direct_phases(nodes), view)
     total = 0.0
     for part in _stack_slices(nodes.size, u0.grid.shape):
-        t = nodes[part]
-        observed = evolve(t) @ columns
+        observed = evolve(part) @ columns
         # SpectralField.norm of each node's field
-        sums = np.sum(np.abs(observed.reshape(t.size, -1)) ** 2, axis=1)
+        sums = np.sum(np.abs(observed.reshape(len(observed), -1)) ** 2, axis=1)
         for w, norm in zip(weights[part], np.sqrt(TWO_PI**u0.grid.dimension * sums).tolist()):
             total += w * norm**2
     return total

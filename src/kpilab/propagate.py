@@ -12,6 +12,7 @@ so its coefficient is forced to zero.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -71,20 +72,56 @@ def _cached_grid_frequencies(grid, params) -> np.ndarray:
     return table
 
 
-def _evolution(u0: SpectralField, params: DispersionParams, keep: np.ndarray, view=np.asarray):
-    """``times ->`` the stack of ``u0`` at ``times``, the phases taken on the modes ``keep`` only.
+def _direct_phases(times: np.ndarray):
+    """Phase source of the nodes ``times``: ``omega -> (part -> exp(i*omega*times[part]))``."""
+    return lambda omega: lambda part: unit_phases(omega, times[part])
 
-    ``keep`` lies within :func:`_kept_modes`; every other mode of the stack is +0.
-    ``view`` maps a grid array (``keep`` too) to each field's layout, e.g. lines along an axis.
+
+def _lattice_phases(step: np.longdouble, m: np.ndarray):
+    """Phase source of the lattice nodes ``m * step``, ``m`` integers, from a two-level table.
+
+    With ``m = a*M + b``, ``M = ceil(sqrt(len(m)))`` and ``0 <= b < M``, the phase
+    ``exp(i*omega*m*step)`` is ``coarse[a] * fine[b]``: about ``2*sqrt(len(m))``
+    extended-precision phases per mode instead of ``len(m)``, at times formed in extended
+    precision, and one rounding more for the product. ``m = 0`` gives exactly 1.
+    """
+    size = math.isqrt(len(m) - 1) + 1
+    low = m.min() // size
+    coarse_times = (np.arange(low, m.max() // size + 1) * size).astype(np.longdouble) * step
+    fine_times = np.arange(size).astype(np.longdouble) * step
+
+    def source(omega: np.ndarray):
+        coarse, fine = unit_phases(omega, coarse_times), unit_phases(omega, fine_times)
+
+        def at(part: slice) -> np.ndarray:
+            a, b = np.divmod(m[part], size)
+            return coarse[a - low] * fine[b]
+
+        return at
+
+    return source
+
+
+def _evolution(
+    u0: SpectralField, params: DispersionParams, keep: np.ndarray, phases, view=np.asarray
+):
+    """``part ->`` the stack of ``u0`` at the nodes ``part`` of the phase source ``phases``.
+
+    The phases are taken on the modes ``keep`` only, which lie within :func:`_kept_modes`;
+    every other mode of the stack is +0. ``phases`` is :func:`_direct_phases` or
+    :func:`_lattice_phases`. ``view`` maps a grid array (``keep`` too) to each field's layout,
+    e.g. lines along an axis.
     """
     _check_mode(u0, params)
     require_mean_zero(u0)
     keep = view(keep)
     omega, coeffs = view(_cached_grid_frequencies(u0.grid, params))[keep], view(u0.coeffs)[keep]
+    phases_at = phases(omega)
 
-    def stack(times: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(times),) + keep.shape, dtype=np.complex128)
-        out[:, keep] = coeffs * unit_phases(omega, times)
+    def stack(part: slice) -> np.ndarray:
+        phase = phases_at(part)
+        out = np.zeros(phase.shape[:1] + keep.shape, dtype=np.complex128)
+        out[:, keep] = coeffs * phase
         return out
 
     return stack
@@ -107,7 +144,7 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     extended-precision phase reduction.
     """
     times = finite_times(times)
-    return _evolution(u0, params, _kept_modes(u0.grid))(times)
+    return _evolution(u0, params, _kept_modes(u0.grid), _direct_phases(times))(slice(None))
 
 
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from kpilab import DispersionParams, TorusGrid, default_profile, make_control_profile
+from kpilab import (
+    DispersionParams, SpectralField, TorusGrid, default_profile, evolve, evolve_many,
+    make_control_profile,
+)
+from kpilab.dispersion import unit_phases
 from kpilab.experiments import random_field, seeded_rng
 from kpilab.fourier import TWO_PI
 from kpilab.observe import apply_control, gauss_legendre_nodes
+from kpilab.propagate import _cached_grid_frequencies, _kept_modes
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +65,36 @@ def _full_grid_quadrature_energy(u0, horizon, profile, orientation, panels, orde
 @pytest.fixture(scope="session")
 def full_grid_quadrature_energy():
     return _full_grid_quadrature_energy
+
+
+def _direct_phase_verify(u0, traj, steps):
+    """The Duhamel verifier's Simpson sum with G on the whole grid and each node's own phases.
+
+    The nodes are float64 times and every node takes its phases from ``unit_phases``, as the
+    verifier did before its phases came from a lattice table; G is applied twice in physical
+    space at each node. The nodes go 256 at a time, in order, which bounds the memory.
+    """
+    horizon, params, grid = traj.horizon, traj.params, u0.grid
+    dt = horizon / steps
+    starts = np.arange(steps) * dt
+    times = np.append(0.0, np.column_stack((starts + 0.5 * dt, starts + dt)))
+    weights = np.append(1.0, np.tile([4.0, 2.0], steps))
+    weights[-1] = 1.0
+    omega = _cached_grid_frequencies(grid, params)
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    for start in range(0, times.size, 256):
+        part = slice(start, start + 256)
+        t = times[part]
+        forcing = evolve_many(traj.phi_final, t - horizon, params)
+        for _ in range(2):
+            forcing = apply_control(forcing, traj.profile, traj.orientation)
+        forcing *= unit_phases(omega, -t)
+        acc += np.einsum("b,b...->...", weights[part], forcing)
+    acc *= dt / 6.0
+    acc[~_kept_modes(grid)] = 0.0
+    return evolve(SpectralField(grid, u0.coeffs + acc), horizon, params)
+
+
+@pytest.fixture(scope="session")
+def direct_phase_verify():
+    return _direct_phase_verify

@@ -227,3 +227,48 @@ def test_damaged_field_container_is_an_error(tmp_path, capsys):
         code = main(["observe", "--input", str(path), "--profile-nx", "16"])
         assert code == 1, name
         assert capsys.readouterr().err.startswith("error:"), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["observe", "--input", "{missing}", "--profile-nx", "16"],
+        ["observe", "--input", "{folder}", "--profile-nx", "16"],
+        ["evolve", "--input", "{missing}", "--times", "0.5"],
+        ["evolve", "--input", "{folder}", "--times", "0.5"],
+        ["control", "--initial", "{missing}", "--profile-nx", "16"],
+        ["control", "--initial", "{field}", "--target", "{missing}", "--profile-nx", "16"],
+        ["control", "--initial", "{folder}", "--profile-nx", "16"],
+    ],
+)
+def test_unreadable_input_is_an_error(tmp_path, capsys, argv):
+    write_field(kl.mode_field(kl.TorusGrid(16, 4), 1, 1), tmp_path / "u0.bin")
+    paths = {"missing": tmp_path / "nonexist.bin", "folder": tmp_path, "field": tmp_path / "u0.bin"}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(["--out", str(tmp_path / "out")] + argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    src = tmp_path / "u0.bin"
+    write_field(kl.mode_field(kl.TorusGrid(16, 4), 1, 1), src)
+    # a directory below a regular file cannot be made
+    argv = ["control", "--initial", str(src), "--profile-nx", "16", "--verify-steps", "100"]
+    assert main(["--out", str(src / "x")] + argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["nonexist.toml", "."])
+def test_unreadable_config_is_a_config_error(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", str(tmp_path / "out"), "run", name]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_text_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"[run]\nseed = \xff\n")
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -149,7 +149,8 @@ FROZEN_TRAJECTORY = "9e5d84a573bc7c000de7adc8e2af3960fa23d692ff14758d65caf4f322e
 # taken from the verifier that multiplies its lines by G^2 as a matrix on their support;
 # the verifier that applied G twice in physical space at every stack of lines gave
 # 1.744024027273117e-05, and the whole-grid verifier, which carried the roundoff of a
-# transform round trip across the lines, 1.7440240272678173e-05
+# transform round trip across the lines, 1.7440240272678173e-05; the verifier whose phases
+# come from the lattice table gives 1.7440240272711137e-05, 5.9e-13 relative to this value
 FROZEN_TERMINAL_ERROR = 1.744024027270084e-05
 
 

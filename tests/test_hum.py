@@ -7,9 +7,9 @@ import kpilab as kl
 from kpilab.dispersion import unit_phases
 from kpilab.errors import DimensionError, NonConvergenceError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
-from kpilab.hum import ControlGramian, quadrature_gramian_apply
+from kpilab.hum import ControlGramian, ControlTrajectory, quadrature_gramian_apply
 from kpilab.observe import apply_control
-from kpilab.propagate import _cached_grid_frequencies
+from kpilab.propagate import _cached_grid_frequencies, _kept_modes
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,46 @@ class TestVerification:
         # at 16x4 a stack holds 128 nodes, so both step counts end in a partial one
         out = kl.verify_control(u0, traj, steps=steps)
         assert (out - _simpson_loop_verify(u0, traj, steps)).norm() <= 1e-14 * u0.norm()
+
+    @pytest.mark.parametrize(
+        "shape, orientation", [((64,), "vertical"), ((32, 8), "vertical"), ((32, 8), "horizontal")]
+    )
+    def test_lattice_phases_match_the_direct_phase_simpson_sum(
+        self, direct_phase_verify, shape, orientation
+    ):
+        grid, axis = kl.TorusGrid(*shape), 1 if orientation == "horizontal" else 0
+        params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
+        profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(shape[axis]))
+        rng = seeded_rng(29, "lattice")
+        windows = {"kmax": 8, "lmax": 2} if grid.ny else {"kmax": 8}
+        u0, phi = random_field(grid, rng, **windows), random_field(grid, rng, **windows)
+        traj = ControlTrajectory(1.0, phi, profile, params, orientation, np.empty(0), ())
+        expect = direct_phase_verify(u0, traj, 3000)
+        assert (kl.verify_control(u0, traj, 3000) - expect).norm() <= 1e-12 * expect.norm()
+
+    @pytest.mark.parametrize("steps", [100, 1000, 6000])
+    def test_phase_work_grows_as_the_root_of_the_node_count(self, monkeypatch, small_setup, steps):
+        grid, params, profile = small_setup
+        entries = []
+
+        def counted(omega, t):
+            out = unit_phases(omega, t)
+            entries.append(out.size)
+            return out
+
+        # wherever the package binds it
+        for module in (kl.propagate, kl.hum):
+            if hasattr(module, "unit_phases"):
+                monkeypatch.setattr(module, "unit_phases", counted)
+        phi = random_field(grid, seeded_rng(31, "phase-work"), kmax=8, lmax=2)
+        traj = ControlTrajectory(1.0, phi, profile, params, "vertical", np.empty(0), ())
+        kl.verify_control(phi, traj, steps)
+        # incoming phases on phi's support, outgoing on the kept modes of its lines (along x)
+        support = _kept_modes(grid) & (phi.coeffs != 0)
+        modes = support.sum() + _kept_modes(grid)[:, support.any(axis=0)].sum()
+        # and one phase per kept mode for the closing evolve
+        bound = 3.0 * np.sqrt(2 * steps + 1) * modes + _kept_modes(grid).sum()
+        assert 0 < sum(entries) <= bound
 
     def test_memory_stays_bounded(self):
         grid = kl.TorusGrid(64, 16)

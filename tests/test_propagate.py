@@ -1,9 +1,12 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
 from kpilab.errors import ConstraintError, DimensionError, ParameterError
 from kpilab.experiments import random_field
+from kpilab.propagate import _lattice_phases
 
 
 class TestExactEvolution:
@@ -172,3 +175,40 @@ class TestRK4Oracle:
     def test_steps_validation(self, grid_2d, kp_params):
         with pytest.raises(ParameterError):
             kl.rk4_reference_evolve(kl.mode_field(grid_2d, 1, 0), 1.0, 0, kp_params)
+
+
+class TestLatticePhases:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.lists(st.floats(-600.0, 600.0), min_size=1, max_size=4),
+        horizon=st.floats(0.05, 2.0),
+        steps=st.integers(1, 5000),
+        count=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_two_level_table_is_the_exact_phase(self, omega, horizon, steps, count, data):
+        # count consecutive nodes, in either direction, of the verifier's lattice
+        # m T/(2 steps) with |m| <= 2 steps
+        span = 2 * steps
+        count = min(count, 2 * span + 1)
+        m = data.draw(st.integers(-span, span - count + 1)) + np.arange(count)
+        m = m if data.draw(st.booleans()) else -m
+        table = _lattice_phases(np.longdouble(horizon) / span, m)(np.array(omega))(slice(None))
+        assert table.shape == (count, len(omega))
+        with mp.workdps(40):
+            worst = max(
+                abs(mp.mpc(complex(table[i, j])) - mp.expj(mp.mpf(w) * mi * mp.mpf(horizon) / span))
+                for i, mi in enumerate(m.tolist())
+                for j, w in enumerate(omega)
+            )
+        assert worst <= 2e-15
+        assert np.all(table[m == 0] == 1.0)
+
+    def test_zero_offset_is_exactly_one(self):
+        # the verifier's two lattices at 100 steps: incoming m = j - 200, outgoing m = -j
+        omega = np.array([-4096.0, -1.5, 0.0, 2.0, 517.25, 4096.0], dtype=np.longdouble)
+        j = np.arange(201)
+        for m, zero in ((j - 200, -1), (-j, 0)):
+            table = _lattice_phases(np.longdouble(1.0) / 200, m)(omega)(slice(None))
+            assert np.all(table[zero] == 1.0)
+            assert np.all(table[zero].imag == 0.0)

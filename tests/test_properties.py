@@ -44,7 +44,9 @@ from kpilab.observe import (
     time_factor,
 )
 from kpilab.dispersion import unit_phases
-from kpilab.propagate import _cached_grid_frequencies, _evolution, _kept_modes, evolve_many
+from kpilab.propagate import (
+    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, evolve_many,
+)
 from kpilab.storage import (
     _FIELD_HEADER,
     _MATRIX_HEADER,
@@ -272,7 +274,7 @@ def test_support_quadrature_equals_full_grid_bitwise(case):
     lines = np.any(support, axis=axis)
     times = gauss_legendre_nodes(horizon, 2, 8)[0]
     view = partial(_control_lines, axis=axis, lines=lines)
-    lined = _evolution(u0, params, support, view)(times)
+    lined = _evolution(u0, params, support, _direct_phases(times), view)(slice(None))
     full = np.moveaxis(evolve_many(u0, times, params), 1 + axis, -1)[:, lines]
     assert np.array_equal(lined, full)
 
@@ -356,23 +358,6 @@ def line_fields(draw, sides):
     return kl.SpectralField(grid, coeffs), profile, params, orientation
 
 
-def _whole_grid_verify(u0, traj, steps):
-    """The Duhamel verifier with G on the whole grid at every node, all nodes in one stack."""
-    horizon, params, grid = traj.horizon, traj.params, u0.grid
-    dt = horizon / steps
-    starts = np.arange(steps) * dt
-    times = np.append(0.0, np.column_stack((starts + 0.5 * dt, starts + dt)))
-    weights = np.append(1.0, np.tile([4.0, 2.0], steps))
-    weights[-1] = 1.0
-    forcing = evolve_many(traj.phi_final, times - horizon, params)
-    for _ in range(2):
-        forcing = apply_control(forcing, traj.profile, traj.orientation)
-    forcing *= unit_phases(_cached_grid_frequencies(grid, params), -times)
-    acc = np.einsum("b,b...->...", weights, forcing) * (dt / 6.0)
-    acc[~_kept_modes(grid)] = 0.0
-    return kl.evolve(kl.SpectralField(grid, u0.coeffs + acc), horizon, params)
-
-
 def _kept_random_field(grid, seed):
     coeffs = np.where(_kept_modes(grid), _random_field(grid, seed).coeffs, 0.0)
     return kl.SpectralField(grid, coeffs)
@@ -385,7 +370,9 @@ def _kept_random_field(grid, seed):
     steps=st.integers(100, 140),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_line_verifier_is_the_whole_grid_simpson_sum(case, horizon, steps, seed):
+def test_line_verifier_is_the_whole_grid_simpson_sum(
+    direct_phase_verify, case, horizon, steps, seed
+):
     phi, profile, params, orientation = case
     u0 = _kept_random_field(phi.grid, seed)
     traj = ControlTrajectory(horizon, phi, profile, params, orientation, np.empty(0), ())
@@ -393,7 +380,7 @@ def test_line_verifier_is_the_whole_grid_simpson_sum(case, horizon, steps, seed)
     # ||G|| <= 1 + 2 max g; the forcing sums to at most T ||G||^2 ||phi||
     bound = 1.0 + 2.0 * profile.values.max()
     scale = u0.norm() + horizon * bound**2 * phi.norm()
-    assert (out - _whole_grid_verify(u0, traj, steps)).norm() <= 1e-14 * scale
+    assert (out - direct_phase_verify(u0, traj, steps)).norm() <= 1e-14 * scale
 
 
 @settings(max_examples=40, deadline=None)
