@@ -73,11 +73,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+MAX_DISPERSION_COUNT = 10**6
+
+
 def _cmd_dispersion(args) -> int:
     """Tabulate the multiplier and group velocity."""
     params = DispersionParams.reduced(args.alpha, args.lam)
-    if args.count < 0:
-        raise ParameterError(f"count must be nonnegative, got {args.count}")
+    if not 0 <= args.count <= MAX_DISPERSION_COUNT:
+        raise ParameterError(f"count must be 0 to {MAX_DISPERSION_COUNT}, got {args.count}")
     if not np.isfinite([args.xi_min, args.xi_max]).all():
         raise ParameterError(f"xi-min and xi-max must be finite, got {args.xi_min}, {args.xi_max}")
     xi = np.linspace(args.xi_min, args.xi_max, args.count)

@@ -28,7 +28,7 @@ from .fourier import (
     TorusGrid,
     sobolev_norm,
 )
-from .hum import ControlTrajectory, synthesize_control, verify_control
+from .hum import ControlTrajectory, check_verify_steps, synthesize_control, verify_control
 from .observe import (
     ControlProfile,
     GramianBlock,
@@ -343,6 +343,7 @@ def steer(u0: SpectralField, u1: SpectralField, values: dict) -> tuple[ControlTr
     params = DispersionParams.kp1(values["alpha"])
     profile = control_profile(values, u0.grid.nx)
     horizon, tol, max_iter = values["horizon"], values["tol"], values["max_iter"]
+    check_verify_steps(values["verify_steps"])
     traj = synthesize_control(u0, u1, horizon, profile, params, tol=tol, max_iter=max_iter)
     terminal = verify_control(u0, traj, steps=values["verify_steps"])
     return traj, {

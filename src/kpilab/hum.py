@@ -310,6 +310,17 @@ def hum_functional(
     return 0.5 * float(np.real(lam_psi.inner(psi))) - float(np.real(psi.inner(rhs)))
 
 
+MAX_VERIFY_STEPS = 10**6
+
+
+def check_verify_steps(steps) -> None:
+    """Reject a verifier step count outside ``100 .. MAX_VERIFY_STEPS`` before any work."""
+    if not isinstance(steps, (int, np.integer)) or not 100 <= steps <= MAX_VERIFY_STEPS:
+        raise ParameterError(
+            f"verification needs an integer of 100 to {MAX_VERIFY_STEPS} steps, got {steps!r}"
+        )
+
+
 def verify_control(
     u0: SpectralField,
     traj: ControlTrajectory,
@@ -330,8 +341,7 @@ def verify_control(
     phases per mode instead of one per node. The exported control samples keep the whole-grid
     :meth:`ControlTrajectory.controls_at`.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 100:
-        raise ParameterError(f"verification needs an integer of at least 100 steps, got {steps!r}")
+    check_verify_steps(steps)
     if u0.grid != traj.phi_final.grid:
         raise DimensionError("initial field and control trajectory live on different grids")
     require_mean_zero(u0)

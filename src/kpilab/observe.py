@@ -22,6 +22,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import isqrt
+from operator import mul
 from typing import Literal, Sequence
 
 import numpy as np
@@ -649,70 +651,131 @@ def concentration_matrix(profile: ControlProfile, m0: int) -> np.ndarray:
 # inverse-power warm start: share of the generic unit vector; relative stop
 _GENERIC_SHARE = 0.5
 _SWEEP_TOL = 1e-18
+_MAX_SWEEPS = 80
+_GUARD_BITS = 64  # fixed-point bits beyond the working precision
 _SINGULAR = "concentration matrix is numerically singular; the constant diverges"
 
 
+def _fixed(value, bits: int) -> tuple[int, int]:
+    """Real and imaginary parts of ``value * 2**bits``, floored to ints."""
+    import mpmath as mp
+
+    c = mp.mpc(value)
+    return mp.libmp.to_fixed(c.real._mpf_, bits), mp.libmp.to_fixed(c.imag._mpf_, bits)
+
+
 def _mp_concentration_moments(profile: ControlProfile, m_abs: int, dps: int) -> list:
-    """Extended-precision g^2 moments: one phase per support node, powered by a running product."""
+    """Extended-precision g^2 moments ``integral g^2 e^{imx} dx``, m = 0 .. m_abs.
+
+    One ``expjpi`` phase per support node, raised to the m-th power by a
+    running product in fixed point: an int ``n`` stands for ``n * 2**-bits``,
+    ``bits`` the working precision plus ``_GUARD_BITS``. The sums come back as
+    mpc at ``dps`` digits.
+    """
     import mpmath as mp
 
     nx = profile.grid.nx
     with mp.workdps(dps):
+        bits = mp.mp.prec + _GUARD_BITS
         support = [j for j, v in enumerate(profile.values) if v != 0.0]
-        terms = [mp.mpf(float(profile.values[j])) ** 2 for j in support]
-        steps = [mp.expjpi(mp.mpf(2 * j) / nx) for j in support]
+        tr = [_fixed(mp.mpf(float(profile.values[j])) ** 2, bits)[0] for j in support]
+        ti = [0] * len(tr)
+        phases = [_fixed(mp.expjpi(mp.mpf(2 * j) / nx), bits) for j in support]
         weight = 2 * mp.pi / nx
         moments = []
         for m in range(m_abs + 1):
-            moments.append(mp.fsum(terms) * weight * (-1 if m % 2 else 1))
-            terms = [t * e for t, e in zip(terms, steps)]
+            total = mp.mpc(mp.mpf((sum(tr), -bits)), mp.mpf((sum(ti), -bits)))
+            moments.append(total * weight * (-1 if m % 2 else 1))
+            tr, ti = (
+                [(a * c - b * d) >> bits for a, b, (c, d) in zip(tr, ti, phases)],
+                [(a * d + b * c) >> bits for a, b, (c, d) in zip(tr, ti, phases)],
+            )
         return moments
+
+
+def _fixed_cholesky(moments: list, size: int, bits: int) -> tuple[list, list, list]:
+    """Cholesky factor ``L`` of the order-``size`` Hermitian Toeplitz matrix of ``moments``.
+
+    Fixed point: an int ``n`` stands for ``n * 2**-bits``. Returns the real and
+    imaginary parts of each row left of the diagonal and the positive diagonal.
+    A pivot below the working epsilon, as in ``mp.cholesky``, is singular.
+    """
+    import mpmath as mp
+
+    cr, ci = zip(*(_fixed(c, bits) for c in moments[:size]))
+    floor = 1 << (2 * bits + 1 - mp.mp.prec)  # the working epsilon, at scale 2**(2*bits)
+    re, im, diag = [], [], []
+    for i in range(size):
+        ri, ii = [], []
+        for k in range(i):  # A[i][k] = conj(moment[i-k]) minus sum_j L[i][j] conj(L[k][j])
+            rk, ik = re[k], im[k]
+            sr = (cr[i - k] << bits) - sum(map(mul, ri, rk)) - sum(map(mul, ii, ik))
+            si = -(ci[i - k] << bits) - sum(map(mul, ii, rk)) + sum(map(mul, ri, ik))
+            ri.append(sr // diag[k])
+            ii.append(si // diag[k])
+        pivot = (cr[0] << bits) - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
+        if pivot < floor:
+            raise NumericalConsistencyError(_SINGULAR)
+        re.append(ri)
+        im.append(ii)
+        diag.append(isqrt(pivot))
+    return re, im, diag
 
 
 def _mp_bottom_eigenvalues(moments: list, m_max: int) -> list:
     """Smallest eigenvalue of every leading Toeplitz block, at the caller's precision.
 
     The order-m0 matrix and its Cholesky factor ``L`` are the leading
-    ``2*m0+1`` blocks of the order-m_max ones. Inverse power solves ``L z = x``
-    and ``L^H y = z``; ``|x|^2 / |z|^2 = x^H x / x^H A^-1 x`` estimates the
-    eigenvalue. Each order starts from the previous eigenvector padded with
-    zeros plus a share of a generic vector: the eigenvectors of a symmetric
-    g^2 have definite parity, which the padded vector alone may miss.
+    ``2*m0+1`` blocks of the order-m_max ones. The factor and the sweeps run
+    in fixed point (:func:`_fixed_cholesky`), ``bits`` the working precision
+    plus ``_GUARD_BITS``. Inverse power solves ``L z = x`` and ``L^H y = z``,
+    so ``y = A^-1 x``, normalises ``y`` into the next ``x`` and takes the
+    Rayleigh quotient ``z^H z / y^H y`` of ``y`` as the eigenvalue. Each order
+    starts from the previous eigenvector padded with zeros plus a share of a
+    generic vector: the eigenvectors of a symmetric g^2 have definite parity,
+    which the padded vector alone may miss. An order whose estimate still
+    moves after ``_MAX_SWEEPS`` sweeps raises.
     """
     import mpmath as mp
 
+    bits = mp.mp.prec + _GUARD_BITS
     size = 2 * m_max + 1
-    toeplitz = [
-        [moments[j - i] if j >= i else mp.conj(moments[i - j]) for j in range(size)]
-        for i in range(size)
-    ]
-    try:
-        lower = mp.cholesky(mp.matrix(toeplitz))
-    except ValueError:  # not positive definite at this precision
-        raise NumericalConsistencyError(_SINGULAR) from None
-    inv = [1 / lower[i, i] for i in range(size)]
-    rows = [[lower[i, k] for k in range(i)] for i in range(size)]
-    cols = [[lower[k, i] for k in range(i + 1, size)] for i in range(size)]
-    x, out = [], []
+    re, im, diag = _fixed_cholesky(moments, size, bits)
+    col_r = [[re[k][i] for k in range(i + 1, size)] for i in range(size)]
+    col_i = [[im[k][i] for k in range(i + 1, size)] for i in range(size)]
+    share = _fixed(_GENERIC_SHARE, bits)[0]
+    xr, xi, out = [], [], []
     for m0 in range(m_max + 1):
         n = 2 * m0 + 1
-        generic = [mp.mpf(1) + mp.mpf(i) / n for i in range(n)]
-        share = _GENERIC_SHARE / mp.sqrt(mp.fsum(generic, squared=True))
-        x = [v + share * g for v, g in zip([0, *x, 0] if x else [0], generic)]
+        generic = [((n + i) << bits) // n for i in range(n)]
+        norm = isqrt(sum(map(mul, generic, generic)))
+        xr = [v + g * share // norm for v, g in zip([0, *xr, 0] if xr else [0], generic)]
+        xi = [0, *xi, 0] if xi else [0]
         lam = mp.inf
-        for _ in range(80):
-            z = []
-            for i in range(n):
-                z.append((x[i] - mp.fdot(rows[i], z)) * inv[i])
-            y = [0] * n
-            for i in reversed(range(n)):
-                y[i] = (z[i] - mp.fdot(y[i + 1 :], cols[i][: n - 1 - i], conjugate=True)) * inv[i]
-            xx, zz, yy = (mp.fsum(v, absolute=True, squared=True) for v in (x, z, y))
-            nrm = mp.sqrt(yy)
-            x = [v / nrm for v in y]
-            lam, previous = xx / zz, lam
+        for _ in range(_MAX_SWEEPS):
+            zr, zi = [], []
+            for i in range(n):  # L z = x
+                ar, ai, d = re[i], im[i], diag[i]
+                zr.append(((xr[i] << bits) - sum(map(mul, ar, zr)) + sum(map(mul, ai, zi))) // d)
+                zi.append(((xi[i] << bits) - sum(map(mul, ar, zi)) - sum(map(mul, ai, zr))) // d)
+            yr, yi = [0] * n, [0] * n
+            for i in reversed(range(n)):  # L^H y = z
+                ar, ai, br, bi, d = col_r[i], col_i[i], yr[i + 1 :], yi[i + 1 :], diag[i]
+                yr[i] = ((zr[i] << bits) - sum(map(mul, ar, br)) - sum(map(mul, ai, bi))) // d
+                yi[i] = ((zi[i] << bits) - sum(map(mul, ar, bi)) + sum(map(mul, ai, br))) // d
+            zz = sum(map(mul, zr, zr)) + sum(map(mul, zi, zi))
+            yy = sum(map(mul, yr, yr)) + sum(map(mul, yi, yi))
+            scale = isqrt(yy)
+            xr = [(v << bits) // scale for v in yr]
+            xi = [(v << bits) // scale for v in yi]
+            lam, previous = mp.mpf(zz) / yy, lam
             if abs(lam - previous) <= _SWEEP_TOL * lam:
                 break
+        else:
+            raise NumericalConsistencyError(
+                f"inverse power did not converge at order m0 = {m0} after {_MAX_SWEEPS} sweeps; "
+                f"last relative change {float(abs(lam - previous) / lam):.3g}"
+            )
         out.append(lam)
     return out
 

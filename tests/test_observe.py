@@ -6,11 +6,17 @@ import pytest
 
 import kpilab as kl
 from kpilab.dispersion import frequencies_1d
-from kpilab.errors import ConstraintError, DimensionError, ParameterError
+from kpilab.errors import (
+    ConstraintError,
+    DimensionError,
+    NumericalConsistencyError,
+    ParameterError,
+)
 from kpilab.experiments import random_field
 from kpilab.fourier import TWO_PI, inverse_transform
 from kpilab.observe import (
     GramianBlock,
+    _fixed_cholesky,
     _gramian_kernel,
     _mp_bottom_eigenvalues,
     concentration_matrix,
@@ -412,6 +418,46 @@ class TestSpectralConstant:
         for m0 in range(7):
             kappa = 1 / float(_mp_bottom_eigenvalue(profile, m0))
             assert abs(table[m0] - kappa) <= 1e-12 * kappa
+
+    def test_deep_order_matches_dense_mpmath_eigensolve(self, profile_default):
+        # at m0 = 12 the bottom eigenvalue is about 4e-36, far below float64
+        table = kl.spectral_constant_table(profile_default, 12)
+        kappa = 1 / float(_mp_bottom_eigenvalue(profile_default, 12, dps=100))
+        assert kappa > 1e35
+        assert abs(table[12] - kappa) <= 1e-12 * kappa
+
+    @pytest.mark.parametrize("points, size", [(1, 1), (3, 3), (6, 5), (9, 7)])
+    def test_fixed_point_factor_matches_mp_cholesky(self, points, size):
+        # the moments sum_j w_j e^{i m t_j} of a positive measure on `points`
+        # atoms give a positive-definite Toeplitz matrix while size <= points
+        rng = np.random.default_rng(points)
+        weights, angles = rng.uniform(0.1, 1.0, points), rng.uniform(-3.0, 3.0, points)
+        atoms = [(float(w), float(t)) for w, t in zip(weights, angles)]
+        with mp.workdps(60):
+            moments = [mp.fsum(w * mp.expj(m * t) for w, t in atoms) for m in range(size)]
+            matrix = mp.matrix(size, size)
+            for r in range(size):
+                for c in range(size):
+                    matrix[r, c] = moments[c - r] if c >= r else mp.conj(moments[r - c])
+            lower = mp.cholesky(matrix)
+            bits = mp.mp.prec + 64
+            re, im, diag = _fixed_cholesky(moments, size, bits)
+            for i in range(size):
+                row = [mp.mpc(mp.ldexp(a, -bits), mp.ldexp(b, -bits)) for a, b in zip(re[i], im[i])]
+                for k, entry in enumerate([*row, mp.ldexp(diag[i], -bits)]):
+                    assert abs(entry - lower[i, k]) <= 1e-57 * abs(lower[i, i])
+
+    def test_fixed_point_factor_rejects_a_singular_matrix(self):
+        # [[1, 1], [1, 1]]: the second pivot is zero
+        with mp.workdps(50), pytest.raises(NumericalConsistencyError, match="singular"):
+            _fixed_cholesky([mp.mpf(1), mp.mpf(1)], 2, mp.mp.prec + 64)
+
+    def test_unconverged_sweeps_raise(self):
+        # [[1, .499, .5], [.499, 1, .499], [.5, .499, 1]]: the two lowest
+        # eigenvalues are .5 and about .5015, so inverse power crawls and an
+        # 80-sweep cut would leave the estimate 0.26% high
+        with mp.workdps(50), pytest.raises(NumericalConsistencyError, match="m0 = 1.*change"):
+            _mp_bottom_eigenvalues([mp.mpf(1), mp.mpf("0.499"), mp.mpf("0.5")], 1)
 
     def test_warm_start_finds_a_bottom_eigenvector_of_the_other_parity(self):
         # [[1, 0, .5], [0, 1, 0], [.5, 0, 1]] has eigenvalues .5 (odd vector

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kpilab as kl
+from kpilab import experiments
 from kpilab.cli import main
 from kpilab.errors import DimensionError, NumericalConsistencyError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
@@ -90,6 +91,19 @@ def test_control_numbers_out_of_range(tmp_path, capsys, field_32x8, key, value):
     assert not (tmp_path / "cli" / "control_report.json").exists()
 
 
+@pytest.mark.parametrize("steps", ["99", "1000001", "10000000000000"])
+def test_verify_steps_are_bounded_before_synthesis(
+    tmp_path, capsys, monkeypatch, field_32x8, steps
+):
+    monkeypatch.setattr(experiments, "synthesize_control", None)  # calling it would raise
+    needle = f"verification needs an integer of 100 to 1000000 steps, got {steps}"
+    body = f"type = hum-steer\nnx = 32\nny = 8\nkmax = 6\nlmax = 2\nverify_steps = {steps}\n"
+    _section(tmp_path, capsys, "steer", body, needle)
+    argv = ["control", "--initial", field_32x8, "--verify-steps", steps]
+    _command(tmp_path, capsys, argv, needle)
+    assert not (tmp_path / "cli" / "control_report.json").exists()
+
+
 @pytest.mark.parametrize(
     "window",
     [
@@ -124,6 +138,8 @@ def test_alpha_must_be_positive_and_finite(tmp_path, capsys, field_32x8, value):
     "argv, needle",
     [
         (["--count", "-1"], "count"),
+        (["--count", "1000001"], "count must be 0 to 1000000"),
+        (["--count", "100000000000"], "count must be 0 to 1000000"),
         (["--xi-min", "nan"], "xi-min"),
         (["--xi-max", "inf"], "xi-max"),
         (["--xi-min=-inf"], "xi-min"),
