@@ -1,8 +1,9 @@
 """kpi-lab command line interface.
 
 Exit codes: 0 success, 2 config error (a config file that cannot be read
-too), 3 numerical-consistency error, 1 for any other package error and for
-a file that cannot be read or written. Output root defaults to the
+too), 3 numerical-consistency error, 1 for any other package error, for
+a file that cannot be read or written and for a request that does not fit
+in memory. Output root defaults to the
 ``KPI_LAB_OUTPUT_ROOT`` environment variable, then the working directory.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispersion import DispersionParams, group_velocity
+from .dispersion import DispersionParams, dispersion_relation, group_velocity
 from .errors import ConfigError, KPILabError, NumericalConsistencyError, ParameterError
 from .experiments import (
     DICHOTOMY_KEYS,
@@ -84,11 +85,18 @@ def _cmd_dispersion(args) -> int:
     if not np.isfinite([args.xi_min, args.xi_max]).all():
         raise ParameterError(f"xi-min and xi-max must be finite, got {args.xi_min}, {args.xi_max}")
     xi = np.linspace(args.xi_min, args.xi_max, args.count)
-    xi = xi[xi != 0.0]
-    rows = [
-        [float(x), float(abs(x) ** args.alpha * x + args.lam**2 / x), group_velocity(float(x), params)]
-        for x in xi
-    ]
+    try:
+        rows = [
+            [x, dispersion_relation(x, 0, params), group_velocity(x, params)]
+            for x in xi[xi != 0.0].tolist()
+        ]
+    except (OverflowError, ZeroDivisionError):  # a power past float64, or xi**2 down to 0
+        rows = None
+    # a quotient past float64 comes back infinite instead of raising
+    if rows is None or not np.isfinite(rows).all():
+        raise NumericalConsistencyError(
+            f"the dispersion table leaves the float64 range at alpha {args.alpha}, lam {args.lam}"
+        )
     path = _out_dir(args) / "dispersion.csv"
     rows_to_csv(["xi", "multiplier", "group_velocity"], rows, path)
     print(path)
@@ -260,6 +268,9 @@ def main(argv=None) -> int:
         return 3
     except (KPILabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

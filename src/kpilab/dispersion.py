@@ -81,10 +81,11 @@ def _multiplier_ld(xi: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     return out
 
 
-def dispersion_relation(k: int, l: int, params: DispersionParams) -> float:
+def dispersion_relation(k: float, l: int, params: DispersionParams) -> float:
     """Per-mode frequency; 2D uses ``l``, the reduced family uses ``params.lam``.
 
-    The x-mean-zero constraint excludes k = 0, where the formula is singular.
+    A real ``k`` gives the multiplier at ``xi = k``. The x-mean-zero
+    constraint excludes k = 0, where the formula is singular.
     """
     if k == 0:
         raise ParameterError("dispersion frequency undefined at k = 0")

@@ -149,7 +149,7 @@ def frequency_localized_scan(
         if active.size == 0:
             continue
         idx = kv[active]
-        omega = frequencies_1d(idx, params).astype(float)
+        omega = frequencies_1d(idx, params)
         block = gramian_from_frequencies(horizon, idx, omega, profile, plain_weight=True)
         worst = 0.0
         for _ in range(trials):
@@ -197,7 +197,7 @@ def weak_observability_diagnostic(
     params = DispersionParams.reduced(alpha, 1.0 / h**2)
     active = np.nonzero(_kept_modes(grid))[0]
     idx = grid.k_values[active]
-    omega = frequencies_1d(idx, params).astype(float)
+    omega = frequencies_1d(idx, params)
     block = gramian_from_frequencies(horizon, idx, omega, profile, plain_weight=True)
     rows = []
     for trial in range(trials):

@@ -24,8 +24,9 @@ from .dispersion import DispersionParams
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
-    ControlProfile, Orientation, _block_layout, _control_axis, _control_lines, _gramian_kernel,
-    _support_columns, apply_control, apply_vertical_control, gauss_legendre_nodes,
+    ControlProfile, Orientation, _control_axis, _control_lines, _gramian_kernel, _line_labels,
+    _support_columns, _support_layout, _to_grid, apply_control, apply_vertical_control,
+    gauss_legendre_nodes,
 )
 from .propagate import (
     _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _lattice_phases,
@@ -39,8 +40,9 @@ class ControlGramian:
     Vertical control decouples transverse frequencies: one block per l over
     the full x-window. Horizontal control decouples x-frequencies instead.
     ``stack[b]`` is the block of ``labels[b]``; the blocks are assembled once
-    and reused across conjugate-residual sweeps. The windows leave out
-    ``k = 0`` and the Nyquist frequencies.
+    and reused across conjugate-residual sweeps. They lie on the lines of
+    the kept modes (:func:`~kpilab.propagate._kept_modes`), which leave out
+    ``k = 0`` and the Nyquist frequencies, in the line-wise oracles' layout.
     """
 
     def __init__(
@@ -56,22 +58,20 @@ class ControlGramian:
         self.profile = profile
         self.params = params
         self.orientation = orientation
-        sizes = [n // 2 - 1 for n in grid.shape]
-        self.labels, self._select, idx, omega = _block_layout(
-            grid, orientation, sizes, profile, params
-        )
+        self._axis = _control_axis(grid, profile, orientation)
+        # gather: the block vectors ``(len(labels), n)`` of a grid array
+        self._lines, self._cols, self.gather = _support_layout(_kept_modes(grid), self._axis)
+        self.labels = _line_labels(grid, self._axis, self._lines)
+        omega = self.gather(_cached_grid_frequencies(grid, params))
+        idx = grid.frequencies[self._axis][self._cols]
         # the observability kernel run backward in time
         self.stack = _gramian_kernel(profile, idx, -omega, horizon)
 
-    def gather(self, coeffs: np.ndarray) -> np.ndarray:
-        """Block vectors ``(len(labels), n)`` of a coefficient array."""
-        return coeffs[self._select]
-
     def scatter(self, vecs: np.ndarray) -> np.ndarray:
-        """Coefficient array holding the block vectors, zero off the window."""
-        out = np.zeros(self.grid.shape, dtype=np.complex128)
-        out[self._select] = vecs
-        return out
+        """Coefficient array holding the block vectors, zero off the blocks."""
+        lines = np.zeros(vecs.shape[:1] + self._cols.shape, dtype=np.complex128)
+        lines[:, self._cols] = vecs
+        return _to_grid(self.grid.shape, self._axis, self._lines, lines)
 
     def apply(self, v: SpectralField) -> SpectralField:
         """Hermitian PSD action of the control Gramian on a field."""
@@ -129,8 +129,8 @@ def _g2_sum(
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
     support = _kept_modes(grid) & (v.coeffs != 0)
-    lines, view, columns = _support_columns(support, axis, profile)
-    square = apply_vertical_control(columns, profile)
+    lines, cols, view = _support_layout(support, axis)
+    square = apply_vertical_control(_support_columns(cols, profile), profile)
     stack_at = _evolution(v, params, support, before, view)
     # the lines' kept modes and their frequencies, the control axis last
     kept = _control_lines(_kept_modes(grid), axis, lines)
@@ -140,9 +140,7 @@ def _g2_sum(
     for part in _stack_slices(weights.size, grid.shape):
         g2 = (stack_at(part) @ square)[:, kept]
         acc[kept] += np.einsum("b,b...->...", weights[part], g2 * after_at(part))
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    np.moveaxis(out, axis, -1)[lines] = acc
-    return out
+    return _to_grid(grid.shape, axis, lines, acc)
 
 
 def _conjugate_residual(

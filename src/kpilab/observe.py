@@ -28,7 +28,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .dispersion import DispersionParams, frequencies_1d, frequencies_2d, unit_phases
+from .dispersion import DispersionParams, frequencies_2d, unit_phases
 from .errors import ConstraintError, DimensionError, NumericalConsistencyError, ParameterError
 from .fourier import (
     TWO_PI,
@@ -204,17 +204,35 @@ def _control_lines(a: np.ndarray, axis: int, lines: np.ndarray, cols=slice(None)
     return np.moveaxis(a, axis, -1)[lines][:, cols]
 
 
-def _support_columns(support: np.ndarray, axis: int, profile: ControlProfile):
-    """``(lines, view, columns)``: the lines along ``axis`` that hold the kept modes ``support``.
+def _support_layout(support: np.ndarray, axis: int):
+    """``(lines, cols, view)``: the lines along ``axis`` that hold the modes ``support``.
 
-    ``view`` maps a grid array to ``(L, s)``, those lines at the s modes they hold; the rows of
-    ``columns``, ``(s, n)``, are the physical-space G of the unit 1D fields on those modes.
+    ``lines`` masks those lines (0-d on a 1D grid, whose one line is the field) and ``cols`` the
+    s modes along ``axis`` that any of them holds; ``view`` maps a grid array to ``(L, s)``, the
+    lines at those modes. The line-wise oracles and the blocks of ``ControlGramian`` and
+    :func:`gramian_observed_energy` lay out their vectors so.
     """
     lines = np.any(support, axis=axis)
     cols = np.any(_control_lines(support, axis, lines), axis=0)
+    return lines, cols, partial(_control_lines, axis=axis, lines=lines, cols=cols)
+
+
+def _line_labels(grid: TorusGrid, axis: int, lines: np.ndarray) -> np.ndarray:
+    """The frequency on the other axis of each of the lines ``lines`` (0 on a 1D grid)."""
+    return grid.frequencies[1 - axis][lines] if grid.dimension == 2 else np.zeros(1, dtype=int)
+
+
+def _to_grid(shape: tuple[int, ...], axis: int, lines: np.ndarray, values: np.ndarray):
+    """The grid array of ``shape`` holding ``values``, ``(L, n)``, on the lines; +0 elsewhere."""
+    out = np.zeros(shape, dtype=np.complex128)
+    np.moveaxis(out, axis, -1)[lines] = values
+    return out
+
+
+def _support_columns(cols: np.ndarray, profile: ControlProfile) -> np.ndarray:
+    """``(s, n)``: the physical-space G of the unit 1D fields on the modes ``cols``."""
     units = np.flatnonzero(cols)[:, None] == np.arange(cols.size)
-    view = partial(_control_lines, axis=axis, lines=lines, cols=cols)
-    return lines, view, apply_vertical_control(units.astype(np.complex128), profile)
+    return apply_vertical_control(units.astype(np.complex128), profile)
 
 
 def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
@@ -375,37 +393,6 @@ def window_mask(freqs: np.ndarray, size: int, exclude_zero: bool) -> np.ndarray:
     return mask & (freqs != 0) if exclude_zero else mask
 
 
-def _block_layout(
-    grid: TorusGrid,
-    orientation: Orientation,
-    sizes: Sequence[int],
-    profile: ControlProfile,
-    params: DispersionParams,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Blocks of the control on the window ``|k| <= sizes[0]``, ``|l| <= sizes[1]``.
-
-    The control couples the frequencies along its axis and decouples the
-    others, so there is one block per label on the other axis (a single
-    label 0 on a 1D grid); ``k = 0`` is left out. Returns the labels, the
-    index that gathers the block vectors of a coefficient array (one row per
-    block), the varying frequencies, and each block's frequencies, taken
-    from the grid's frequency table.
-    """
-    axis = _control_axis(grid, profile, orientation)
-    labels = np.zeros(1, dtype=int)
-    select = []
-    for a, (freqs, size) in enumerate(zip(grid.frequencies, sizes)):
-        mask = window_mask(freqs, size, exclude_zero=a == 0)
-        if a == axis:
-            indices, positions = freqs[mask], np.flatnonzero(mask)[None, :]
-        else:
-            labels, positions = freqs[mask], np.flatnonzero(mask)[:, None]
-        select.append(positions)
-    select = tuple(select)
-    omega = _cached_grid_frequencies(grid, params)[select].astype(float)
-    return labels, select, indices, omega
-
-
 def _check_horizon(horizon: float) -> None:
     """The time horizon must be a positive finite number (NaN fails too)."""
     if not 0.0 < horizon < np.inf:
@@ -422,7 +409,9 @@ def _gramian_kernel(
     """Static Gram times the exact time factor ``E(omega_j - omega_i, T)``, over 2 pi.
 
     ``omega`` holds the per-mode frequencies of one block, or of a stack of
-    blocks along its leading axes, which then share the static Gram. With
+    blocks along its leading axes, which then share the static Gram. Callers
+    pass their exact (extended-precision) table; here alone it is rounded to
+    float64, once, before the differences are formed. With
     ``-omega`` the kernel runs backward in time and gives the control
     Gramian. ``plain_weight`` selects multiplication by g instead of the
     mean-corrected control operator. The output is the only full-size
@@ -434,6 +423,7 @@ def _gramian_kernel(
     n = indices.size
     if n == 0:
         raise ParameterError("the frequency window is empty")
+    omega = np.asarray(omega, dtype=np.float64)
     out = np.empty(omega.shape[:-1] + (n, n), dtype=np.complex128)
     for part in _stack_slices(n, omega.shape):
         m = _static_gram(profile, indices[part], indices, plain_weight)
@@ -459,8 +449,7 @@ def assemble_observability_gramian(
         raise ParameterError("k_window must be >= 1")
     k = profile.grid.k_values
     idx = k[window_mask(k, k_window, exclude_zero=True)]
-    reduced = DispersionParams.reduced(params.alpha, float(abs(l)))
-    omega = frequencies_1d(idx, reduced).astype(float)
+    omega = frequencies_2d(idx, [l], params)[:, 0]
     return GramianBlock(idx, l, horizon, _gramian_kernel(profile, idx, omega, horizon), "x")
 
 
@@ -481,7 +470,7 @@ def assemble_horizontal_gramian(
         raise ParameterError("x-frequency k = 0 is excluded by the mean-zero constraint")
     freqs = profile.grid.k_values  # the profile's axis is y
     idx = freqs[window_mask(freqs, l_window, exclude_zero=False)]
-    omega = frequencies_2d([k], idx, params)[0].astype(float)
+    omega = frequencies_2d([k], idx, params)[0]
     return GramianBlock(idx, k, horizon, _gramian_kernel(profile, idx, omega, horizon), "y")
 
 
@@ -499,7 +488,7 @@ def gramian_from_frequencies(
     multiplication by g instead of the mean-corrected control operator.
     """
     indices = np.asarray(indices, dtype=int)
-    omega = np.asarray(omega, dtype=float)
+    omega = np.asarray(omega)
     if omega.shape != indices.shape:
         raise DimensionError("frequency table must match the index window")
     matrix = _gramian_kernel(profile, indices, omega, horizon, plain_weight)
@@ -547,7 +536,8 @@ def quadrature_observed_energy(
     axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     support = _kept_modes(u0.grid) & (u0.coeffs != 0)
-    _, view, columns = _support_columns(support, axis, profile)
+    _, cols, view = _support_layout(support, axis)
+    columns = _support_columns(cols, profile)
     evolve = _evolution(u0, params, support, _direct_phases(nodes), view)
     total = 0.0
     for part in _stack_slices(nodes.size, u0.grid.shape):
@@ -568,25 +558,19 @@ def gramian_observed_energy(
 ) -> float:
     """Observed energy via exact-time-factor blocks on the field's support.
 
-    Each window reaches the largest active frequency of its axis (at least 1
-    along the control axis); blocks whose vector vanishes are skipped.
+    The blocks lie on the lines of the quadrature's layout, at the modes they hold: the kept
+    modes with nonzero coefficients (:func:`_support_layout`).
     """
     grid = u0.grid
     axis = _control_axis(grid, profile, orientation)
-    nonzero = np.abs(u0.coeffs) > 0
-    if not np.any(nonzero):
+    support = _kept_modes(grid) & (u0.coeffs != 0)
+    if not np.any(support):
         return 0.0
-    sizes = []
-    for a, freqs in enumerate(grid.frequencies):
-        others = tuple(b for b in range(grid.dimension) if b != a)
-        extent = int(np.max(np.abs(freqs[np.any(nonzero, axis=others)])))
-        sizes.append(max(extent, 1) if a == axis else extent)
-    labels, select, idx, omega = _block_layout(grid, orientation, sizes, profile, params)
-    vecs = u0.coeffs[select]
-    active = np.any(vecs != 0, axis=1)
+    lines, cols, view = _support_layout(support, axis)
+    idx = grid.frequencies[axis][cols]
+    stack = _gramian_kernel(profile, idx, view(_cached_grid_frequencies(grid, params)), horizon)
     total = 0.0
-    stack = _gramian_kernel(profile, idx, omega[active], horizon)
-    for label, matrix, vec in zip(labels[active], stack, vecs[active]):
+    for label, matrix, vec in zip(_line_labels(grid, axis, lines), stack, view(u0.coeffs)):
         block = GramianBlock(idx, int(label), horizon, matrix, axis="xy"[axis])
         total += block.quadratic_form(vec)
     return TWO_PI**grid.dimension * total
@@ -608,6 +592,9 @@ def observability_ratio(
     norm_sq = u0.norm() ** 2
     if norm_sq == 0.0:
         raise ConstraintError("observability ratio undefined for the zero field")
+    if np.any(u0.coeffs[0] != 0) or np.any(u0.coeffs[..., 0] != 0):
+        # every evolution drops that content, yet its mass is in ||u0||^2
+        raise ParameterError("the field has content on a Nyquist frequency, which evolutions drop")
     if method == "quadrature":
         energy = quadrature_observed_energy(
             u0, horizon, profile, params, orientation, panels, order

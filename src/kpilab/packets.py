@@ -257,7 +257,7 @@ def packet_observed_ratio(
         raise ParameterError("packet has no active modes")
     idx = grid.k_values[active]
     omega_all, _ = semiclassical_frequencies(grid.k_values, h, dparams)
-    omega = omega_all[active].astype(float)
+    omega = omega_all[active]
     block = gramian_from_frequencies(horizon, idx, omega, profile)
     energy = TWO_PI * block.quadratic_form(v0.coeffs[active])
     return energy / v0.norm() ** 2

@@ -1,9 +1,10 @@
 """Numbers that convert but lie outside their range fail before any work.
 
 Each case goes through a ``kpi-lab run`` section and, where one exists,
-through its subcommand twin: exit code 1 (3 for a diverging constant), an
-``error:`` line naming the bad key, no Python traceback and no CSV of the
-failed experiment.
+through its subcommand twin: exit code 1 (3 for a diverging constant or a
+dispersion table beyond float64), an ``error:`` line naming the bad key, no
+Python traceback and no CSV of the failed experiment. A request too large for
+memory is an ``error:`` too.
 """
 
 import numpy as np
@@ -153,6 +154,35 @@ def test_dispersion_table_bounds(tmp_path, capsys, argv, needle):
     assert not (tmp_path / "cli" / "dispersion.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "1000"],  # 4**1000 raises OverflowError
+        ["--lam", "1e200"],  # so does 1e200**2
+        ["--xi-min", "1e-200", "--xi-max", "1e-200", "--count", "1"],  # xi**2 is 0
+        ["--xi-min", "1e-160", "--xi-max", "1e-160", "--count", "1"],  # 1/xi**2 is inf
+    ],
+)
+def test_dispersion_table_beyond_float64_exits_3(tmp_path, capsys, argv):
+    prefix = "numerical consistency error:"
+    _command(tmp_path, capsys, ["dispersion", *argv], "float64", exit_code=3, prefix=prefix)
+    assert not (tmp_path / "cli" / "dispersion.csv").exists()
+
+
+# each first allocation asks for 256 TiB, above the 128 TiB user address space, so it fails
+# at once and nothing is allocated
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["random-field", "--nx", "4", "--ny", str(2**45)], "field.bin"),
+        (["spectral-constant", "--profile-nx", str(2**45)], "spectral_constant.csv"),
+    ],
+)
+def test_out_of_memory_request_exits_1(tmp_path, capsys, argv, name):
+    _command(tmp_path, capsys, argv, "out of memory")
+    assert not (tmp_path / "cli" / name).exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
 @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
 def test_evolution_times_must_be_finite(tmp_path, capsys, field_32x8, fmt, time):
@@ -259,8 +289,8 @@ def test_singular_spectral_constant_exits_3(tmp_path, capsys):
 
 
 def test_gramian_method_rejects_nyquist_content():
-    # the evolution zeroes the Nyquist modes, so the closed-form blocks do not
-    # cover them on either axis
+    # the evolution zeroes the Nyquist modes, so neither the closed-form blocks
+    # nor the quadrature see them on either axis, while ||u0||^2 holds their mass
     grid = kl.TorusGrid(16, 8)
     params = kl.DispersionParams.kp1(2.0)
     profiles = {
@@ -273,5 +303,6 @@ def test_gramian_method_rejects_nyquist_content():
         coeffs[position] = 0.5
         u = kl.SpectralField(grid, coeffs)
         for orientation, profile in profiles.items():
-            with pytest.raises(ParameterError, match="Nyquist"):
-                kl.observability_ratio(u, 1.0, profile, params, orientation)
+            for method in ("gramian", "quadrature"):
+                with pytest.raises(ParameterError, match="Nyquist"):
+                    kl.observability_ratio(u, 1.0, profile, params, orientation, method)
