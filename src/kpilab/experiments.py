@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -40,7 +41,7 @@ from .observe import (
     spectral_constant_table,
     window_mask,
 )
-from .packets import DichotomyResult, PacketParams, dichotomy_experiment
+from .packets import DichotomyResult, PacketParams, dichotomy_experiment, packet_grid
 from .propagate import _kept_modes
 from .storage import json_text, rows_to_csv
 
@@ -334,6 +335,9 @@ def dichotomy(values: dict) -> DichotomyResult:
         small_cutoff=values["cutoff_small"],
         beta=values["beta"],
     )
+    # the grids grow with n: the two ends bound the range before it is listed
+    for n in (values["n_min"], values["n_max"]):
+        packet_grid(packet, n)
     n_values = range(values["n_min"], values["n_max"] + 1)
     return dichotomy_experiment(packet, values["horizon"], n_values)
 
@@ -537,7 +541,8 @@ def run_experiment(
     """Execute every experiment section of a config file.
 
     Writes one CSV per experiment, a JSON summary, and ``manifest.json``: each output's
-    sha256, wall times, the BLAS build and thread variables (null if unknown). Returns it.
+    sha256, wall times, the BLAS build and thread variables and scipy's version (null if
+    unknown or unused). Returns it.
     """
     config_path = Path(config_path)
     try:
@@ -576,5 +581,7 @@ def run_experiment(
         record(out_dir / f"{name}.csv")
     (out_dir / "summary.json").write_text(json_text(summaries, indent=2, sort_keys=True) + "\n")
     record(out_dir / "summary.json")
+    # the dichotomy coefficients come from scipy's QUADPACK build; null if no section loaded it
+    manifest["scipy_version"] = getattr(sys.modules.get("scipy"), "__version__", None)
     (out_dir / "manifest.json").write_text(json_text(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import kpilab as kl
 from kpilab.errors import ConfigError, NumericalConsistencyError, ParameterError
@@ -16,6 +21,8 @@ from kpilab.experiments import (
     run_experiment,
     seeded_rng,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestRandomFields:
@@ -203,6 +210,26 @@ class TestRunExperiment:
         run_experiment(cfg, output_root=tmp_path / "out")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["blas"] is None
+
+    def test_manifest_records_scipy_only_where_a_section_loaded_it(self, tmp_path):
+        # a fresh interpreter: the floor loads no scipy, a dichotomy loads QUADPACK
+        script = """
+import sys
+from pathlib import Path
+from kpilab.experiments import run_experiment
+out = Path(sys.argv[1])
+(out / "floor.cfg").write_text("[f]\\ntype = gramian-floor\\nk_window = 4\\nl_window = 1\\n")
+(out / "dich.cfg").write_text("[d]\\ntype = dichotomy\\nalpha = 2.0\\nn_min = 4\\nn_max = 5\\n")
+for name in ("floor", "dich"):
+    run_experiment(out / f"{name}.cfg", output_root=out / name)
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True)
+        versions = [
+            json.loads((tmp_path / name / "manifest.json").read_text())["scipy_version"]
+            for name in ("floor", "dich")
+        ]
+        assert versions == [None, scipy.__version__]
 
     def test_dichotomy_rows_and_shape(self, tmp_path):
         cfg = tmp_path / "c.cfg"

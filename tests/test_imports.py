@@ -2,7 +2,9 @@
 
 scipy serves one function, the packet coefficient quadrature, and mpmath
 the spectral constant; both are imported where they are called, so a
-``kpi-lab`` process that needs neither never pays for them.
+``kpi-lab`` process that needs neither never pays for them. The quadrature
+loads scipy's compiled QUADPACK module alone, never the ``scipy.integrate``
+package with ``scipy.special`` behind it.
 """
 
 import json
@@ -44,5 +46,7 @@ def test_import_loads_neither_scipy_nor_mpmath():
     report = json.loads(run.stdout)
     assert report["at_load"] == []
     assert report["values"] == FROZEN_VALUES
-    assert "scipy.integrate" in report["after"]
+    assert "scipy.integrate._quadpack" in report["after"]
+    assert "scipy.integrate" not in report["after"]
+    assert "scipy.special" not in report["after"]
     assert "mpmath" not in report["after"]

@@ -106,6 +106,26 @@ def test_verify_steps_are_bounded_before_synthesis(
 
 
 @pytest.mark.parametrize(
+    "n_min, n_max, needle",
+    [
+        ("2999", "3000", "n = 2999 needs a grid of more than MAX_PACKET_NX = 8192"),
+        ("4", "40", "n = 40 needs a grid of more than MAX_PACKET_NX = 8192"),
+        ("4", "1000000000", "n = 1000000000 needs a grid of more than"),
+        ("-2000", "5", "packet index n must be at least 1, got -2000"),
+    ],
+)
+def test_dichotomy_is_bounded_before_any_packet(
+    tmp_path, capsys, monkeypatch, n_min, n_max, needle
+):
+    monkeypatch.setattr(experiments, "dichotomy_experiment", None)  # calling it would raise
+    body = f"type = dichotomy\nalpha = 0.5\nn_min = {n_min}\nn_max = {n_max}\n"
+    _section(tmp_path, capsys, "dich", body, needle)
+    argv = ["dichotomy", "--alpha", "0.5", "--n-min", n_min, "--n-max", n_max]
+    _command(tmp_path, capsys, argv, needle)
+    assert not (tmp_path / "cli" / "dichotomy.csv").exists()
+
+
+@pytest.mark.parametrize(
     "window",
     [
         ["--nx", "16", "--kmax", "8"],

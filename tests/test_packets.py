@@ -1,15 +1,48 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import kpilab as kl
-from kpilab.errors import ParameterError, TruncationError
+from kpilab import packets
+from kpilab.cli import main
+from kpilab.errors import NumericalConsistencyError, ParameterError, TruncationError
 from kpilab.fourier import TWO_PI
 from kpilab.packets import (
+    MAX_PACKET_NX,
     PacketParams,
     packet_cutoff,
     packet_grid,
     packet_observed_ratio,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _lab_run_inputs() -> list[tuple[float, int]]:
+    """The distinct (eps, |k|) of the dichotomies at alpha 0.5, 1 and 2 over n = 4..12."""
+    pairs = set()
+    for alpha in (0.5, 1.0, 2.0):
+        params = PacketParams(alpha=alpha)
+        for n in range(4, 13):
+            k = packet_grid(params, n).k_values
+            window = packet_cutoff(params.htilde(n) * k, params.small_cutoff, params.big_cutoff)
+            pairs.update((params.eps(n), abs(int(m))) for m in k[window > 0.0])
+    return sorted(pairs)
+
+
+def _quad_coefficient(eps: float, k: int) -> float:
+    """The coefficient through ``scipy.integrate.quad`` with the package's settings."""
+    val = quad(
+        lambda z: math.exp(-0.5 * z * z), 0.0, math.pi / eps, weight="cos", wvar=eps * k,
+        epsabs=1e-13, epsrel=1e-11, limit=400,
+    )[0]
+    return math.sqrt(eps) / TWO_PI * 2.0 * val
 
 
 class TestGaussianCoefficients:
@@ -48,6 +81,55 @@ class TestGaussianCoefficients:
     def test_eps_range(self):
         with pytest.raises(ParameterError):
             kl.gaussian_packet_coefficients(1.5, np.array(0))
+
+
+class TestDirectQuadpack:
+    def test_lab_run_inputs_are_bit_equal_to_quad(self):
+        pairs = _lab_run_inputs()
+        assert len(pairs) == 210
+        assert [packets._gaussian_coefficient(e, k) for e, k in pairs] == [
+            _quad_coefficient(e, k) for e, k in pairs
+        ]
+
+    @pytest.mark.parametrize(
+        "eps, k", [(0.01, 0), (0.5, 0), (0.999, 0), (0.9, 123457), (0.5, 10**6), (0.05, 10**7)]
+    )
+    def test_edge_inputs_are_bit_equal_to_quad(self, eps, k):
+        assert packets._gaussian_coefficient(eps, k) == _quad_coefficient(eps, k)
+
+    def test_error_flag_raises(self, monkeypatch, tmp_path, capsys):
+        class NotConverged:
+            @staticmethod
+            def _qawoe(*args):
+                return 0.25, 1e-3, 1  # ier = 1: the subdivision limit was reached
+
+        monkeypatch.setattr(packets, "_quadpack", lambda: NotConverged)
+        with pytest.raises(NumericalConsistencyError, match=r"eps 0\.0123, k 17 \(ier = 1\)"):
+            kl.gaussian_packet_coefficients(0.0123, np.array([17]))
+        packets._gaussian_coefficient.cache_clear()  # earlier tests may hold these packets
+        code = main(["--out", str(tmp_path), "dichotomy", "--alpha", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("numerical consistency error:") and "ier = 1" in err
+        assert not (tmp_path / "dichotomy.csv").exists()
+
+    def test_scipy_integrate_still_imports_after_a_coefficient(self):
+        script = """
+import math, sys
+import numpy as np
+import kpilab
+kpilab.gaussian_packet_coefficients(0.05, np.array([7]))
+loaded = sys.modules["scipy.integrate._quadpack"]
+assert "scipy.integrate" not in sys.modules
+import scipy.integrate
+from scipy.integrate import quad
+assert scipy.integrate._quadpack_py._quadpack is loaded
+print(quad(math.cos, 0.0, 1.0)[0] == math.sin(1.0))
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "True"
 
 
 class TestPacketInitialData:
@@ -219,6 +301,21 @@ class TestDichotomy:
         params = PacketParams(alpha=0.5)
         result = kl.dichotomy_experiment(params, 1.0, range(4, 6))
         assert [r.grid_nx for r in result.rows] == [packet_grid(params, n).nx for n in (4, 5)]
+
+    def test_grid_is_bounded(self):
+        params = PacketParams(alpha=0.5)
+        assert packet_grid(params, 21).nx == MAX_PACKET_NX
+        for n in (22, 3000):  # 0.5**(3000/2) underflows to 0
+            with pytest.raises(ParameterError, match=f"n = {n} needs a grid of more than"):
+                packet_grid(params, n)
+        for n in (0, -2000):  # eps >= 1; 0.5**-2000 overflows
+            with pytest.raises(ParameterError, match="at least 1"):
+                packet_grid(params, n)
+
+    def test_every_grid_is_bounded_before_any_packet(self, monkeypatch):
+        monkeypatch.setattr(packets, "packet_initial_data", None)  # calling it would raise
+        with pytest.raises(ParameterError, match="n = 22 needs"):
+            kl.dichotomy_experiment(PacketParams(alpha=0.5), 1.0, range(4, 41))
 
     def test_cutoff_shape(self):
         xi = np.linspace(-2, 2, 801)
