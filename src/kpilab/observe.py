@@ -530,18 +530,23 @@ def quadrature_observed_energy(
     independent of the closed-form time kernel. G acts along the control axis alone, so the
     evolution writes, as 1D fields, only the lines along that axis that hold a kept, nonzero
     coefficient of ``u0`` (a 1D field is one line), at the s modes they hold, with the phases on
-    the field's support only; a stack times G's ``(s, n)`` columns on those modes is G of it.
-    Node energies are added in node order.
+    the field's support only. G's ``(s, n)`` columns on those modes are factored once,
+    ``columns.T = Q R`` (Householder QR, backward stable); Q has orthonormal columns, so a line
+    ``c`` has ``||c @ columns|| = ||c @ R.T||`` and each node's energy is a sum of squares over
+    its ``(lines, s)`` array, in stacks sized by that layout. Node energies are added in node
+    order.
     """
     axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
     support = _kept_modes(u0.grid) & (u0.coeffs != 0)
+    if not np.any(support):
+        return 0.0
     _, cols, view = _support_layout(support, axis)
-    columns = _support_columns(cols, profile)
+    factor = np.linalg.qr(_support_columns(cols, profile).T, mode="r").T
     evolve = _evolution(u0, params, support, _direct_phases(nodes), view)
     total = 0.0
-    for part in _stack_slices(nodes.size, u0.grid.shape):
-        observed = evolve(part) @ columns
+    for part in _stack_slices(nodes.size, view(support).shape):
+        observed = evolve(part) @ factor
         # SpectralField.norm of each node's field
         sums = np.sum(np.abs(observed.reshape(len(observed), -1)) ** 2, axis=1)
         for w, norm in zip(weights[part], np.sqrt(TWO_PI**u0.grid.dimension * sums).tolist()):

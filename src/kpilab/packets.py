@@ -289,7 +289,9 @@ def packet_observed_ratio(
 
     Assembles the control Gram over the packet's active window with the
     gauged semiclassical frequencies; no time quadrature is involved, so the
-    result is deterministic to rounding.
+    result is deterministic to rounding. The ratio is a Rayleigh quotient of
+    that block, which rounding cannot resolve below ``size * eps * lambda_max``;
+    a ratio below that bound is a ``NumericalConsistencyError``.
     """
     grid = v0.grid
     active = np.nonzero(np.abs(v0.coeffs) > 0.0)[0]
@@ -300,7 +302,14 @@ def packet_observed_ratio(
     omega = omega_all[active]
     block = gramian_from_frequencies(horizon, idx, omega, profile)
     energy = TWO_PI * block.quadratic_form(v0.coeffs[active])
-    return energy / v0.norm() ** 2
+    ratio = energy / v0.norm() ** 2
+    bound = idx.size * np.finfo(float).eps * block.eigenvalues[-1]
+    if ratio < bound:
+        raise NumericalConsistencyError(
+            f"observed-energy ratio {ratio:.3e} is below its resolution {bound:.3e}"
+            " (block size * eps * lambda_max)"
+        )
+    return ratio
 
 
 def dichotomy_experiment(
@@ -325,7 +334,10 @@ def dichotomy_experiment(
     for n, grid in zip(n_values, grids):
         v0 = packet_initial_data(params, n, grid)
         profile = make_region_profile(params.region_intervals(), "hann-squared", grid)
-        ratio = packet_observed_ratio(v0, horizon, params.h(n), dparams, profile)
+        try:
+            ratio = packet_observed_ratio(v0, horizon, params.h(n), dparams, profile)
+        except NumericalConsistencyError as exc:
+            raise NumericalConsistencyError(f"packet n = {n}: {exc}") from exc
         rows.append(
             DichotomyRow(n=n, h=params.h(n), eps=params.eps(n), ratio=ratio, grid_nx=grid.nx)
         )

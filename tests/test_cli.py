@@ -158,6 +158,18 @@ def test_dichotomy_zero_first_ratio_is_null(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("n_max, code", [(16, 0), (17, 3)])
+def test_dichotomy_rejects_ratios_below_their_resolution(tmp_path, capsys, n_max, code):
+    # at alpha = 0.5 the ratio of n = 16 (1.8e-13) clears size * eps * lambda_max (3.5e-14);
+    # that of n = 17 (3.5e-16, bound 5.0e-14) is rounding noise
+    n_min = 4 if code == 0 else 16
+    argv = ["dichotomy", "--alpha", "0.5", "--n-min", str(n_min), "--n-max", str(n_max)]
+    assert main(["--out", str(tmp_path)] + argv) == code
+    if code:
+        assert "packet n = 17: observed-energy ratio" in capsys.readouterr().err
+        assert not (tmp_path / "dichotomy.csv").exists()
+
+
 def test_spectral_constant_subcommand(tmp_path):
     code = main(
         ["--out", str(tmp_path), "spectral-constant", "--m-max", "4", "--profile-nx", "256"]

@@ -2,9 +2,11 @@
 
 ``kpi-lab random-field``, ``evolve`` in all three formats and the printed
 ``observe --method quadrature`` ratio go through the transforms, the
-phases, the control operator and the exporters, and through nothing from
-LAPACK. Their bytes were frozen before the 1D and 2D code paths were merged
-into one; a change of any of them changes a published output.
+phases, the control operator and the exporters. Of LAPACK they use one
+routine: the quadrature's QR factor of G's columns on the support, whose
+printed ratios are checked to keep their bytes under one BLAS thread. Their
+bytes were frozen before the 1D and 2D code paths were merged into one; a
+change of any of them changes a published output.
 
 The quadrature takes its phases on the field's support only. The ratios of
 a 128x32 field with 144 of its 4,096 coefficients nonzero were frozen while
@@ -28,6 +30,12 @@ it. That moved two frozen values, which were re-frozen from that code: the
 1D quadrature ratio by 1 ulp, and the terminal error by 3.0e-17 (1.7e-12
 relative). Every other frozen value kept its bytes.
 
+The quadrature then observed each node through the s x s triangular factor
+of those columns. That moved the 2D vertical ratio by 1 ulp and no other
+frozen value. The same 16x24 rule evaluated at 40 digits from the same
+float64 inputs gives 0.046438177645277071351: the old float lies 1.09 ulp
+from it, the re-frozen one 2.09 ulp.
+
 ``kpi-lab spectral-constant`` writes the table of sharp constants
 ``kappa(m0)``. Its bytes, and the table of a two-interval profile, were
 frozen while every order still had its own Cholesky factorization and a
@@ -38,12 +46,17 @@ same floats.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import kpilab as kl
 from kpilab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIELDS = {
     "1d": ["--nx", "64", "--kmax", "12", "--seed", "3"],
@@ -72,15 +85,21 @@ FROZEN = {
     "2d-json/snapshot_t1.25.json": "55937dbe1148234369cf946d24341f051c389c5124fae5cd4a13c75154b8da83",
     "2d/field.bin": "6307b379e9db28dc8214fd5314f7beabf5fc8885d969154fba2705cef3f97e9b",
     "2d/observe-horizontal": '{"ratio": 0.021822612678295696, "horizon": 0.75, "control": "horizontal"}\n',
-    "2d/observe-vertical": '{"ratio": 0.04643817764527708, "horizon": 0.75, "control": "vertical"}\n',
+    # the triangular factor of G's columns moved this ratio by 1 ulp from 0.04643817764527708
+    "2d/observe-vertical": '{"ratio": 0.046438177645277086, "horizon": 0.75, "control": "vertical"}\n',
 }
+
+
+def quadrature_argv(field: Path, control: str) -> list[str]:
+    """``observe --method quadrature`` of ``field`` under ``control``."""
+    argv = ["observe", "--input", str(field), "--method", "quadrature"]
+    return argv + PROFILE + ["--control", control, "--horizon", "0.75"]
 
 
 def quadrature_line(field: Path, control: str, capsys) -> str:
     """The ratio line that ``observe --method quadrature`` prints for ``field``."""
     capsys.readouterr()
-    argv = ["observe", "--input", str(field), "--method", "quadrature"]
-    assert main(argv + PROFILE + ["--control", control, "--horizon", "0.75"]) == 0
+    assert main(quadrature_argv(field, control)) == 0
     return capsys.readouterr().out
 
 
@@ -123,6 +142,24 @@ def test_sparse_field_quadrature_ratios_are_frozen(tmp_path, capsys):
     for control in ("vertical", "horizontal"):
         found[f"observe-{control}"] = quadrature_line(field, control, capsys)
     assert found == FROZEN_SPARSE
+
+
+def test_quadrature_ratios_keep_their_bytes_under_one_blas_thread(tmp_path, capsys):
+    # the quadrature's QR factor is LAPACK's; its ratios must not depend on the thread count
+    cases = [(name, control) for name in FIELDS for control in OBSERVE[name]]
+    cases += [("sparse", control) for control in ("vertical", "horizontal")]
+    for name, flags in {**FIELDS, "sparse": SPARSE_FIELD}.items():
+        assert main(["--out", str(tmp_path / name), "random-field"] + flags) == 0
+    argvs = [quadrature_argv(tmp_path / name / "field.bin", control) for name, control in cases]
+    default = "".join(quadrature_line(tmp_path / name / "field.bin", c, capsys) for name, c in cases)
+    script = "import json, sys\nfrom kpilab.cli import main\n"
+    script += "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == default
 
 
 # taken from the code that assembled and diagonalized the blocks at l and -l apart

@@ -10,9 +10,9 @@ rejected as a ``DimensionError``, and the spectral-constant table is
 nondecreasing with every prefix equal to the table of that order. The
 evolution written straight into the control-axis lines that carry the field's
 support is the full-grid evolution on those lines bit for bit, the
-quadrature's line-by-line energy is the full-grid formula's
-(bit for bit in 1D), and ``evolve_many`` gives the bytes of the full-grid
-formula, signed zeros included. The line-by-line verifier and
+quadrature's line-by-line energy, taken through the triangular factor of G's
+columns on the support, is the full-grid formula's, and ``evolve_many`` gives
+the bytes of the full-grid formula, signed zeros included. The line-by-line verifier and
 ``quadrature_gramian_apply`` agree with the whole-grid Simpson sum and the
 dense Gramian on fields supported on a few lines, and the verifier of a
 steering that needs no control is the free flow.
@@ -336,6 +336,23 @@ def test_oracles_build_g_once_per_call(monkeypatch, orientation, panels, order, 
     traj = ControlTrajectory(1.0, u0, profile, params, orientation, np.empty(0), ())
     kl.verify_control(u0, traj, steps)
     assert len(calls) == 3
+
+
+def test_quadrature_stacks_are_sized_by_the_line_layout(monkeypatch):
+    # 9 lines of 16 modes per node: a 128 KiB stack holds 56 of the 384 nodes of the
+    # 16x24 rule, where a stack sized by the 512x64 grid held one
+    calls = []
+
+    def counted(omega, t):
+        calls.append(np.size(t))
+        return unit_phases(omega, t)
+
+    monkeypatch.setattr(kl.propagate, "unit_phases", counted)
+    grid = kl.TorusGrid(512, 64)
+    u0 = random_field(grid, np.random.default_rng(20), kmax=8, lmax=4)
+    profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(512))
+    quadrature_observed_energy(u0, 1.0, profile, kl.DispersionParams.kp1(2.0), "vertical", 16, 24)
+    assert len(calls) <= 7 and sum(calls) == 384
 
 
 @st.composite
