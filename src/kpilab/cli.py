@@ -57,10 +57,12 @@ def _out_dir(args) -> Path:
 
 
 def _field_params(field, args) -> DispersionParams:
-    """KP-I on a 2D field, the reduced family on a 1D one."""
-    if field.grid.dimension == 2:
-        return DispersionParams.kp1(args.alpha)
-    return DispersionParams.reduced(args.alpha, args.lam)
+    """KP-I on a 2D field, the reduced family at ``--lam`` (default 0) on a 1D one."""
+    if field.grid.dimension == 1:
+        return DispersionParams.reduced(args.alpha, 0.0 if args.lam is None else args.lam)
+    if args.lam is not None:
+        raise ParameterError(f"--lam {args.lam} applies to a 1D field; a 2D field has its own l")
+    return DispersionParams.kp1(args.alpha)
 
 
 def _cmd_run(args) -> int:
@@ -228,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--times", type=lambda s: [float(x) for x in s.split(",")], required=True)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--lam", type=float, default=0.0)
+    p.add_argument("--lam", type=float, default=None)
 
     p = command("observe", _cmd_observe, profile_keys(None))
     p.add_argument("--input", required=True)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--lam", type=float, default=0.0)
+    p.add_argument("--lam", type=float, default=None)
     p.add_argument("--control", default="vertical", choices=["vertical", "horizontal"])
     p.add_argument("--method", default="gramian", choices=["gramian", "quadrature"])
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ParameterError
 
 TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900577")
+PHASE_LIMIT = 2.0**53  # largest |t*omega|: there the long-double product's ulp is 2**-10 rad
 
 
 @dataclass(frozen=True)
@@ -237,9 +238,13 @@ def semiclassical_frequencies(
 def unit_phases(omega: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """``exp(i*t*omega)`` with extended-precision argument reduction mod 2*pi.
 
-    A 1-D array of times ``t`` gives the ``(len(t), *omega.shape)`` stack.
+    A 1-D array of times ``t`` gives the ``(len(t), *omega.shape)`` stack. A ``ParameterError``
+    when ``max|t| * max|omega|`` exceeds :data:`PHASE_LIMIT`.
     """
     t = np.asarray(t, dtype=np.longdouble)
+    bound = float(np.abs(t).max(initial=0.0)) * float(np.abs(omega).max(initial=0.0))
+    if bound > PHASE_LIMIT:
+        raise ParameterError(f"phases t*omega up to {bound:.3e} exceed 2**53, too large to reduce")
     t = t.reshape(t.shape + (1,) * np.ndim(omega))
     theta = np.mod(t * np.asarray(omega, dtype=np.longdouble), TWO_PI_LD)
     return np.exp(1j * theta.astype(np.float64))

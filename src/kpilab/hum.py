@@ -30,7 +30,7 @@ from .observe import (
 )
 from .propagate import (
     _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _lattice_phases,
-    _stack_slices, evolve, evolve_many,
+    _stack_slices, _support, evolve, evolve_many,
 )
 
 
@@ -128,7 +128,7 @@ def _g2_sum(
     """
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
-    support = _kept_modes(grid) & (v.coeffs != 0)
+    support = _support(v)
     lines, cols, view = _support_layout(support, axis)
     square = apply_vertical_control(_support_columns(cols, profile), profile)
     stack_at = _evolution(v, params, support, before, view)

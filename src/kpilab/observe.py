@@ -42,7 +42,7 @@ from .fourier import (
     require_mean_zero,
 )
 from .propagate import (
-    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _stack_slices,
+    _cached_grid_frequencies, _direct_phases, _evolution, _stack_slices, _support,
 )
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
@@ -538,7 +538,7 @@ def quadrature_observed_energy(
     """
     axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    support = _kept_modes(u0.grid) & (u0.coeffs != 0)
+    support = _support(u0)
     if not np.any(support):
         return 0.0
     _, cols, view = _support_layout(support, axis)
@@ -568,7 +568,7 @@ def gramian_observed_energy(
     """
     grid = u0.grid
     axis = _control_axis(grid, profile, orientation)
-    support = _kept_modes(grid) & (u0.coeffs != 0)
+    support = _support(u0)
     if not np.any(support):
         return 0.0
     lines, cols, view = _support_layout(support, axis)

@@ -50,6 +50,11 @@ def _kept_modes(grid) -> np.ndarray:
     return kept
 
 
+def _support(field: SpectralField) -> np.ndarray:
+    """The modes an evolution of ``field`` writes: the kept modes that hold a nonzero coefficient."""
+    return _kept_modes(field.grid) & (field.coeffs != 0)
+
+
 def _check_mode(field: SpectralField, params: DispersionParams) -> None:
     if params.mode == "full-2d" and field.grid.dimension != 2:
         raise DimensionError("full-2d dispersion requires a 2D field")
@@ -107,8 +112,8 @@ def _evolution(
 ):
     """``part ->`` the stack of ``u0`` at the nodes ``part`` of the phase source ``phases``.
 
-    The phases are taken on the modes ``keep`` only, which lie within :func:`_kept_modes`;
-    every other mode of the stack is +0. ``phases`` is :func:`_direct_phases` or
+    The phases are taken on the modes ``keep`` only, :func:`_support` of ``u0`` for every
+    caller; every other mode of the stack is +0. ``phases`` is :func:`_direct_phases` or
     :func:`_lattice_phases`. ``view`` maps a grid array (``keep`` too) to each field's layout,
     e.g. lines along an axis.
     """
@@ -117,11 +122,14 @@ def _evolution(
     keep = view(keep)
     omega, coeffs = view(_cached_grid_frequencies(u0.grid, params))[keep], view(u0.coeffs)[keep]
     phases_at = phases(omega)
+    # as a row: numpy multiplies a (1,) by a (1, 1) array in another complex kernel, whose
+    # last bits can differ, and one mode at one node would then leave the full-grid formula
+    row = coeffs[None]
 
     def stack(part: slice) -> np.ndarray:
         phase = phases_at(part)
         out = np.zeros(phase.shape[:1] + keep.shape, dtype=np.complex128)
-        out[:, keep] = coeffs * phase
+        out[:, keep] = row * phase
         return out
 
     return stack
@@ -139,12 +147,12 @@ def finite_times(times) -> np.ndarray:
 def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) -> np.ndarray:
     """The field at each of ``times``, coefficients times ``exp(i*t*omega)``: a stack.
 
-    Requires zero x-mean (the inverse x-derivative is undefined at k = 0).
-    Norm is conserved to rounding; the group law holds exactly up to the
-    extended-precision phase reduction.
+    Phases are taken on the support (:func:`_support`) only; every other mode is +0. Requires
+    zero x-mean (the inverse x-derivative is undefined at k = 0). Norm is conserved to
+    rounding; the group law holds exactly up to the extended-precision phase reduction.
     """
     times = finite_times(times)
-    return _evolution(u0, params, _kept_modes(u0.grid), _direct_phases(times))(slice(None))
+    return _evolution(u0, params, _support(u0), _direct_phases(times))(slice(None))
 
 
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:

@@ -12,6 +12,17 @@ The quadrature takes its phases on the field's support only. The ratios of
 a 128x32 field with 144 of its 4,096 coefficients nonzero were frozen while
 the phases were still taken on every grid mode.
 
+``evolve`` then took its phases on the field's support only, the kept
+modes with a nonzero coefficient, so every other mode is +0. That re-froze
+the twelve snapshot files and nothing else: both ``field.bin`` files and
+the three ratio lines kept their bytes. Each snapshot was compared with the
+one written before, float by float: every nonzero float is bit-identical,
+and 24-106 floats per ``.bin`` file differ, each a -0.0 that is now +0.0
+(1D 26 and 24, 2D 106 and 56 at t = 0.5 and 1.25). The CSV and JSON files
+differ in the same entries only, where ``-0`` or ``-0.0`` became ``0`` or
+``0.0``. A 2D field rejects ``--lam``, which its evolution never read, so
+the 2D runs no longer pass it.
+
 ``kpi-lab gramian`` writes one container per transverse frequency and the
 eigenvalue table. Its bytes were frozen while every block was still
 assembled and diagonalized on its own, before the block at ``-l`` became
@@ -62,27 +73,30 @@ FIELDS = {
     "1d": ["--nx", "64", "--kmax", "12", "--seed", "3"],
     "2d": ["--nx", "32", "--ny", "8", "--kmax", "6", "--lmax", "2", "--seed", "4"],
 }
-EVOLVE = ["--times", "0.5,1.25", "--lam", "1.5", "--alpha", "1.5"]
+EVOLVE = ["--times", "0.5,1.25", "--alpha", "1.5"]
+# the 1D field stands for the transverse mode lam = 1.5; a 2D field rejects --lam
+LAM = {"1d": ["--lam", "1.5"], "2d": []}
 OBSERVE = {"1d": ["vertical"], "2d": ["vertical", "horizontal"]}
 PROFILE = ["--support-a", "-1.2", "--support-b", "1.9", "--profile", "hann-squared"]
 
-# taken from the code before the merge of the 1D and 2D paths
+# taken from the code before the merge of the 1D and 2D paths; the snapshots re-frozen
+# when evolve took its phases on the support only (the sign of zero entries moved)
 FROZEN = {
-    "1d-bin/snapshot_t0.5.bin": "9fb483ce55c45a11a16850f918a482d745f4d7519edc7b41084b86b58b2199f5",
-    "1d-bin/snapshot_t1.25.bin": "f81d6bd0ab453bc5ab1fab95948e00aea65266d698183e39e2f0daebb2a4a8cc",
-    "1d-csv/snapshot_t0.5.csv": "f20d9a0b41048e3ae06b464fca44e2c2dafe3e255ba6a8be88642c665f520dfa",
-    "1d-csv/snapshot_t1.25.csv": "267c1373c174069813e967732868ea9725ed2836c5a7027b074604f6c5e98198",
-    "1d-json/snapshot_t0.5.json": "0324dd9ce776c69b3633c87831a70e5a05939ccac4a5acc531a663340e5ca5e3",
-    "1d-json/snapshot_t1.25.json": "7d5c78b06848de21a58194526d68c94e60378c72424df7d4227272e581f81264",
+    "1d-bin/snapshot_t0.5.bin": "f10450ea218ccfe5be8f681e1a8ee3bb10347356644757ce74834e09dd9eac22",
+    "1d-bin/snapshot_t1.25.bin": "8c6df15b9a9c554845e4b01943c241bd529defbeb52014c447f6c2a61a7e9db5",
+    "1d-csv/snapshot_t0.5.csv": "b85e564ccae5313210dabacd3cbe2d1daa57b236844bfd8a97ae7429e90a14e1",
+    "1d-csv/snapshot_t1.25.csv": "674af8adde4503538ff76c7ab046a9133b83b828241d2ad93c17579fcd5c7669",
+    "1d-json/snapshot_t0.5.json": "a07bd3dc79aeef3ff6f0f81d0ec31ed894c9cbb2af2f028eb3a3f998ec8bf840",
+    "1d-json/snapshot_t1.25.json": "f816f6e9cf4c2364339fbe88fd6616bc6d53878cb7e2012a69635a786d57eb21",
     "1d/field.bin": "76a70e26b073898e45f782e00eeb37fe642ca7afb55b5f8394165cfaf4c54818",
     # G as a matrix on the support moved this ratio by 1 ulp from 0.0617471601111265
     "1d/observe-vertical": '{"ratio": 0.061747160111126506, "horizon": 0.75, "control": "vertical"}\n',
-    "2d-bin/snapshot_t0.5.bin": "ee3a4b5b6976213b0fd9cd646fe0a7200ef3c899495ed93421ab7a4d73ba8b99",
-    "2d-bin/snapshot_t1.25.bin": "49aeff3e69551a350242f33fe81097ce1499c6d02d3961b53a8c6413770e402b",
-    "2d-csv/snapshot_t0.5.csv": "aa493ad175e0d43390ccefe6a1e3fefb1a0a9c215d136592fe1a38f2bc785939",
-    "2d-csv/snapshot_t1.25.csv": "94c9bba835f8bda385794db60a2f5c201bfa383605144771139fbba0beea803c",
-    "2d-json/snapshot_t0.5.json": "f22f6b779e0e458b9d4f6e4c9d534a5ac401cb3f939efc72f4af481e68ddd780",
-    "2d-json/snapshot_t1.25.json": "55937dbe1148234369cf946d24341f051c389c5124fae5cd4a13c75154b8da83",
+    "2d-bin/snapshot_t0.5.bin": "c7a59123e01325b95c512460996cb59071e4489b49bf6c0c9d6a66f1a2398c2e",
+    "2d-bin/snapshot_t1.25.bin": "e316fd739ccdcaff4383a067f92310f6dca5ea9bc5a1a690637cb08689dbf339",
+    "2d-csv/snapshot_t0.5.csv": "943da9f353824b6c3663a864c067db2a8c3d92f849f5efde5a916658f2297700",
+    "2d-csv/snapshot_t1.25.csv": "b8d51995158ba867738e61bd0e15cd18dbff6422e936496b8f4190e4a74e906d",
+    "2d-json/snapshot_t0.5.json": "5bf8c31b06b60a1c44d8fbec0abc590dfc1a33795a7e2c7b335307b9cfc5e5af",
+    "2d-json/snapshot_t1.25.json": "81513ba269a04c8f9edb7a1313e9362eeb3369a6946819bcf9577ab3d626d9ca",
     "2d/field.bin": "6307b379e9db28dc8214fd5314f7beabf5fc8885d969154fba2705cef3f97e9b",
     "2d/observe-horizontal": '{"ratio": 0.021822612678295696, "horizon": 0.75, "control": "horizontal"}\n',
     # the triangular factor of G's columns moved this ratio by 1 ulp from 0.04643817764527708
@@ -112,7 +126,7 @@ def frozen_outputs(root: Path, capsys) -> dict:
         for fmt in ("csv", "json", "bin"):
             out = root / f"{name}-{fmt}"
             argv = ["--out", str(out), "--format", fmt, "evolve", "--input", str(field)]
-            assert main(argv + EVOLVE) == 0
+            assert main(argv + EVOLVE + LAM[name]) == 0
         for control in OBSERVE[name]:
             found[f"{name}/observe-{control}"] = quadrature_line(field, control, capsys)
     for path in sorted(root.rglob("*.*")):

@@ -9,7 +9,7 @@ from kpilab.errors import DimensionError, NonConvergenceError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
 from kpilab.hum import ControlGramian, ControlTrajectory, quadrature_gramian_apply
 from kpilab.observe import apply_control
-from kpilab.propagate import _cached_grid_frequencies, _kept_modes
+from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _support
 
 
 @pytest.fixture(scope="module")
@@ -276,9 +276,9 @@ class TestVerification:
         traj = ControlTrajectory(1.0, phi, profile, params, "vertical", np.empty(0), ())
         kl.verify_control(phi, traj, steps)
         # incoming phases on phi's support, outgoing on the kept modes of its lines (along x)
-        support = _kept_modes(grid) & (phi.coeffs != 0)
+        support = _support(phi)
         modes = support.sum() + _kept_modes(grid)[:, support.any(axis=0)].sum()
-        # and one phase per kept mode for the closing evolve
+        # and at most one phase per kept mode for the closing evolve, which takes its support's
         bound = 3.0 * np.sqrt(2 * steps + 1) * modes + _kept_modes(grid).sum()
         assert 0 < sum(entries) <= bound
 

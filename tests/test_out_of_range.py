@@ -211,6 +211,39 @@ def test_evolution_times_must_be_finite(tmp_path, capsys, field_32x8, fmt, time)
     assert not list((tmp_path / "cli").glob("snapshot_*"))
 
 
+@pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+@pytest.mark.parametrize("command", ["observe", "evolve"])
+def test_lam_on_a_2d_field_is_an_error(tmp_path, capsys, field_32x8, command, value):
+    # a 2D field takes its transverse frequencies from its grid; --lam would be ignored
+    times = ["--times=0.5"] if command == "evolve" else []
+    argv = ["--format", "bin", command, "--input", field_32x8, "--lam", value, *times]
+    _command(tmp_path, capsys, argv, "--lam")
+    assert not list((tmp_path / "cli").glob("snapshot_*"))
+
+
+@pytest.mark.parametrize("command", ["observe", "evolve"])
+def test_lam_on_a_1d_field_must_be_finite(tmp_path, capsys, command):
+    field = tmp_path / "u1.bin"
+    write_field(random_field(kl.TorusGrid(32), seeded_rng(5, "range"), kmax=6), field)
+    times = ["--times=0.5"] if command == "evolve" else []
+    argv = ["--format", "bin", command, "--input", str(field), "--lam", "nan", *times]
+    _command(tmp_path, capsys, argv, "lam must be nonnegative and finite")
+    assert not list((tmp_path / "cli").glob("snapshot_*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "bin", "evolve", "--times=1e300"],
+        ["observe", "--horizon", "1e300", "--method", "gramian"],
+        ["observe", "--horizon", "1e300", "--method", "quadrature"],
+    ],
+)
+def test_phases_beyond_their_precision_are_an_error(tmp_path, capsys, field_32x8, argv):
+    _command(tmp_path, capsys, argv + ["--input", field_32x8], "exceed 2**53")
+    assert not list((tmp_path / "cli").glob("snapshot_*"))
+
+
 def test_evolve_many_rejects_non_finite_times_before_work(monkeypatch, small_setup_1d):
     u0, _, params = small_setup_1d
     monkeypatch.setattr(kl.propagate, "_evolution", None)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
 from kpilab.errors import ConstraintError, DimensionError, ParameterError
+from kpilab.dispersion import unit_phases
 from kpilab.experiments import random_field
-from kpilab.propagate import _lattice_phases
+from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _lattice_phases, _support
 
 
 class TestExactEvolution:
@@ -63,6 +64,56 @@ class TestExactEvolution:
     def test_mode_mismatch(self, grid_1d, kp_params):
         with pytest.raises(DimensionError):
             kl.evolve(kl.mode_field(grid_1d, 1), 1.0, kp_params)
+
+
+def _all_plus_zero(a: np.ndarray) -> bool:
+    """Every real and imaginary part of ``a`` is +0.0: all bits clear."""
+    return not np.ascontiguousarray(a).view(np.uint64).any()
+
+
+class TestSupportPhases:
+    def test_phases_are_asked_for_on_the_support_only(self, monkeypatch, kp_params):
+        asked = []
+
+        def counted(omega, t):
+            asked.append(np.size(omega) * np.size(t))
+            return unit_phases(omega, t)
+
+        monkeypatch.setattr(kl.propagate, "unit_phases", counted)
+        grid = kl.TorusGrid(512, 64)
+        u0 = random_field(grid, np.random.default_rng(21), kmax=8, lmax=4)
+        # 16 x 9 nonzero coefficients of the 32,130 kept modes
+        assert _support(u0).sum() == 144 and _kept_modes(grid).sum() == 32_130
+        kl.evolve_many(u0, np.linspace(0.2, 1.0, 5), kp_params)
+        kl.evolve(u0, 0.7, kp_params)
+        assert asked == [5 * 144, 144]
+
+    def test_one_mode_at_one_time_keeps_the_full_grid_bits(self, grid_2d, kp_params, rng):
+        # one coefficient times one phase must take the complex product of the full grid
+        omega = _cached_grid_frequencies(grid_2d, kp_params)
+        for _ in range(50):
+            k, l = int(rng.integers(1, 20)), int(rng.integers(-5, 6))
+            u0 = kl.mode_field(grid_2d, k, l, complex(*rng.standard_normal(2)))
+            t = float(rng.uniform(-5.0, 5.0))
+            expect = np.where(u0.coeffs != 0, u0.coeffs * unit_phases(omega, t), 0.0)
+            assert kl.evolve(u0, t, kp_params).coeffs.tobytes() == expect.tobytes()
+
+    def test_zero_field_evolves_to_plus_zero(self, grid_2d, kp_params):
+        for zero in (0.0, complex(-0.0, -0.0)):
+            u0 = kl.SpectralField(grid_2d, np.full(grid_2d.shape, zero))
+            stack = kl.evolve_many(u0, [0.0, 0.7, -3.0], kp_params)
+            assert stack.shape == (3,) + grid_2d.shape and _all_plus_zero(stack)
+
+    def test_zeros_of_either_sign_come_out_plus_zero(self, grid_2d, kp_params, rng):
+        u0 = random_field(grid_2d, rng, kmax=6, lmax=3)
+        zero = u0.coeffs == 0
+        signs = rng.integers(0, 4, grid_2d.shape)
+        signed = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        mixed = u0.with_coeffs(np.where(zero, signed[signs], u0.coeffs))
+        assert np.signbit(mixed.coeffs.view(float)).any()
+        stack = kl.evolve_many(mixed, [0.3, 1.1], kp_params)
+        assert _all_plus_zero(stack[:, zero])
+        assert stack.tobytes() == kl.evolve_many(u0, [0.3, 1.1], kp_params).tobytes()
 
 
 class TestModewiseReduction:

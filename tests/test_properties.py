@@ -12,7 +12,8 @@ evolution written straight into the control-axis lines that carry the field's
 support is the full-grid evolution on those lines bit for bit, the
 quadrature's line-by-line energy, taken through the triangular factor of G's
 columns on the support, is the full-grid formula's, and ``evolve_many`` gives
-the bytes of the full-grid formula, signed zeros included. The line-by-line verifier and
+the bytes of the full-grid formula on the field's support and +0 elsewhere,
+whatever the sign of a zero coefficient. The line-by-line verifier and
 ``quadrature_gramian_apply`` agree with the whole-grid Simpson sum and the
 dense Gramian on fields supported on a few lines, and the verifier of a
 steering that needs no control is the free flow.
@@ -45,7 +46,7 @@ from kpilab.observe import (
 )
 from kpilab.dispersion import unit_phases
 from kpilab.propagate import (
-    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, evolve_many,
+    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _support, evolve_many,
 )
 from kpilab.storage import (
     _FIELD_HEADER,
@@ -274,7 +275,7 @@ def test_support_quadrature_equals_full_grid_bitwise(case):
     # the stack the line-wise oracles evolve, against evolve_many's gathered onto its lines
     u0, horizon, _, params, orientation = case
     axis = 1 if orientation == "horizontal" else 0
-    support = _kept_modes(u0.grid) & (u0.coeffs != 0)
+    support = _support(u0)
     lines = np.any(support, axis=axis)
     times = gauss_legendre_nodes(horizon, 2, 8)[0]
     view = partial(_control_lines, axis=axis, lines=lines)
@@ -486,9 +487,10 @@ def test_evolve_many_is_the_full_grid_formula_bytewise(
     coeffs[k0] = 1e-16 * np.max(np.abs(coeffs)) * noise[k0] if dust else 0.0
     u0 = kl.SpectralField(grid, coeffs)
 
-    # the formula before the kept-mode mask: every mode's phase, then zeroing
+    # the formula before the kept-mode mask: every mode's phase, then zeroing; the phases
+    # are taken on the support only, so a zero coefficient of either sign comes out +0
     expect = u0.coeffs * unit_phases(_cached_grid_frequencies(grid, params), np.asarray(times))
-    expect[:, ~kept] = 0.0
+    expect[:, ~(kept & (coeffs != 0))] = 0.0
     assert evolve_many(u0, times, params).tobytes() == expect.tobytes()
 
 
