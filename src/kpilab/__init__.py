@@ -58,6 +58,7 @@ from .observe import (
     make_control_profile,
     make_region_profile,
     observability_constant,
+    observability_gramian_blocks,
     observability_ratio,
     spectral_constant,
     spectral_constant_table,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .experiments import (
 )
 from .fourier import TorusGrid
 from .observe import observability_ratio, spectral_constant_table
-from .propagate import evolve, finite_times
+from .propagate import evolve_many
 from .storage import (
     eigenvalues_to_csv,
     field_to_csv,
@@ -109,14 +110,15 @@ def _cmd_evolve(args) -> int:
     """Propagate a stored field to given times."""
     field = read_field(args.input)
     params = _field_params(field, args)
-    finite_times(args.times)  # every time, before the first snapshot is written
+    # every time is checked, and evolved, before the first snapshot is written
+    stack = evolve_many(field, args.times, params)
     names = [f"snapshot_t{t:g}.{args.format}" for t in args.times]
     if len(set(names)) < len(names):
         raise ParameterError(f"two evolution times would write one snapshot: {', '.join(names)}")
     out = _out_dir(args)
     write = {"csv": field_to_csv, "json": field_to_json, "bin": write_field}[args.format]
-    for t, name in zip(args.times, names):
-        write(evolve(field, t, params), out / name)
+    for coeffs, name in zip(stack, names):
+        write(field.with_coeffs(coeffs), out / name)
     print(out)
     return 0
 
@@ -141,11 +143,12 @@ def _cmd_observe(args) -> int:
 
 def _cmd_gramian(args) -> int:
     """Assemble observability blocks, export eigenvalues."""
-    blocks, lambda_min, constant = gramian_floor(vars(args))
-    out = _out_dir(args)
-    for block in blocks:
-        write_gramian(block, out / f"gramian_l{block.fixed_freq}.bin")
-    eigenvalues_to_csv(blocks, out / "gramian_eigenvalues.csv")
+
+    def write(block) -> None:  # each container as soon as its block is built
+        write_gramian(block, _out_dir(args) / f"gramian_l{block.fixed_freq}.bin")
+
+    spectra, lambda_min, constant = gramian_floor(vars(args), write)
+    eigenvalues_to_csv(spectra, _out_dir(args) / "gramian_eigenvalues.csv")
     print(json_text({"lambda_min": lambda_min, "constant": constant}))
     return 0
 
@@ -257,9 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse gives a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -235,16 +235,24 @@ def semiclassical_frequencies(
     return np.where(singular, np.longdouble(0.0), phases), shift
 
 
-def unit_phases(omega: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """``exp(i*t*omega)`` with extended-precision argument reduction mod 2*pi.
+def check_phases(t: float | np.ndarray, omega: np.ndarray) -> None:
+    """A ``ParameterError`` when ``max|t| * max|omega|`` exceeds :data:`PHASE_LIMIT`.
 
-    A 1-D array of times ``t`` gives the ``(len(t), *omega.shape)`` stack. A ``ParameterError``
-    when ``max|t| * max|omega|`` exceeds :data:`PHASE_LIMIT`.
+    :func:`unit_phases` checks its phases so; a caller that writes as it goes, all of them first.
     """
-    t = np.asarray(t, dtype=np.longdouble)
     bound = float(np.abs(t).max(initial=0.0)) * float(np.abs(omega).max(initial=0.0))
     if bound > PHASE_LIMIT:
         raise ParameterError(f"phases t*omega up to {bound:.3e} exceed 2**53, too large to reduce")
+
+
+def unit_phases(omega: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """``exp(i*t*omega)`` with extended-precision argument reduction mod 2*pi.
+
+    A 1-D array of times ``t`` gives the ``(len(t), *omega.shape)`` stack; the phases must pass
+    :func:`check_phases`.
+    """
+    t = np.asarray(t, dtype=np.longdouble)
+    check_phases(t, omega)
     t = t.reshape(t.shape + (1,) * np.ndim(omega))
     theta = np.mod(t * np.asarray(omega, dtype=np.longdouble), TWO_PI_LD)
     return np.exp(1j * theta.astype(np.float64))

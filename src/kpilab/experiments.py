@@ -34,10 +34,10 @@ from .observe import (
     ControlProfile,
     GramianBlock,
     ProfileKind,
-    assemble_observability_gramian,
     gramian_from_frequencies,
     make_control_profile,
     observability_constant,
+    observability_gramian_blocks,
     spectral_constant_table,
     window_mask,
 )
@@ -311,20 +311,43 @@ RUN_KEYS = {"seed": (int, 0), "output": (str, ".")}
 # ---------------------------------------------------------------------------
 
 
-def gramian_floor(values: dict) -> tuple[list[GramianBlock], float, float | None]:
-    """Blocks ``l = -l_window .. l_window``, lambda_min and the constant (None if infinite)."""
+@dataclass(frozen=True, eq=False)
+class BlockSpectrum:
+    """The label and ascending eigenvalues of a Gramian block whose matrix is not kept."""
+
+    fixed_freq: int
+    eigenvalues: np.ndarray
+
+
+def gramian_floor(
+    values: dict, each: Callable[[GramianBlock], object] = lambda block: None
+) -> tuple[list[BlockSpectrum], float, float | None]:
+    """Spectra of the blocks ``l = -l_window .. l_window``, lambda_min and the constant or None.
+
+    The blocks ``l = 0 .. l_window`` are built one at a time over one static Gram; omega is even
+    in l, so the block at -l is the block at l relabelled. ``each`` sees every block as it is
+    built, and then its twin at -l; only the eigenvalues are kept.
+    """
     profile = control_profile(values)
     params = DispersionParams.kp1(values["alpha"])
     l_window = values["l_window"]
-    # omega is even in l, so the block at -l is the block at |l| relabelled
-    nonnegative = [
-        assemble_observability_gramian(values["horizon"], values["k_window"], l, profile, params)
-        for l in range(l_window + 1)
-    ]
-    blocks = [nonnegative[-l].at_fixed_freq(l) for l in range(-l_window, 0)] + nonnegative
-    estimate = observability_constant(blocks)
+
+    def spectrum(block: GramianBlock) -> np.ndarray:
+        each(block)
+        if block.fixed_freq:
+            each(block.at_fixed_freq(-block.fixed_freq))
+        return block.eigenvalues
+
+    labels = range(l_window + 1)
+    blocks = observability_gramian_blocks(
+        values["horizon"], values["k_window"], labels, profile, params
+    )
+    # map lets go of each block before it asks for the next
+    found = list(map(spectrum, blocks))
+    spectra = [BlockSpectrum(l, found[abs(l)]) for l in range(-l_window, l_window + 1)]
+    estimate = observability_constant(spectra)
     constant = estimate.constant if estimate.lambda_min > 0 else None
-    return blocks, estimate.lambda_min, constant
+    return spectra, estimate.lambda_min, constant
 
 
 def dichotomy(values: dict) -> DichotomyResult:
@@ -461,8 +484,8 @@ def _run_weak_observability(values: dict, rng: np.random.Generator):
 
 
 def _run_gramian_floor(values: dict, rng: np.random.Generator):
-    blocks, lambda_min, constant = gramian_floor(values)
-    rows = [[int(b.fixed_freq), float(b.eigenvalues[0])] for b in blocks]
+    spectra, lambda_min, constant = gramian_floor(values)
+    rows = [[int(b.fixed_freq), float(b.eigenvalues[0])] for b in spectra]
     summary = {
         "lambda_min": lambda_min,
         "observability_constant": constant,

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from math import isqrt
 from operator import mul
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .dispersion import DispersionParams, frequencies_2d, unit_phases
+from .dispersion import DispersionParams, check_phases, frequencies_2d, unit_phases
 from .errors import ConstraintError, DimensionError, NumericalConsistencyError, ParameterError
 from .fourier import (
     TWO_PI,
@@ -399,12 +399,23 @@ def _check_horizon(horizon: float) -> None:
         raise ParameterError(f"horizon must be positive and finite, got {horizon}")
 
 
+def _is_odd(omega: np.ndarray) -> bool:
+    """Whether ``omega[..., ::-1] == -omega`` and no entry is -0.
+
+    Then ``delta[i, j] = omega[j] - omega[i]`` has ``delta[n-1-i, n-1-j]`` bitwise equal to
+    ``delta[j, i]``: both round the same real number, and a zero difference is +0 in both.
+    """
+    zeros = omega[omega == 0]
+    return np.array_equal(omega[..., ::-1], -omega) and not np.signbit(zeros).any()
+
+
 def _gramian_kernel(
     profile: ControlProfile,
     indices: np.ndarray,
     omega: np.ndarray,
     horizon: float,
     plain_weight: bool = False,
+    static: np.ndarray | None = None,
 ) -> np.ndarray:
     """Static Gram times the exact time factor ``E(omega_j - omega_i, T)``, over 2 pi.
 
@@ -414,9 +425,14 @@ def _gramian_kernel(
     float64, once, before the differences are formed. With
     ``-omega`` the kernel runs backward in time and gives the control
     Gramian. ``plain_weight`` selects multiplication by g instead of the
-    mean-corrected control operator. The output is the only full-size
-    array: it is filled a stack of rows at a time, within the budget of the
-    time-domain stacks, and each entry keeps the bits of the one-shot formula.
+    mean-corrected control operator; ``static``, if given, is that static Gram
+    over ``indices``, shared by a caller that builds several blocks. The output
+    is the only full-size array: it is filled a stack of rows at a time, within
+    the budget of the time-domain stacks, first with E and then with the
+    product, and each entry keeps the bits of the one-shot formula. When the
+    rounded ``omega`` is odd (:func:`_is_odd`), E is persymmetric bit for bit,
+    ``E[n-1-i, n-1-j] == E[j, i]``: the rows ``[a, b)`` take E on the columns
+    ``[0, n-a)`` alone and copy the rest from rows already filled.
     """
     _check_horizon(horizon)
     indices = np.asarray(indices, dtype=int)
@@ -425,10 +441,23 @@ def _gramian_kernel(
         raise ParameterError("the frequency window is empty")
     omega = np.asarray(omega, dtype=np.float64)
     out = np.empty(omega.shape[:-1] + (n, n), dtype=np.complex128)
-    for part in _stack_slices(n, omega.shape):
-        m = _static_gram(profile, indices[part], indices, plain_weight)
-        e = time_factor(omega[..., None, :] - omega[..., part, None], horizon)
-        out[..., part, :] = m * e / TWO_PI
+    parts = _stack_slices(n, omega.shape)
+    odd = _is_odd(omega)
+    for part in parts:
+        a, b = part.start, min(part.stop, n)
+        width = n - a if odd else n
+        out[..., part, :width] = time_factor(
+            omega[..., None, :width] - omega[..., part, None], horizon
+        )
+        if width < n:  # E[i, j] = E[n-1-j, n-1-i], rows n-1-j < a, columns n-1-i in [n-b, n-a)
+            mirror = out[..., :a, n - b : n - a][..., ::-1, ::-1]
+            out[..., part, width:] = np.swapaxes(mirror, -1, -2)
+    for part in parts:
+        if static is None:
+            m = _static_gram(profile, indices[part], indices, plain_weight)
+        else:
+            m = static[part]
+        out[..., part, :] = m * out[..., part, :] / TWO_PI
     return out
 
 
@@ -439,18 +468,37 @@ def assemble_observability_gramian(
     profile: ControlProfile,
     params: DispersionParams,
 ) -> GramianBlock:
-    """Vertical-control block over ``k in [-K, K] \\ {0}`` at transverse ``l``.
+    """The vertical-control block at transverse ``l``, of :func:`observability_gramian_blocks`."""
+    return next(observability_gramian_blocks(horizon, k_window, [l], profile, params))
+
+
+def observability_gramian_blocks(
+    horizon: float, k_window: int, labels: Sequence[int], profile: ControlProfile,
+    params: DispersionParams,
+) -> Iterator[GramianBlock]:
+    """Vertical-control blocks over ``k in [-K, K] \\ {0}``, one per transverse l of ``labels``.
 
     Entry ``(k1, k2)`` is ``E(omega(k2, l) - omega(k1, l), T)`` times the
     static Gram of G; distinct l decouple exactly because the y-integral
-    forces equal transverse frequencies.
+    forces equal transverse frequencies. Each block is built when it is asked
+    for, after every check, the phase bound of every block's time factor too;
+    two or more blocks share one static Gram.
     """
+    _check_horizon(horizon)
     if k_window < 1:
         raise ParameterError("k_window must be >= 1")
     k = profile.grid.k_values
     idx = k[window_mask(k, k_window, exclude_zero=True)]
-    omega = frequencies_2d(idx, [l], params)[:, 0]
-    return GramianBlock(idx, l, horizon, _gramian_kernel(profile, idx, omega, horizon), "x")
+    omegas = frequencies_2d(idx, labels, params).T
+    # the largest |omega_j - omega_i| of each block, rounded as the kernel rounds it
+    rounded = omegas.astype(np.float64)
+    check_phases(horizon, rounded.max(axis=-1) - rounded.min(axis=-1))
+    static = control_gram_matrix(profile, idx) if len(labels) > 1 else None
+    for l, omega in zip(labels, omegas):
+        # no name holds the kernel's output, so that it goes with its block
+        yield GramianBlock(
+            idx, l, horizon, _gramian_kernel(profile, idx, omega, horizon, static=static), "x"
+        )
 
 
 def assemble_horizontal_gramian(

@@ -81,6 +81,29 @@ def test_evolve_rejects_a_non_finite_time_before_any_write(tmp_path, rng, capsys
     assert not list(out.glob("snapshot_*"))
 
 
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    # the parser is built once per process; every call must parse into a fresh namespace
+
+    def field(out, *flags):
+        assert main(["--out", str(out), "random-field", "--nx", "16", *flags]) == 0
+        return (out / "field.bin").read_bytes()
+
+    plain = field(tmp_path / "a")
+    assert field(tmp_path / "b", "--seed", "7") != plain
+    assert field(tmp_path / "c", "--kmax", "2") != plain
+    assert main(["--seed", "7", "--out", str(tmp_path / "d"), "random-field", "--nx", "16"]) == 0
+    assert field(tmp_path / "e") == plain
+    evolve = ["evolve", "--input", str(tmp_path / "a" / "field.bin"), "--times", "1"]
+    assert main(["--out", str(tmp_path / "f"), "--format", "json"] + evolve) == 0
+    assert main(["--out", str(tmp_path / "g")] + evolve + ["--lam", "2"]) == 0
+    assert main(["--out", str(tmp_path / "h")] + evolve) == 0
+    assert [p.name for p in (tmp_path / "h").iterdir()] == ["snapshot_t1.csv"]
+    # --lam 2 stayed with its call: the snapshot at the default lam 0 differs
+    assert (tmp_path / "h" / "snapshot_t1.csv").read_bytes() != (
+        tmp_path / "g" / "snapshot_t1.csv"
+    ).read_bytes()
+
+
 def test_evolve_rejects_times_that_share_a_snapshot_name(tmp_path, rng, capsys):
     src = tmp_path / "u0.bin"
     write_field(random_field(kl.TorusGrid(32, 8), rng, kmax=5, lmax=2), src)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,10 +341,13 @@ class TestGramianFloor:
     def test_blocks_equal_fresh_assembly_at_every_l(self, alpha):
         values = {key: default for key, (_, default) in GRAMIAN_FLOOR_KEYS.items()}
         values.update(alpha=alpha, k_window=8, l_window=3)
-        blocks, lambda_min, _ = gramian_floor(values)
+        blocks = []
+        spectra, lambda_min, _ = gramian_floor(values, blocks.append)
         profile = control_profile(values)
         params = kl.DispersionParams.kp1(alpha)
-        assert [b.fixed_freq for b in blocks] == list(range(-3, 4))
+        assert [s.fixed_freq for s in spectra] == list(range(-3, 4))
+        # each block as it is built, then its twin at -l
+        assert [b.fixed_freq for b in blocks] == [0, 1, -1, 2, -2, 3, -3]
         for block in blocks:
             fresh = kl.assemble_observability_gramian(
                 values["horizon"], 8, block.fixed_freq, profile, params
@@ -351,8 +355,26 @@ class TestGramianFloor:
             assert np.array_equal(block.indices, fresh.indices)
             assert block.matrix.tobytes() == fresh.matrix.tobytes()
             assert block.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
-        assert lambda_min == min(float(b.eigenvalues[0]) for b in blocks)
+        labelled = {b.fixed_freq: b for b in blocks}
+        assert all(s.eigenvalues is labelled[s.fixed_freq].eigenvalues for s in spectra)
+        assert lambda_min == min(float(s.eigenvalues[0]) for s in spectra)
         # the block at -l shares the matrix and the one eigensolve of the block at l
         for l in range(1, 4):
-            assert blocks[3 - l].matrix is blocks[3 + l].matrix
-            assert blocks[3 - l].eigenvalues is blocks[3 + l].eigenvalues
+            assert labelled[-l].matrix is labelled[l].matrix
+            assert labelled[-l].eigenvalues is labelled[l].eigenvalues
+
+    def test_floor_holds_one_block_at_a_time(self):
+        # 9 blocks of 256 modes: the floor once held all of them, 9 MiB and more
+        values = {key: default for key, (_, default) in GRAMIAN_FLOOR_KEYS.items()}
+        values.update(k_window=128, l_window=8)
+        block = 16 * 256**2
+        tracemalloc.start()
+        try:
+            spectra, _, _ = gramian_floor(values)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(spectra) == 17
+        # the static Gram, the kernel's output, its symmetrized copy and the eigensolver's
+        assert peak <= 4 * block
+        assert held <= 0.1 * block

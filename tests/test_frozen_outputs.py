@@ -27,7 +27,12 @@ the 2D runs no longer pass it.
 eigenvalue table. Its bytes were frozen while every block was still
 assembled and diagonalized on its own, before the block at ``-l`` became
 the block at ``|l|`` relabelled. The eigenvalues come from LAPACK, so their
-last digits may depend on the BLAS build and its thread count.
+last digits may depend on the BLAS build and its thread count. Those blocks
+of 16 modes fill one row slice of the kernel; the 256-mode blocks of
+``--k-window 128`` fill eight. Their containers and, under one BLAS thread,
+their eigenvalue table were frozen while every entry of the time factor was
+still computed, before an odd frequency table took the mirrored fill, and
+while the floor still held every block to the end.
 
 ``kpi-lab control`` writes the 256 control samples to ``trajectory.bin``.
 Their bytes were frozen while each sample was still evaluated on its own.
@@ -193,6 +198,27 @@ def test_gramian_outputs_are_frozen(tmp_path):
     assert main(["--out", str(tmp_path), "gramian", "--k-window", "8", "--l-window", "3"]) == 0
     found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert found == FROZEN_GRAMIAN
+
+
+# taken from the code that computed every entry of each block's time factor; the eigenvalue
+# table under one BLAS thread (under two, its last digits move)
+FROZEN_GRAMIAN_SLICES = {
+    "gramian_eigenvalues.csv": "3d04309b30b548b8470cfa0e1abd4470d81c4cdbcc838f7085fe862aed0c48e0",
+    "gramian_l-1.bin": "eff6e6ffb2b69ffc614a1eeab2b5202b3be065bd0d72c270f0e0d8fb3433a972",
+    "gramian_l-2.bin": "efdc367f2525dc6ce5bde7caee20e51d53d99ae9e8f6fec63bbf24150286f429",
+    "gramian_l0.bin": "efa52cb6c05465dcfe6854a4ce21eae05012498a8fd5a2db2fc960caccb70586",
+    "gramian_l1.bin": "a4f407b699df76cfaeb9c3b5f6f092e6a21c786d361d83959cfe35c455f7d4e4",
+    "gramian_l2.bin": "b208b7273fc063a95bc5b1ed39a49d38e0661002d2c9f3710a39bf110515e39c",
+}
+
+
+def test_gramian_outputs_across_row_slices_are_frozen(tmp_path):
+    argv = ["--out", str(tmp_path), "gramian", "--k-window", "128", "--l-window", "2"]
+    script = "import sys\nfrom kpilab.cli import main\nassert main(sys.argv[1:]) == 0\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, check=True)
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert found == FROZEN_GRAMIAN_SLICES
 
 
 # taken from the code that evaluated each control sample and verifier node alone

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kpilab as kl
-from kpilab.dispersion import frequencies_1d
+from kpilab.dispersion import frequencies_1d, frequencies_2d, unit_phases
 from kpilab.errors import (
     ConstraintError,
     DimensionError,
@@ -18,6 +18,7 @@ from kpilab.observe import (
     GramianBlock,
     _fixed_cholesky,
     _gramian_kernel,
+    _is_odd,
     _mp_bottom_eigenvalues,
     concentration_matrix,
     gramian_from_frequencies,
@@ -245,6 +246,36 @@ class TestGramianBlocks:
             tracemalloc.stop()
         assert kernel_peak <= 1.25 * matrix.nbytes
         assert block_peak <= 1.25 * matrix.nbytes
+
+    def test_odd_frequencies_hold_no_negative_zero(self):
+        # delta[n-1-i, n-1-j] and delta[j, i] round the same real number, but -0 - +0 is -0
+        # where +0 - -0 is +0: a table with a -0 takes every entry of E
+        assert _is_odd(np.array([-2.0, 0.0, 2.0]))
+        assert not _is_odd(np.array([-2.0, -0.0, 2.0]))
+        assert not _is_odd(np.array([-2.0, 1.0, 2.0]))
+        # a stack is odd only if each of its blocks is
+        assert not _is_odd(np.array([[-1.0, 1.0], [-1.0, 2.0]]))
+
+    def test_odd_block_asks_for_about_half_its_phases(self, profile_default, monkeypatch):
+        # a 256-mode floor block, 8 row slices of 32 rows: odd, its closed form runs on the
+        # columns [0, n - a) of each slice [a, b), 0.5625 n^2 phases; shifted, on all n^2
+        idx = np.arange(-128, 129)
+        idx = idx[idx != 0]
+        omega = frequencies_2d(idx, [5], kl.DispersionParams.kp1(2.0))[:, 0]
+        asked = []
+
+        def counting(delta, t):
+            if t == 1.0:  # the closed form; the near-resonant entries take t = 0.5
+                asked.append(np.size(delta))
+            return unit_phases(delta, t)
+
+        monkeypatch.setattr("kpilab.observe.unit_phases", counting)
+        n = idx.size
+        _gramian_kernel(profile_default, idx, omega, 1.0)
+        assert sum(asked) <= 0.6 * n * n
+        asked.clear()
+        _gramian_kernel(profile_default, idx, omega + 1.0, 1.0)
+        assert sum(asked) == n * n
 
     def test_block_zero_to_rounding_is_accepted(self):
         # the profile covers one node of the 8-point grid, so G vanishes on

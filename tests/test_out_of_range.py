@@ -237,11 +237,22 @@ def test_lam_on_a_1d_field_must_be_finite(tmp_path, capsys, command):
         ["--format", "bin", "evolve", "--times=1e300"],
         ["observe", "--horizon", "1e300", "--method", "gramian"],
         ["observe", "--horizon", "1e300", "--method", "quadrature"],
+        # t = 0.5 alone is fine: every time is checked before the first snapshot
+        ["--format", "bin", "evolve", "--times=0.5,1e300"],
     ],
 )
 def test_phases_beyond_their_precision_are_an_error(tmp_path, capsys, field_32x8, argv):
     _command(tmp_path, capsys, argv + ["--input", field_32x8], "exceed 2**53")
     assert not list((tmp_path / "cli").glob("snapshot_*"))
+
+
+def test_gramian_checks_every_block_before_the_first_container(tmp_path, capsys):
+    # at this horizon the l = 0 block, |omega| up to 4,096, keeps its phases within the bound;
+    # the block at l = 8, |omega| up to 4,100, comes after the l = 0 container and exceeds it
+    horizon = str(2.0**53 / 8196.0)
+    argv = ["gramian", "--k-window", "16", "--l-window", "8", "--horizon", horizon]
+    _command(tmp_path, capsys, argv, "exceed 2**53")
+    assert not list((tmp_path / "cli").glob("gramian_*"))
 
 
 def test_evolve_many_rejects_non_finite_times_before_work(monkeypatch, small_setup_1d):
