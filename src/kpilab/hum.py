@@ -11,12 +11,19 @@ family, whose residual norms decrease monotonically.
 Verification integrates the forced equation with a classical RK4 scheme in
 the integrating-factor frame (the diagonal part is removed exactly, so no
 stiffness limit applies); it evaluates the synthesis rule at the RK4 substage
-times and never touches the closed-form Gramian kernel.
+times and never touches the closed-form Gramian kernel. Its Simpson sum and
+the Gauss-Legendre oracle of ``Lambda_T`` share one contraction: on each line
+along the control axis, ``sum_p v_p G^2[p, q] K[p, q]``, with K the node-Gram
+of the rule's phases. The verifier's nodes are equispaced, so it factors K
+through a two-level table of its lattice: O(sqrt(N)) work per mode pair
+instead of O(N).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -29,8 +36,8 @@ from .observe import (
     gauss_legendre_nodes,
 )
 from .propagate import (
-    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _lattice_phases,
-    _stack_slices, _support, evolve, evolve_many,
+    _STACK_BYTES, _cached_grid_frequencies, _check_mode, _direct_phases, _kept_modes,
+    _lattice_phases, _stack_slices, _support, check_no_nyquist, evolve, evolve_many,
 )
 
 
@@ -104,42 +111,64 @@ def quadrature_gramian_apply(
     """Matrix-free oracle: Gauss-Legendre quadrature of S(s) G^2 S(-s) v.
 
     G acts along the control axis alone, so the nodes are summed, as 1D fields, on the lines
-    along that axis that hold ``v``'s support; every other mode of the result is +0.
+    along that axis that hold ``v``'s support; every other mode of the result is +0. The
+    nodes are not equispaced, so each takes its own phases.
     """
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    # the Gauss-Legendre nodes are not equispaced: each node's phases directly
     phases = (_direct_phases(-nodes), _direct_phases(nodes))
-    return SpectralField(v.grid, _g2_sum(v, params, profile, orientation, weights, *phases))
+    gram = partial(_node_gram, phases=phases, weights=weights)
+    return SpectralField(v.grid, _g2_sum(v, params, profile, orientation, gram))
+
+
+def _node_gram(before: np.ndarray, after: np.ndarray, phases, weights: np.ndarray) -> np.ndarray:
+    """``(lines, s, n)``: ``sum_j weights[j] outer(p_j, q_j)``, one batched product per stack.
+
+    ``p_j, q_j`` are node j's phases from the pair of phase sources ``phases``, at the lines'
+    incoming frequencies ``before`` ``(lines, s)`` and outgoing ``after`` ``(lines, n)``. A
+    stack of nodes takes the shared budget, or as many bytes as the Gram where that is more.
+    """
+    incoming, outgoing = phases[0](before), phases[1](after)
+    shape = before.shape + after.shape[-1:]
+    budget = max(_STACK_BYTES, 16 * math.prod(shape))
+    gram = None
+    for part in _stack_slices(weights.size, (before.size + after.size,), budget):
+        weighted = incoming(part) * weights[part, None, None]
+        term = np.moveaxis(weighted, 0, -1) @ np.moveaxis(outgoing(part), 0, -2)
+        # the first product is the sum: one Gram-sized array when it is the only one
+        gram = term if gram is None else np.add(gram, term, out=gram)
+    return np.zeros(shape, dtype=np.complex128) if gram is None else gram
 
 
 def _g2_sum(
     v: SpectralField, params: DispersionParams, profile: ControlProfile, orientation: Orientation,
-    weights: np.ndarray, before, after,
+    gram,
 ) -> np.ndarray:
-    """``sum_j weights[j] S(after_j) G^2 S(before_j) v`` on the grid, +0 off the kept modes.
+    """``sum_p v_p G^2[p, q] K[p, q]`` on each line along the control axis, +0 off the kept modes.
 
-    ``before`` and ``after`` are the phase sources of the incoming and outgoing times, both
-    :func:`~kpilab.propagate._direct_phases` or both :func:`~kpilab.propagate._lattice_phases`
-    over the same nodes. G acts along the control axis alone, so the evolution writes, as 1D
-    fields, only the lines along that axis that hold a kept, nonzero coefficient of ``v`` (a 1D
-    field is one line), at the s modes they hold; each stack times G^2's ``(s, n)`` columns on
-    those modes, G applied twice in physical space once per call, takes the outgoing phases on
-    the lines' kept modes. The nodes go a stack at a time, in order.
+    The lines are those that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line),
+    p the s modes they hold and q their kept modes. ``G^2[p, q]``, G applied twice in physical
+    space, is built once per call. ``gram(before, after)`` gives, at the incoming ``(lines, s)``
+    and outgoing ``(lines, n)`` frequencies of a stack of lines, the node-Gram
+    ``K = sum_j w_j exp(i omega_p tau_j) exp(i omega_q sigma_j)`` of a rule with incoming times
+    tau and outgoing sigma, so the sum is ``sum_j w_j S(sigma_j) G^2 S(tau_j) v``. A stack of
+    lines takes the shared budget, or one line where its K, as large as G^2's rows, is more.
     """
+    _check_mode(v, params)
+    require_mean_zero(v)
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
-    support = _support(v)
-    lines, cols, view = _support_layout(support, axis)
-    square = apply_vertical_control(_support_columns(cols, profile), profile)
-    stack_at = _evolution(v, params, support, before, view)
-    # the lines' kept modes and their frequencies, the control axis last
-    kept = _control_lines(_kept_modes(grid), axis, lines)
-    omega = _control_lines(_cached_grid_frequencies(grid, params), axis, lines)[kept]
-    after_at = after(omega)
-    acc = np.zeros(kept.shape, dtype=np.complex128)
-    for part in _stack_slices(weights.size, grid.shape):
-        g2 = (stack_at(part) @ square)[:, kept]
-        acc[kept] += np.einsum("b,b...->...", weights[part], g2 * after_at(part))
+    lines, cols, view = _support_layout(_support(v), axis)
+    # the kept modes along the control axis are the same on every line that holds one
+    kept = np.any(_control_lines(_kept_modes(grid), axis, lines), axis=0)
+    square = apply_vertical_control(_support_columns(cols, profile), profile)[:, kept]
+    table = _cached_grid_frequencies(grid, params)
+    before, after = view(table), _control_lines(table, axis, lines, kept)
+    coeffs = view(v.coeffs)
+    acc = np.zeros((len(coeffs), kept.size), dtype=np.complex128)
+    for part in _stack_slices(len(coeffs), square.shape):
+        k = gram(before[part], after[part])
+        k *= square
+        acc[part, kept] = (coeffs[part, None] @ k)[:, 0]
     return _to_grid(grid.shape, axis, lines, acc)
 
 
@@ -231,7 +260,9 @@ def synthesize_control(
     (minimal-residual conjugate-direction) iteration to
     relative residual ``tol``. Raises ``NonConvergenceError`` (carrying the
     residual history) when a block stagnates, which is the expected signal
-    for data invisible to the chosen control operator.
+    for data invisible to the chosen control operator. Content of ``u0`` or
+    ``u1`` on a Nyquist frequency, which no evolution carries, is a
+    ``ParameterError`` before any work.
     """
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
@@ -241,8 +272,9 @@ def synthesize_control(
         raise ParameterError(f"sample_count must be a nonnegative integer, got {sample_count!r}")
     if u0.grid != u1.grid:
         raise DimensionError("initial and target fields live on different grids")
-    require_mean_zero(u0)
-    require_mean_zero(u1)
+    for u in (u0, u1):
+        require_mean_zero(u)
+        check_no_nyquist(u)
     op = ControlGramian(u0.grid, horizon, profile, params, orientation)
     rhs = op.gather((u1 - evolve(u0, horizon, params)).coeffs)
     solution = np.zeros_like(rhs)
@@ -330,27 +362,48 @@ def verify_control(
     forced equation becomes ``dw/dt = S(-t) G f(t)``, which RK4 reduces to a
     composite Simpson rule over the control samples. The forcing is
     re-derived from the synthesis rule at every node ``t_j = j h``,
-    ``h = T / (2 steps)``, under the trajectory's own dynamics
-    ``traj.params``. The forcing ``S(-t) G^2 S(t - T) phi`` is summed line by
-    line, as :func:`quadrature_gramian_apply` sums its nodes, with the Simpson
-    weights in node order. Its incoming phases, at ``t_j - T``, and outgoing ones, at ``-t_j``,
-    lie on the lattice ``m h`` and come from a two-level table
-    (:func:`~kpilab.propagate._lattice_phases`): about ``2 sqrt(2 steps)`` extended-precision
-    phases per mode instead of one per node. The exported control samples keep the whole-grid
-    :meth:`ControlTrajectory.controls_at`.
+    ``h = T / N``, ``N = 2 steps``, under the trajectory's own dynamics
+    ``traj.params``, and summed line by line by :func:`_g2_sum` with the node-Gram
+    ``K[p, q] = sum_j w_j exp(i omega_p (t_j - T)) exp(-i omega_q t_j)``. With ``j = a M + b``,
+    M even, about ``sqrt(N)``, the Simpson weight of an inner node is a function of b, so over
+    the full blocks K is the entrywise product of ``sum_a P_a Q_a`` and ``sum_b w_b f_b g_b``,
+    sums over the factor tables at ``a M h - T``, ``-a M h``, ``b h`` and ``-b h``
+    (:func:`~kpilab.propagate._lattice_phases`): about ``2 sqrt(N)`` extended-precision phases
+    per mode, and matrix products of that inner size. The partial last block and the two ends
+    are corrections. The exported control samples keep :meth:`ControlTrajectory.controls_at`.
     """
     check_verify_steps(steps)
     if u0.grid != traj.phi_final.grid:
         raise DimensionError("initial field and control trajectory live on different grids")
     require_mean_zero(u0)
     horizon = traj.horizon
-    dt = horizon / steps
-    # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 (times dt/6)
-    weights = np.append(1.0, np.tile([4.0, 2.0], steps))
-    weights[-1] = 1.0
-    j = np.arange(2 * steps + 1)
-    h = np.longdouble(horizon) / (2 * steps)
-    phases = (_lattice_phases(h, j - 2 * steps), _lattice_phases(h, -j))
+    nodes = 2 * steps
+    h = np.longdouble(horizon) / nodes
+    size = math.isqrt(nodes) // 2 * 2
+    # the node j = nodes is the node b = tail of the partial block a = last
+    last, tail = divmod(nodes, size)
+    fine = np.arange(size)
+    # the Simpson weights (times dt/6) away from the ends, 1, 4, 2, 4, ..., 2, 4, 1 with them
+    simpson = np.where(fine % 2, 4.0, 2.0)
+
+    def gram(before, after):
+        def lattice(m, weights, shift=0):
+            # the lattice points m, incoming at (m - shift) h and outgoing at -m h
+            phases = (_lattice_phases(h, m - shift), _lattice_phases(h, -m))
+            return _node_gram(before, after, phases, np.asarray(weights))
+
+        # C * D over the blocks a < last, plus L * D_head, L = P_last Q_last, over b < tail in
+        # block a = last: with D = D_head + D_tail that is C * D_tail + (C + L) * D_head
+        k = lattice(np.arange(last) * size, np.ones(last), nodes)
+        rest = lattice(fine[tail:], simpson[tail:])
+        rest *= k
+        k += lattice(np.array([last * size]), [1.0], nodes)
+        k *= lattice(fine[:tail], simpson[:tail])
+        k += rest
+        # the ends: the blocks gave j = 0 the weight 2 and j = nodes none
+        k += lattice(np.array([0, nodes]), [-1.0, 1.0], nodes)
+        return k
+
     rule = (traj.phi_final, traj.params, traj.profile, traj.orientation)
-    acc = _g2_sum(*rule, weights, *phases) * (dt / 6.0)
+    acc = _g2_sum(*rule, gram) * (horizon / steps / 6.0)
     return evolve(SpectralField(u0.grid, u0.coeffs + acc), horizon, traj.params)

@@ -42,7 +42,7 @@ from .fourier import (
     require_mean_zero,
 )
 from .propagate import (
-    _cached_grid_frequencies, _direct_phases, _evolution, _stack_slices, _support,
+    _cached_grid_frequencies, _evolution, _stack_slices, _support, check_no_nyquist,
 )
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
@@ -591,7 +591,7 @@ def quadrature_observed_energy(
         return 0.0
     _, cols, view = _support_layout(support, axis)
     factor = np.linalg.qr(_support_columns(cols, profile).T, mode="r").T
-    evolve = _evolution(u0, params, support, _direct_phases(nodes), view)
+    evolve = _evolution(u0, params, support, nodes, view)
     total = 0.0
     for part in _stack_slices(nodes.size, view(support).shape):
         observed = evolve(part) @ factor
@@ -645,9 +645,8 @@ def observability_ratio(
     norm_sq = u0.norm() ** 2
     if norm_sq == 0.0:
         raise ConstraintError("observability ratio undefined for the zero field")
-    if np.any(u0.coeffs[0] != 0) or np.any(u0.coeffs[..., 0] != 0):
-        # every evolution drops that content, yet its mass is in ||u0||^2
-        raise ParameterError("the field has content on a Nyquist frequency, which evolutions drop")
+    # its mass is in ||u0||^2
+    check_no_nyquist(u0)
     if method == "quadrature":
         energy = quadrature_observed_energy(
             u0, horizon, profile, params, orientation, panels, order

@@ -12,7 +12,6 @@ so its coefficient is forced to zero.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -25,17 +24,20 @@ from .fourier import SpectralField, require_mean_zero
 
 
 # bytes of one complex stack: the time-domain oracles work a stack of time
-# nodes at a time, and the Gramian blocks a stack of rows, which bounds their
-# memory whatever the node count or block size
+# nodes or of lines at a time, and the Gramian blocks a stack of rows, which
+# bounds their memory whatever the node count or block size
 _STACK_BYTES = 128 * 1024
 
 
-def _stack_slices(count: int, item_shape: tuple[int, ...]) -> list[slice]:
-    """Consecutive slices of ``count`` complex items of ``item_shape``, each within the budget.
+def _stack_slices(
+    count: int, item_shape: tuple[int, ...], budget: int = _STACK_BYTES
+) -> list[slice]:
+    """Consecutive slices of ``count`` complex items of ``item_shape``, ``budget`` bytes at most.
 
-    The items are time nodes of a grid's shape, or rows of a Gramian block.
+    The items are time nodes (of a grid's shape or of a stack of lines), lines, or rows of a
+    Gramian block; an empty item counts as one entry.
     """
-    size = max(1, _STACK_BYTES // (16 * int(np.prod(item_shape))))
+    size = max(1, budget // max(16, 16 * int(np.prod(item_shape))))
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
@@ -53,6 +55,12 @@ def _kept_modes(grid) -> np.ndarray:
 def _support(field: SpectralField) -> np.ndarray:
     """The modes an evolution of ``field`` writes: the kept modes that hold a nonzero coefficient."""
     return _kept_modes(field.grid) & (field.coeffs != 0)
+
+
+def check_no_nyquist(field: SpectralField) -> None:
+    """A ``ParameterError`` when ``field`` has content that every evolution drops (Nyquist)."""
+    if np.any(field.coeffs[0] != 0) or np.any(field.coeffs[..., 0] != 0):
+        raise ParameterError("the field has content on a Nyquist frequency, which evolutions drop")
 
 
 def _check_mode(field: SpectralField, params: DispersionParams) -> None:
@@ -83,51 +91,35 @@ def _direct_phases(times: np.ndarray):
 
 
 def _lattice_phases(step: np.longdouble, m: np.ndarray):
-    """Phase source of the lattice nodes ``m * step``, ``m`` integers, from a two-level table.
+    """Phase source of the lattice nodes ``m * step``, ``m`` integers, the times in long double.
 
-    With ``m = a*M + b``, ``M = ceil(sqrt(len(m)))`` and ``0 <= b < M``, the phase
-    ``exp(i*omega*m*step)`` is ``coarse[a] * fine[b]``: about ``2*sqrt(len(m))``
-    extended-precision phases per mode instead of ``len(m)``, at times formed in extended
-    precision, and one rounding more for the product. ``m = 0`` gives exactly 1.
+    It gives the factor tables of the Duhamel verifier's two-level table: a node ``j = a*M + b``
+    is the product of a coarse lattice point ``a*M`` and a fine one ``b``, so ``N`` nodes take
+    about ``2*sqrt(N)`` extended-precision phases per mode. ``m = 0`` gives exactly 1.
     """
-    size = math.isqrt(len(m) - 1) + 1
-    low = m.min() // size
-    coarse_times = (np.arange(low, m.max() // size + 1) * size).astype(np.longdouble) * step
-    fine_times = np.arange(size).astype(np.longdouble) * step
-
-    def source(omega: np.ndarray):
-        coarse, fine = unit_phases(omega, coarse_times), unit_phases(omega, fine_times)
-
-        def at(part: slice) -> np.ndarray:
-            a, b = np.divmod(m[part], size)
-            return coarse[a - low] * fine[b]
-
-        return at
-
-    return source
+    return _direct_phases(np.asarray(m).astype(np.longdouble) * step)
 
 
 def _evolution(
-    u0: SpectralField, params: DispersionParams, keep: np.ndarray, phases, view=np.asarray
+    u0: SpectralField, params: DispersionParams, keep: np.ndarray, times: np.ndarray,
+    view=np.asarray,
 ):
-    """``part ->`` the stack of ``u0`` at the nodes ``part`` of the phase source ``phases``.
+    """``part ->`` the stack of ``u0`` at ``times[part]``.
 
     The phases are taken on the modes ``keep`` only, :func:`_support` of ``u0`` for every
-    caller; every other mode of the stack is +0. ``phases`` is :func:`_direct_phases` or
-    :func:`_lattice_phases`. ``view`` maps a grid array (``keep`` too) to each field's layout,
-    e.g. lines along an axis.
+    caller; every other mode of the stack is +0. ``view`` maps a grid array (``keep`` too) to
+    each field's layout, e.g. lines along an axis.
     """
     _check_mode(u0, params)
     require_mean_zero(u0)
     keep = view(keep)
     omega, coeffs = view(_cached_grid_frequencies(u0.grid, params))[keep], view(u0.coeffs)[keep]
-    phases_at = phases(omega)
     # as a row: numpy multiplies a (1,) by a (1, 1) array in another complex kernel, whose
     # last bits can differ, and one mode at one node would then leave the full-grid formula
     row = coeffs[None]
 
     def stack(part: slice) -> np.ndarray:
-        phase = phases_at(part)
+        phase = unit_phases(omega, times[part])
         out = np.zeros(phase.shape[:1] + keep.shape, dtype=np.complex128)
         out[:, keep] = row * phase
         return out
@@ -152,7 +144,7 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     rounding; the group law holds exactly up to the extended-precision phase reduction.
     """
     times = finite_times(times)
-    return _evolution(u0, params, _support(u0), _direct_phases(times))(slice(None))
+    return _evolution(u0, params, _support(u0), times)(slice(None))
 
 
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:

@@ -161,6 +161,24 @@ def test_control_subcommand(tmp_path, rng, capsys):
     assert (tmp_path / "trajectory.bin").exists()
 
 
+@pytest.mark.parametrize("nyquist", ["--initial", "--target"])
+def test_control_rejects_nyquist_content(tmp_path, rng, capsys, nyquist):
+    # every evolution drops the row k = -nx/2, so no control sees or reaches content there
+    grid = kl.TorusGrid(32, 8)
+    clean = random_field(grid, rng, kmax=6, lmax=2)
+    coeffs = clean.coeffs.copy()
+    coeffs[0, grid.index_of_l(1)] = 0.3
+    write_field(clean, tmp_path / "clean.bin")
+    write_field(kl.SpectralField(grid, coeffs), tmp_path / "nyquist.bin")
+    argv = ["control", "--profile-nx", "32", "--verify-steps", "200"]
+    for flag in ("--initial", "--target"):
+        argv += [flag, str(tmp_path / ("nyquist.bin" if flag == nyquist else "clean.bin"))]
+    assert main(["--out", str(tmp_path / "out")] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Nyquist" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dichotomy_subcommand(tmp_path, capsys):
     code = main(
         ["--out", str(tmp_path), "dichotomy", "--alpha", "0.5", "--n-min", "4", "--n-max", "5"]

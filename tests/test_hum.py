@@ -7,7 +7,9 @@ import kpilab as kl
 from kpilab.dispersion import unit_phases
 from kpilab.errors import DimensionError, NonConvergenceError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
-from kpilab.hum import ControlGramian, ControlTrajectory, quadrature_gramian_apply
+from kpilab.hum import (
+    MAX_VERIFY_STEPS, ControlGramian, ControlTrajectory, quadrature_gramian_apply,
+)
 from kpilab.observe import apply_control
 from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _support
 
@@ -229,16 +231,29 @@ class TestVerification:
         ratio = errors[0] / errors[1]
         assert 10.0 < ratio < 22.0
 
-    @pytest.mark.parametrize("steps", [101, 333])
-    def test_stacks_match_the_per_step_simpson_loop(self, steps):
-        grid = kl.TorusGrid(16, 4)
-        params = kl.DispersionParams.kp1(2.0)
-        profile = kl.make_control_profile(
-            np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16)
-        )
-        u0 = random_field(grid, seeded_rng(23, "stacks"), kmax=3, lmax=1)
-        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-12)
-        # at 16x4 a stack holds 128 nodes, so both step counts end in a partial one
+    # N = 2 steps nodes j = a M + b, M = 14 at 100-127 steps, 16 at 128, 24 at 333 and 98-100
+    # near 5,000: the last block holds one node (128, 5000), a few (100, 101, 127, 4999: N + 1
+    # just above a multiple of M) or all but one of M (104, 4997)
+    @pytest.mark.parametrize(
+        "shape, orientation, steps",
+        [
+            pytest.param(shape, orientation, steps, id=f"{label}{steps}")
+            for label, shape, orientation, large in [
+                ("", (16, 4), "vertical", 4999),
+                ("1d-", (16,), "vertical", 5000),
+                ("horizontal-", (16, 8), "horizontal", 4997),
+            ]
+            for steps in (100, 101, 104, 127, 128, 333, large)
+        ],
+    )
+    def test_stacks_match_the_per_step_simpson_loop(self, shape, orientation, steps):
+        grid, axis = kl.TorusGrid(*shape), 1 if orientation == "horizontal" else 0
+        params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
+        profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(shape[axis]))
+        rng = seeded_rng(23, "stacks")
+        windows = {"kmax": 3, "lmax": 1} if grid.ny else {"kmax": 3}
+        u0, phi = random_field(grid, rng, **windows), random_field(grid, rng, **windows)
+        traj = ControlTrajectory(1.0, phi, profile, params, orientation, np.empty(0), ())
         out = kl.verify_control(u0, traj, steps=steps)
         assert (out - _simpson_loop_verify(u0, traj, steps)).norm() <= 1e-14 * u0.norm()
 
@@ -258,7 +273,7 @@ class TestVerification:
         expect = direct_phase_verify(u0, traj, 3000)
         assert (kl.verify_control(u0, traj, 3000) - expect).norm() <= 1e-12 * expect.norm()
 
-    @pytest.mark.parametrize("steps", [100, 1000, 6000])
+    @pytest.mark.parametrize("steps", [100, 1000, 6000, MAX_VERIFY_STEPS])
     def test_phase_work_grows_as_the_root_of_the_node_count(self, monkeypatch, small_setup, steps):
         grid, params, profile = small_setup
         entries = []
@@ -287,14 +302,16 @@ class TestVerification:
         params = kl.DispersionParams.kp1(2.0)
         u0 = kl.mode_field(grid, 1, 1) + kl.mode_field(grid, 2, -1)
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, kl.default_profile(64), params)
-        # all 20,001 nodes in one stack would take 320 MB
-        tracemalloc.start()
-        try:
-            kl.verify_control(u0, traj, steps=10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        # all 20,001 nodes in one stack would take 320 MB; no array may grow with the node
+        # count: at the largest count the Simpson weights alone would take 16 MB
+        for steps in (10_000, MAX_VERIFY_STEPS):
+            tracemalloc.start()
+            try:
+                kl.verify_control(u0, traj, steps=steps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, steps
 
     def test_steps_guard(self, small_setup):
         grid, params, profile = small_setup

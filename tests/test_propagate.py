@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -233,33 +235,45 @@ class TestLatticePhases:
     @given(
         omega=st.lists(st.floats(-600.0, 600.0), min_size=1, max_size=4),
         horizon=st.floats(0.05, 2.0),
-        steps=st.integers(1, 5000),
+        steps=st.integers(100, 5000),
         count=st.integers(1, 300),
+        incoming=st.booleans(),
         data=st.data(),
     )
-    def test_two_level_table_is_the_exact_phase(self, omega, horizon, steps, count, data):
-        # count consecutive nodes, in either direction, of the verifier's lattice
-        # m T/(2 steps) with |m| <= 2 steps
+    def test_two_level_table_is_the_exact_phase(
+        self, omega, horizon, steps, count, incoming, data
+    ):
+        # count consecutive nodes j < N of the verifier's lattice h = T/N, N = 2 steps, as it
+        # forms them: j = a M + b, M even, the incoming phase at j - N from the factors at
+        # a M - N and b, the outgoing one at -j from the factors at -a M and -b
         span = 2 * steps
-        count = min(count, 2 * span + 1)
-        m = data.draw(st.integers(-span, span - count + 1)) + np.arange(count)
-        m = m if data.draw(st.booleans()) else -m
-        table = _lattice_phases(np.longdouble(horizon) / span, m)(np.array(omega))(slice(None))
+        size = math.isqrt(span) // 2 * 2
+        count = min(count, span)
+        j = data.draw(st.integers(0, span - count)) + np.arange(count)
+        a, b = np.divmod(j, size)
+        sign, shift = (1, span) if incoming else (-1, 0)
+        step, omega = np.longdouble(horizon) / span, np.array(omega)
+        coarse = _lattice_phases(step, sign * a * size - shift)(omega)(slice(None))
+        fine = _lattice_phases(step, sign * b)(omega)(slice(None))
+        table, m = coarse * fine, sign * j - shift
         assert table.shape == (count, len(omega))
         with mp.workdps(40):
             worst = max(
-                abs(mp.mpc(complex(table[i, j])) - mp.expj(mp.mpf(w) * mi * mp.mpf(horizon) / span))
+                abs(mp.mpc(complex(table[i, k])) - mp.expj(mp.mpf(w) * mi * mp.mpf(horizon) / span))
                 for i, mi in enumerate(m.tolist())
-                for j, w in enumerate(omega)
+                for k, w in enumerate(omega)
             )
         assert worst <= 2e-15
         assert np.all(table[m == 0] == 1.0)
 
     def test_zero_offset_is_exactly_one(self):
-        # the verifier's two lattices at 100 steps: incoming m = j - 200, outgoing m = -j
+        # at 100 steps (N = 200, M = 14) the outgoing phase of j = 0 is the product of the
+        # factors at 0, and the incoming phase of j = N is taken at m = 0 itself
         omega = np.array([-4096.0, -1.5, 0.0, 2.0, 517.25, 4096.0], dtype=np.longdouble)
-        j = np.arange(201)
-        for m, zero in ((j - 200, -1), (-j, 0)):
-            table = _lattice_phases(np.longdouble(1.0) / 200, m)(omega)(slice(None))
-            assert np.all(table[zero] == 1.0)
-            assert np.all(table[zero].imag == 0.0)
+        step = np.longdouble(1.0) / 200
+        coarse = _lattice_phases(step, -np.arange(15) * 14)(omega)(slice(None))
+        fine = _lattice_phases(step, -np.arange(14))(omega)(slice(None))
+        ends = _lattice_phases(step, np.array([-200, 0]))(omega)(slice(None))
+        for one in (coarse[0] * fine[0], ends[1]):
+            assert np.all(one == 1.0)
+            assert np.all(one.imag == 0.0)

@@ -47,7 +47,7 @@ from kpilab.observe import (
 )
 from kpilab.dispersion import unit_phases
 from kpilab.propagate import (
-    _cached_grid_frequencies, _direct_phases, _evolution, _kept_modes, _support, evolve_many,
+    _cached_grid_frequencies, _evolution, _kept_modes, _support, evolve_many,
 )
 from kpilab.storage import (
     _FIELD_HEADER,
@@ -295,7 +295,7 @@ def test_support_quadrature_equals_full_grid_bitwise(case):
     lines = np.any(support, axis=axis)
     times = gauss_legendre_nodes(horizon, 2, 8)[0]
     view = partial(_control_lines, axis=axis, lines=lines)
-    lined = _evolution(u0, params, support, _direct_phases(times), view)(slice(None))
+    lined = _evolution(u0, params, support, times, view)(slice(None))
     full = np.moveaxis(evolve_many(u0, times, params), 1 + axis, -1)[:, lines]
     assert np.array_equal(lined, full)
 
