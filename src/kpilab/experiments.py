@@ -403,6 +403,9 @@ def parse_config(text: str) -> dict[str, dict[str, ConfigEntry]]:
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError("empty section name", line=lineno)
+            # the name is the stem of the section's CSV in the output directory
+            if name in (".", "..") or any(c in name for c in "/\\\0"):
+                raise ConfigError(f"section name {name!r} is not one path component", line=lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", line=lineno)
             current = {}

@@ -8,36 +8,34 @@ time T; the Duhamel identity makes this exact in the truncated (grid) state
 space. The solver is the conjugate-residual variant of the conjugate-gradient
 family, whose residual norms decrease monotonically.
 
-Verification integrates the forced equation with a classical RK4 scheme in
-the integrating-factor frame (the diagonal part is removed exactly, so no
-stiffness limit applies); it evaluates the synthesis rule at the RK4 substage
-times and never touches the closed-form Gramian kernel. Its Simpson sum and
-the Gauss-Legendre oracle of ``Lambda_T`` share one contraction: on each line
-along the control axis, ``sum_p v_p G^2[p, q] K[p, q]``, with K the node-Gram
-of the rule's phases. The verifier's nodes are equispaced, so it factors K
-through a two-level table of its lattice: O(sqrt(N)) work per mode pair
-instead of O(N).
+Verification takes Duhamel's formula, ``u(T) = S(T) u0 + Lambda_T phi`` for the
+synthesized ``phi``, and evaluates ``Lambda_T phi`` by composite Gauss-Legendre
+quadrature of ``S(s) G^2 S(-s) phi``, never touching the closed-form Gramian
+kernel. On each line along the control axis the quadrature is
+``sum_p v_p G^2[p, q] K[p, q]`` with K the node-Gram of the rule's phases; a
+node's time is a coarse panel start plus a fine one plus an in-panel offset, so
+K is the entrywise product of those three levels' node-Grams: O(sqrt(panels) +
+order) phases per mode instead of one per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
-from .dispersion import DispersionParams
+from .dispersion import DispersionParams, unit_phases
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
     ControlProfile, Orientation, _control_axis, _control_lines, _gramian_kernel, _line_labels,
     _support_columns, _support_layout, _to_grid, apply_control, apply_vertical_control,
-    gauss_legendre_nodes,
+    gauss_legendre_levels,
 )
 from .propagate import (
-    _STACK_BYTES, _cached_grid_frequencies, _check_mode, _direct_phases, _kept_modes,
-    _lattice_phases, _stack_slices, _support, check_no_nyquist, evolve, evolve_many,
+    _STACK_BYTES, _cached_grid_frequencies, _check_mode, _kept_modes, _stack_slices, _support,
+    check_no_nyquist, evolve, evolve_many,
 )
 
 
@@ -108,51 +106,16 @@ def quadrature_gramian_apply(
     panels: int = 8,
     order: int = 16,
 ) -> SpectralField:
-    """Matrix-free oracle: Gauss-Legendre quadrature of S(s) G^2 S(-s) v.
+    """Matrix-free oracle: Gauss-Legendre quadrature of ``Lambda_T v = int_0^T S(s) G^2 S(-s) v``.
 
-    G acts along the control axis alone, so the nodes are summed, as 1D fields, on the lines
-    along that axis that hold ``v``'s support; every other mode of the result is +0. The
-    nodes are not equispaced, so each takes its own phases.
+    On each line along the control axis that holds a kept, nonzero coefficient of ``v`` (a 1D
+    field is one line) it sums ``sum_p v_p G^2[p, q] K[p, q]``: p the s modes the lines hold,
+    q their kept modes, G^2 built once per call in physical space, and +0 elsewhere. The
+    node-Gram ``K = sum_j w_j exp(-i omega_p t_j) exp(i omega_q t_j)`` is the entrywise product
+    of those of the rule's three levels (:func:`~kpilab.observe.gauss_legendre_levels`). A stack
+    of lines takes the shared budget, or one line where its K, as large as G^2's rows, is more.
     """
-    nodes, weights = gauss_legendre_nodes(horizon, panels, order)
-    phases = (_direct_phases(-nodes), _direct_phases(nodes))
-    gram = partial(_node_gram, phases=phases, weights=weights)
-    return SpectralField(v.grid, _g2_sum(v, params, profile, orientation, gram))
-
-
-def _node_gram(before: np.ndarray, after: np.ndarray, phases, weights: np.ndarray) -> np.ndarray:
-    """``(lines, s, n)``: ``sum_j weights[j] outer(p_j, q_j)``, one batched product per stack.
-
-    ``p_j, q_j`` are node j's phases from the pair of phase sources ``phases``, at the lines'
-    incoming frequencies ``before`` ``(lines, s)`` and outgoing ``after`` ``(lines, n)``. A
-    stack of nodes takes the shared budget, or as many bytes as the Gram where that is more.
-    """
-    incoming, outgoing = phases[0](before), phases[1](after)
-    shape = before.shape + after.shape[-1:]
-    budget = max(_STACK_BYTES, 16 * math.prod(shape))
-    gram = None
-    for part in _stack_slices(weights.size, (before.size + after.size,), budget):
-        weighted = incoming(part) * weights[part, None, None]
-        term = np.moveaxis(weighted, 0, -1) @ np.moveaxis(outgoing(part), 0, -2)
-        # the first product is the sum: one Gram-sized array when it is the only one
-        gram = term if gram is None else np.add(gram, term, out=gram)
-    return np.zeros(shape, dtype=np.complex128) if gram is None else gram
-
-
-def _g2_sum(
-    v: SpectralField, params: DispersionParams, profile: ControlProfile, orientation: Orientation,
-    gram,
-) -> np.ndarray:
-    """``sum_p v_p G^2[p, q] K[p, q]`` on each line along the control axis, +0 off the kept modes.
-
-    The lines are those that hold a kept, nonzero coefficient of ``v`` (a 1D field is one line),
-    p the s modes they hold and q their kept modes. ``G^2[p, q]``, G applied twice in physical
-    space, is built once per call. ``gram(before, after)`` gives, at the incoming ``(lines, s)``
-    and outgoing ``(lines, n)`` frequencies of a stack of lines, the node-Gram
-    ``K = sum_j w_j exp(i omega_p tau_j) exp(i omega_q sigma_j)`` of a rule with incoming times
-    tau and outgoing sigma, so the sum is ``sum_j w_j S(sigma_j) G^2 S(tau_j) v``. A stack of
-    lines takes the shared budget, or one line where its K, as large as G^2's rows, is more.
-    """
+    levels = gauss_legendre_levels(horizon, panels, order)
     _check_mode(v, params)
     require_mean_zero(v)
     grid = v.grid
@@ -166,10 +129,31 @@ def _g2_sum(
     coeffs = view(v.coeffs)
     acc = np.zeros((len(coeffs), kept.size), dtype=np.complex128)
     for part in _stack_slices(len(coeffs), square.shape):
-        k = gram(before[part], after[part])
-        k *= square
+        k = square
+        for times, weights in levels:
+            k = k * _node_gram(before[part], after[part], times, weights)
         acc[part, kept] = (coeffs[part, None] @ k)[:, 0]
-    return _to_grid(grid.shape, axis, lines, acc)
+    return SpectralField(grid, _to_grid(grid.shape, axis, lines, acc))
+
+
+def _node_gram(
+    before: np.ndarray, after: np.ndarray, times: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``(lines, s, n)``: ``sum_j weights[j] outer(exp(-i before t_j), exp(i after t_j))``.
+
+    ``before`` ``(lines, s)`` and ``after`` ``(lines, n)`` are the lines' incoming and outgoing
+    frequencies and ``t_j = times[j]``, at least one; one batched product per stack of nodes.
+    A stack takes the shared budget, or as many bytes as the Gram where that is more.
+    """
+    shape = before.shape + after.shape[-1:]
+    budget = max(_STACK_BYTES, 16 * math.prod(shape))
+    gram = None
+    for part in _stack_slices(weights.size, (before.size + after.size,), budget):
+        weighted = unit_phases(before, -times[part]) * weights[part, None, None]
+        term = np.moveaxis(weighted, 0, -1) @ np.moveaxis(unit_phases(after, times[part]), 0, -2)
+        # the first product is the sum: one Gram-sized array when it is the only one
+        gram = term if gram is None else np.add(gram, term, out=gram)
+    return gram
 
 
 def _conjugate_residual(
@@ -356,54 +340,23 @@ def verify_control(
     traj: ControlTrajectory,
     steps: int,
 ) -> SpectralField:
-    """Integrate the forced equation independently and return ``u(T)``.
+    """``u(T)`` of the forced equation by Duhamel's formula, independently of the Gramian.
 
-    Classical RK4 in the integrating-factor frame: with ``w = S(-t) u`` the
-    forced equation becomes ``dw/dt = S(-t) G f(t)``, which RK4 reduces to a
-    composite Simpson rule over the control samples. The forcing is
-    re-derived from the synthesis rule at every node ``t_j = j h``,
-    ``h = T / N``, ``N = 2 steps``, under the trajectory's own dynamics
-    ``traj.params``, and summed line by line by :func:`_g2_sum` with the node-Gram
-    ``K[p, q] = sum_j w_j exp(i omega_p (t_j - T)) exp(-i omega_q t_j)``. With ``j = a M + b``,
-    M even, about ``sqrt(N)``, the Simpson weight of an inner node is a function of b, so over
-    the full blocks K is the entrywise product of ``sum_a P_a Q_a`` and ``sum_b w_b f_b g_b``,
-    sums over the factor tables at ``a M h - T``, ``-a M h``, ``b h`` and ``-b h``
-    (:func:`~kpilab.propagate._lattice_phases`): about ``2 sqrt(N)`` extended-precision phases
-    per mode, and matrix products of that inner size. The partial last block and the two ends
-    are corrections. The exported control samples keep :meth:`ControlTrajectory.controls_at`.
+    With the synthesis rule ``f(t) = G S(t - T) phi``, ``u(T) = S(T) u0 + integral_0^T
+    S(T - t) G f(t) dt``, and t -> T - t makes the integral ``Lambda_T phi``. A composite
+    Gauss-Legendre rule is symmetric under t -> T - t, so its sum of the forcing over the nodes
+    is :func:`quadrature_gramian_apply` of ``phi``, under the trajectory's own dynamics
+    ``traj.params``. ``steps`` sizes the rule: side^2 panels of 24 nodes,
+    ``side = ceil(sqrt(ceil(2 steps / 24)))``, at least ``2 steps`` nodes. Neither the
+    closed-form kernel nor its time factor enters. The exported control samples keep
+    :meth:`ControlTrajectory.controls_at`.
     """
     check_verify_steps(steps)
     if u0.grid != traj.phi_final.grid:
         raise DimensionError("initial field and control trajectory live on different grids")
     require_mean_zero(u0)
-    horizon = traj.horizon
-    nodes = 2 * steps
-    h = np.longdouble(horizon) / nodes
-    size = math.isqrt(nodes) // 2 * 2
-    # the node j = nodes is the node b = tail of the partial block a = last
-    last, tail = divmod(nodes, size)
-    fine = np.arange(size)
-    # the Simpson weights (times dt/6) away from the ends, 1, 4, 2, 4, ..., 2, 4, 1 with them
-    simpson = np.where(fine % 2, 4.0, 2.0)
-
-    def gram(before, after):
-        def lattice(m, weights, shift=0):
-            # the lattice points m, incoming at (m - shift) h and outgoing at -m h
-            phases = (_lattice_phases(h, m - shift), _lattice_phases(h, -m))
-            return _node_gram(before, after, phases, np.asarray(weights))
-
-        # C * D over the blocks a < last, plus L * D_head, L = P_last Q_last, over b < tail in
-        # block a = last: with D = D_head + D_tail that is C * D_tail + (C + L) * D_head
-        k = lattice(np.arange(last) * size, np.ones(last), nodes)
-        rest = lattice(fine[tail:], simpson[tail:])
-        rest *= k
-        k += lattice(np.array([last * size]), [1.0], nodes)
-        k *= lattice(fine[:tail], simpson[:tail])
-        k += rest
-        # the ends: the blocks gave j = 0 the weight 2 and j = nodes none
-        k += lattice(np.array([0, nodes]), [-1.0, 1.0], nodes)
-        return k
-
-    rule = (traj.phi_final, traj.params, traj.profile, traj.orientation)
-    acc = _g2_sum(*rule, gram) * (horizon / steps / 6.0)
-    return evolve(SpectralField(u0.grid, u0.coeffs + acc), horizon, traj.params)
+    side = math.isqrt(-(-steps // 12) - 1) + 1
+    forced = quadrature_gramian_apply(
+        traj.phi_final, traj.horizon, traj.profile, traj.params, traj.orientation, side**2, 24
+    )
+    return evolve(u0, traj.horizon, traj.params) + forced

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property, partial
-from math import isqrt
+from functools import cached_property, lru_cache, partial
+from math import cos, isqrt, pi
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
@@ -139,9 +139,10 @@ def make_region_profile(
         if not (-np.pi <= a < b <= np.pi):
             raise ParameterError(f"invalid support interval ({a}, {b})")
         total += _bump_values(x, a, b, kind)
+    # on one node g dx = 1, so G u = g (u - integral g u) vanishes
+    if np.count_nonzero(total) < 2:
+        raise ParameterError("profile support holds fewer than two grid nodes, where G vanishes")
     integral = float(np.sum(total) * TWO_PI / grid.nx)
-    if integral <= 0:
-        raise ParameterError("profile support contains no grid nodes")
     return ControlProfile(
         grid=grid,
         intervals=tuple((float(a), float(b)) for a, b in intervals),
@@ -548,19 +549,68 @@ def gramian_from_frequencies(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes (ascending) and weights of ``order`` points on [-1, 1].
+
+    Newton's method on the three-term recurrence finds the roots in [0, 1), which are mirrored:
+    the rule is exactly symmetric. The weights are ``2 / ((1 - x^2) P_n'(x)^2)`` at the roots.
+    """
+
+    def legendre(x):
+        # P_n(x) and P_n'(x)
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, order * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+    # math.cos: numpy's cos would page in its vector code, 0.2 MiB of a command's peak memory
+    x = np.array([cos(pi * (i - 0.25) / (order + 0.5)) for i in range(1, (order + 1) // 2 + 1)])
+    if order % 2:
+        x[-1] = 0.0
+    for _ in range(100):
+        value, slope = legendre(x)
+        x -= value / slope
+        if np.max(np.abs(value / slope)) <= 1e-15:
+            break
+    half = 2.0 / ((1.0 - x) * (1.0 + x) * legendre(x)[1] ** 2)
+    nodes = np.concatenate((-x[: order // 2], x[::-1]))
+    weights = np.concatenate((half[: order // 2], half[::-1]))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_nodes(
     horizon: float, panels: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, T]; panels and order are positive integers."""
+    """Composite Gauss-Legendre rule on [0, T]: each node the sum of its three level times."""
+    (coarse, _), (fine, _), (offsets, weights) = gauss_legendre_levels(horizon, panels, order)
+    nodes = coarse[:, None, None] + fine[:, None] + offsets
+    return nodes.ravel().astype(float), np.tile(weights, panels)
+
+
+def gauss_legendre_levels(
+    horizon: float, panels: int, order: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The composite rule on [0, T] as three levels of ``(times, weights)``, times in long double.
+
+    ``panels`` and ``order`` are positive integers. With W = T / panels and m the largest divisor
+    of ``panels`` at most its square root, node b of panel ``c m + d`` is at ``c m W + d W +
+    o_b``, ``o_b = W (x_b + 1) / 2``, with a weight ``W w_b / 2`` of the offset alone. The
+    levels are the coarse starts ``c m W`` and the fine starts ``d W``, of weight 1, and the
+    offsets with their weights.
+    """
     _check_horizon(horizon)
     if not all(isinstance(n, (int, np.integer)) and n > 0 for n in (panels, order)):
         raise ParameterError(f"panels and order must be positive integers: {panels!r}, {order!r}")
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    width = horizon / panels
-    starts = width * np.arange(panels)
-    nodes = (starts[:, None] + width * (base_x[None, :] + 1.0) / 2.0).ravel()
-    weights = np.tile(base_w * width / 2.0, panels)
-    return nodes, weights
+    base_x, base_w = _legendre_rule(order)
+    fine = max(d for d in range(1, isqrt(panels) + 1) if panels % d == 0)
+    width = np.longdouble(horizon) / panels
+    return [
+        (np.arange(panels // fine) * fine * width, np.ones(panels // fine)),
+        (np.arange(fine) * width, np.ones(fine)),
+        (width * (base_x.astype(np.longdouble) + 1) / 2, base_w * (horizon / panels) / 2.0),
+    ]
 
 
 def quadrature_observed_energy(

@@ -85,21 +85,6 @@ def _cached_grid_frequencies(grid, params) -> np.ndarray:
     return table
 
 
-def _direct_phases(times: np.ndarray):
-    """Phase source of the nodes ``times``: ``omega -> (part -> exp(i*omega*times[part]))``."""
-    return lambda omega: lambda part: unit_phases(omega, times[part])
-
-
-def _lattice_phases(step: np.longdouble, m: np.ndarray):
-    """Phase source of the lattice nodes ``m * step``, ``m`` integers, the times in long double.
-
-    It gives the factor tables of the Duhamel verifier's two-level table: a node ``j = a*M + b``
-    is the product of a coarse lattice point ``a*M`` and a fine one ``b``, so ``N`` nodes take
-    about ``2*sqrt(N)`` extended-precision phases per mode. ``m = 0`` gives exactly 1.
-    """
-    return _direct_phases(np.asarray(m).astype(np.longdouble) * step)
-
-
 def _evolution(
     u0: SpectralField, params: DispersionParams, keep: np.ndarray, times: np.ndarray,
     view=np.asarray,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,19 +69,22 @@ def full_grid_quadrature_energy():
     return _full_grid_quadrature_energy
 
 
-def _direct_phase_verify(u0, traj, steps):
-    """The Duhamel verifier's Simpson sum with G on the whole grid and each node's own phases.
+def verify_panels(steps):
+    """The verifier's panel count: side^2, ``side = ceil(sqrt(ceil(2 steps / 24)))``."""
+    return (math.isqrt(-(-steps // 12) - 1) + 1) ** 2
 
-    The nodes are float64 times and every node takes its phases from ``unit_phases``, as the
-    verifier did before its phases came from a lattice table; G is applied twice in physical
-    space at each node. The nodes go 256 at a time, in order, which bounds the memory.
+
+def _direct_phase_verify(u0, traj, steps):
+    """The Duhamel verifier's Gauss-Legendre sum, G on the whole grid, each node's own phases.
+
+    The rule is the verifier's, side^2 panels of 24 nodes (:func:`verify_panels`), with float64
+    times, and every node takes its phases from ``unit_phases``. The forcing is summed in the
+    frame ``w = S(-t) u`` at the nodes t themselves, not through the substitution t -> T - t
+    that makes the verifier's sum ``Lambda_T phi``; G is applied twice in physical space at
+    each node. The nodes go 256 at a time, in order, which bounds the memory.
     """
     horizon, params, grid = traj.horizon, traj.params, u0.grid
-    dt = horizon / steps
-    starts = np.arange(steps) * dt
-    times = np.append(0.0, np.column_stack((starts + 0.5 * dt, starts + dt)))
-    weights = np.append(1.0, np.tile([4.0, 2.0], steps))
-    weights[-1] = 1.0
+    times, weights = gauss_legendre_nodes(horizon, verify_panels(steps), 24)
     omega = _cached_grid_frequencies(grid, params)
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for start in range(0, times.size, 256):
@@ -90,7 +95,6 @@ def _direct_phase_verify(u0, traj, steps):
             forcing = apply_control(forcing, traj.profile, traj.orientation)
         forcing *= unit_phases(omega, -t)
         acc += np.einsum("b,b...->...", weights[part], forcing)
-    acc *= dt / 6.0
     acc[~_kept_modes(grid)] = 0.0
     return evolve(SpectralField(grid, u0.coeffs + acc), horizon, params)
 

@@ -71,6 +71,19 @@ def test_evolve_and_observe_round_trip(tmp_path, rng, capsys):
     assert report["ratio"] == direct
 
 
+
+@pytest.mark.parametrize("method", ["gramian", "quadrature"])
+def test_observe_rejects_a_control_profile_on_one_grid_node(tmp_path, capsys, method):
+    # smooth-exp on (pi/4, 3pi/4) holds one node of the 8-point y-axis, where G vanishes
+    src = tmp_path / "field.bin"
+    argv = ["--out", str(tmp_path), "random-field", "--nx", "16", "--ny", "8", "--kmax", "3"]
+    assert main(argv + ["--lmax", "2", "--seed", "3"]) == 0
+    argv = ["observe", "--input", str(src), "--method", method, "--control", "horizontal"]
+    capsys.readouterr()
+    assert main(argv + ["--support-a", "0.7854", "--support-b", "2.3562"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
 def test_evolve_rejects_a_non_finite_time_before_any_write(tmp_path, rng, capsys):
     src = tmp_path / "u0.bin"
     write_field(random_field(kl.TorusGrid(32, 8), rng, kmax=5, lmax=2), src)
@@ -325,3 +338,14 @@ def test_config_that_is_not_text_is_a_config_error(tmp_path, capsys):
     cfg.write_bytes(b"[run]\nseed = \xff\n")
     assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", "nul\0name"])
+def test_section_name_that_is_not_one_path_component_is_a_config_error(tmp_path, capsys, name):
+    # each section writes <name>.csv in the output directory; this one would land elsewhere
+    cfg = tmp_path / "exp.cfg"
+    section = f"[{name}]\ntype = dichotomy\nalpha = 0.5\nn_min = 4\nn_max = 5\n"
+    cfg.write_text("[run]\nseed = 3\n\n" + section)
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]

@@ -3,10 +3,12 @@
 Both read their keys from the tables in ``kpilab.experiments``. These tests
 check that unknown or malformed input is rejected with its line, that the
 same keys give the same bytes through either front end, and that README's
-examples and key lists still match the tables.
+examples and key lists still match the tables and its module names resolve.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -255,3 +257,16 @@ def test_readme_lists_every_key_with_its_default():
             else:
                 assert (pi[value] if value in pi else convert(value)) == default, (name, key)
     assert set(profile_keys()) == set(_documented(profile_line))
+
+
+def test_readme_names_only_what_the_modules_define():
+    # every backticked `<module>.<name>` of a kpilab module, called or not; `observe.py` is a file
+    modules = {m.name for m in pkgutil.iter_modules(kl.__path__)}
+    names = [
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)[`(]", README.read_text())
+        if module in modules and name != "py"
+    ]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"kpilab.{module}"), name), f"{module}.{name}"

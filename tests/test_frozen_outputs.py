@@ -52,6 +52,24 @@ frozen value. The same 16x24 rule evaluated at 40 digits from the same
 float64 inputs gives 0.046438177645277071351: the old float lies 1.09 ulp
 from it, the re-frozen one 2.09 ulp.
 
+The quadrature's Gauss-Legendre rule then came from the package's own
+Newton iteration instead of numpy's ``leggauss``, whose weights are up to
+1.2e-13 relative off at order 24 against 9.6e-15, and its node times from
+the rule's three levels in long double. That moved the five ratios by 1-6
+ulp and no other array-path value. The same 16x24 rule evaluated at 40
+digits with mpmath, from the same float64 coefficients, node times, weights
+and profile values and the exact frequencies ``k^3 + l^2/k``, puts the old
+and new floats at 2.09 and 3.14 ulp (2D vertical), 7.85 and 3.81 ulp (1D),
+0.45 and 0.21 ulp (2D horizontal), 1.96 and 5.98 ulp (sparse vertical) and
+0.90 and 2.36 ulp (sparse horizontal) from their own rule's value: the
+float64 evaluation of 384 nodes carries a few ulp either way.
+
+The verifier then became ``S(T) u0`` plus the Gauss-Legendre quadrature of
+``Lambda_T phi`` on at least ``2 steps`` nodes. The old terminal error,
+1.744e-5, was the Simpson rule's own error at 200 steps; the new one is the
+synthesis' own, 4.3e-11, and it re-froze. The control samples keep their
+bytes.
+
 ``kpi-lab spectral-constant`` writes the table of sharp constants
 ``kappa(m0)``. Its bytes, and the table of a two-interval profile, were
 frozen while every order still had its own Cholesky factorization and a
@@ -94,8 +112,9 @@ FROZEN = {
     "1d-json/snapshot_t0.5.json": "a07bd3dc79aeef3ff6f0f81d0ec31ed894c9cbb2af2f028eb3a3f998ec8bf840",
     "1d-json/snapshot_t1.25.json": "f816f6e9cf4c2364339fbe88fd6616bc6d53878cb7e2012a69635a786d57eb21",
     "1d/field.bin": "76a70e26b073898e45f782e00eeb37fe642ca7afb55b5f8394165cfaf4c54818",
-    # G as a matrix on the support moved this ratio by 1 ulp from 0.0617471601111265
-    "1d/observe-vertical": '{"ratio": 0.061747160111126506, "horizon": 0.75, "control": "vertical"}\n',
+    # G as a matrix on the support moved this ratio by 1 ulp from 0.0617471601111265, the
+    # package's own Gauss-Legendre rule by 6 ulp from 0.061747160111126506
+    "1d/observe-vertical": '{"ratio": 0.06174716011112655, "horizon": 0.75, "control": "vertical"}\n',
     "2d-bin/snapshot_t0.5.bin": "c7a59123e01325b95c512460996cb59071e4489b49bf6c0c9d6a66f1a2398c2e",
     "2d-bin/snapshot_t1.25.bin": "e316fd739ccdcaff4383a067f92310f6dca5ea9bc5a1a690637cb08689dbf339",
     "2d-csv/snapshot_t0.5.csv": "943da9f353824b6c3663a864c067db2a8c3d92f849f5efde5a916658f2297700",
@@ -103,9 +122,11 @@ FROZEN = {
     "2d-json/snapshot_t0.5.json": "5bf8c31b06b60a1c44d8fbec0abc590dfc1a33795a7e2c7b335307b9cfc5e5af",
     "2d-json/snapshot_t1.25.json": "81513ba269a04c8f9edb7a1313e9362eeb3369a6946819bcf9577ab3d626d9ca",
     "2d/field.bin": "6307b379e9db28dc8214fd5314f7beabf5fc8885d969154fba2705cef3f97e9b",
-    "2d/observe-horizontal": '{"ratio": 0.021822612678295696, "horizon": 0.75, "control": "horizontal"}\n',
-    # the triangular factor of G's columns moved this ratio by 1 ulp from 0.04643817764527708
-    "2d/observe-vertical": '{"ratio": 0.046438177645277086, "horizon": 0.75, "control": "vertical"}\n',
+    # the package's own Gauss-Legendre rule moved this ratio by 1 ulp from 0.021822612678295696
+    "2d/observe-horizontal": '{"ratio": 0.0218226126782957, "horizon": 0.75, "control": "horizontal"}\n',
+    # the triangular factor of G's columns moved this ratio by 1 ulp from 0.04643817764527708,
+    # the package's own Gauss-Legendre rule by 2 ulp from 0.046438177645277086
+    "2d/observe-vertical": '{"ratio": 0.0464381776452771, "horizon": 0.75, "control": "vertical"}\n',
 }
 
 
@@ -143,13 +164,15 @@ def test_array_path_outputs_are_frozen(tmp_path, capsys):
     assert frozen_outputs(tmp_path, capsys) == FROZEN
 
 
-# taken from the code that took the quadrature's phases on every grid mode
+# taken from the code that took the quadrature's phases on every grid mode; the package's own
+# Gauss-Legendre rule moved the ratios by 5 ulp (from 0.061188627678056315) and 2 ulp (from
+# 0.031352271028588334)
 SPARSE_FIELD = ["--nx", "128", "--ny", "32", "--kmax", "8", "--lmax", "4", "--seed", "6"]
 FROZEN_SPARSE = {
     "field.bin": "ed0a73b7bf779f686fb72a83be7034f0912f1c5ae757abb9bcd47c4885494d10",
-    "observe-vertical": '{"ratio": 0.061188627678056315, "horizon": 0.75, "control": "vertical"}\n',
+    "observe-vertical": '{"ratio": 0.06118862767805635, "horizon": 0.75, "control": "vertical"}\n',
     "observe-horizontal": (
-        '{"ratio": 0.031352271028588334, "horizon": 0.75, "control": "horizontal"}\n'
+        '{"ratio": 0.03135227102858835, "horizon": 0.75, "control": "horizontal"}\n'
     ),
 }
 
@@ -227,8 +250,10 @@ FROZEN_TRAJECTORY = "9e5d84a573bc7c000de7adc8e2af3960fa23d692ff14758d65caf4f322e
 # the verifier that applied G twice in physical space at every stack of lines gave
 # 1.744024027273117e-05, and the whole-grid verifier, which carried the roundoff of a
 # transform round trip across the lines, 1.7440240272678173e-05; the verifier whose phases
-# come from the lattice table gives 1.7440240272711137e-05, 5.9e-13 relative to this value
-FROZEN_TERMINAL_ERROR = 1.744024027270084e-05
+# come from the lattice table gave 1.7440240272711137e-05, 5.9e-13 relative to
+# 1.744024027270084e-05, which was the Simpson rule's own error at 200 steps; the Gauss-Legendre verifier gives the
+# synthesis' error, and 400, 3,000 and 100,000 steps agree with it within 1.2e-17
+FROZEN_TERMINAL_ERROR = 4.32243025888876e-11
 
 
 @pytest.fixture(scope="module")

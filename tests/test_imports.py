@@ -4,7 +4,9 @@ scipy serves one function, the packet coefficient quadrature, and mpmath
 the spectral constant; both are imported where they are called, so a
 ``kpi-lab`` process that needs neither never pays for them. The quadrature
 loads scipy's compiled QUADPACK module alone, never the ``scipy.integrate``
-package with ``scipy.special`` behind it.
+package with ``scipy.special`` behind it. The Gauss-Legendre rule of the
+quadrature and of the Duhamel verifier comes from the package's own Newton
+iteration, so neither command loads ``numpy.polynomial``.
 """
 
 import json
@@ -12,6 +14,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import kpilab as kl
+from kpilab.storage import write_field
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,3 +57,27 @@ def test_import_loads_neither_scipy_nor_mpmath():
     assert "scipy.integrate" not in report["after"]
     assert "scipy.special" not in report["after"]
     assert "mpmath" not in report["after"]
+
+
+COMMANDS = {
+    "control": ["control", "--verify-steps", "3000"],
+    "quadrature": ["observe", "--method", "quadrature"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_do_not_load_numpy_polynomial(tmp_path, command):
+    grid, field = kl.TorusGrid(32, 8), tmp_path / "field.bin"
+    write_field(kl.mode_field(grid, 1, 1) + kl.mode_field(grid, 2, -1), field)
+    flag = "--initial" if command == "control" else "--input"
+    argv = ["--out", str(tmp_path / "out"), *COMMANDS[command], flag, str(field)]
+    script = (
+        "import sys\nfrom kpilab.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "[]"

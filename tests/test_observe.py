@@ -3,6 +3,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
 from kpilab.dispersion import frequencies_1d, frequencies_2d, unit_phases
@@ -19,8 +20,11 @@ from kpilab.observe import (
     _fixed_cholesky,
     _gramian_kernel,
     _is_odd,
+    _legendre_rule,
     _mp_bottom_eigenvalues,
     concentration_matrix,
+    gauss_legendre_levels,
+    gauss_legendre_nodes,
     gramian_from_frequencies,
     quadrature_observed_energy,
     time_factor,
@@ -67,6 +71,15 @@ class TestControlProfile:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ParameterError):
             kl.make_control_profile(1.0, -1.0, "smooth-exp", kl.TorusGrid(64))
+
+    def test_support_on_fewer_than_two_nodes_rejected(self):
+        # hann-squared on (0.3, 1.4) holds one node of 8 points, where g dx = 1 makes G
+        # vanish; (0.3, 0.5) holds none
+        for b in (1.4, 0.5):
+            with pytest.raises(ParameterError):
+                kl.make_control_profile(0.3, b, "hann-squared", kl.TorusGrid(8))
+        profile = kl.make_control_profile(0.3, 2.2, "hann-squared", kl.TorusGrid(8))
+        assert np.count_nonzero(profile.values) == 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
@@ -278,12 +291,14 @@ class TestGramianBlocks:
         assert sum(asked) == n * n
 
     def test_block_zero_to_rounding_is_accepted(self):
-        # the profile covers one node of the 8-point grid, so G vanishes on
-        # the grid and the block is rounding noise (hermiticity defect
-        # 3.8e-17 at max|M| = 4.0e-17, a relative 0.94)
-        profile = kl.make_control_profile(0.3, 1.4, "hann-squared", kl.TorusGrid(8))
+        # a block of rounding noise, as a G that vanishes on the grid would give: entries of
+        # 4e-17 whose hermiticity defect is of their own size, eigenvalues of either sign
+        rng = np.random.default_rng(3)
         for k in (1, 2, 3, 11):
-            block = kl.assemble_horizontal_gramian(1.0, 3, k, profile, kl.DispersionParams.kp1(0.5))
+            noise = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+            noise *= 4e-17 / np.max(np.abs(noise))
+            assert np.max(np.abs(noise - noise.conj().T)) > 0.5 * np.max(np.abs(noise))
+            block = GramianBlock(np.arange(-3, 4), k, 1.0, noise, axis="y")
             assert np.max(np.abs(block.matrix)) < 1e-16
             assert np.max(np.abs(block.eigenvalues)) < 1e-15
 
@@ -354,6 +369,90 @@ class TestQuadratureLines:
                 kl.mode_field(grid_1d, 0), 1.0, profile_64, kl.DispersionParams.reduced(2.0, 1.0),
                 orientation="horizontal",
             )
+
+
+def _mp_legendre_rule(order, seeds):
+    """The Gauss-Legendre rule at the working precision: Newton on the recurrence from seeds."""
+
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, order * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    for seed in seeds:
+        x = mp.mpf(seed)
+        for _ in range(10):
+            value, slope = legendre(x)
+            x -= value / slope
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * legendre(x)[1] ** 2))
+    return nodes, weights
+
+
+class TestLegendreRule:
+    """One generator, ``_legendre_rule``, for the composite rule and its three levels."""
+
+    def test_rule_is_the_40_digit_rule(self):
+        with mp.workdps(40):
+            for order in range(1, 49):
+                nodes, weights = _legendre_rule(order)
+                exact, exact_w = _mp_legendre_rule(order, nodes.tolist())
+                # order distinct roots of P_order in (-1, 1), ascending: all of them
+                assert -1 < exact[0] and exact[-1] < 1
+                assert all(a < b for a, b in zip(exact, exact[1:])), order
+                assert np.array_equal(nodes, -nodes[::-1])
+                assert np.array_equal(weights, weights[::-1])
+                assert max(abs(mp.mpf(a) - b) for a, b in zip(nodes.tolist(), exact)) <= 2e-16
+                worst = max(abs(mp.mpf(a) - b) / b for a, b in zip(weights.tolist(), exact_w))
+                assert worst <= 1e-13, order
+
+    # panels -> m, the largest divisor of panels at most its square root
+    @pytest.mark.parametrize("panels, m", [(1, 1), (2, 1), (7, 1), (9, 3), (12, 3), (256, 16)])
+    def test_levels_reproduce_the_composite_rule(self, panels, m):
+        horizon = 1.3
+        (coarse, ones), (fine, _), (offsets, weights) = gauss_legendre_levels(horizon, panels, 24)
+        assert (coarse.size, fine.size) == (panels // m, m) and np.all(ones == 1.0)
+        nodes, node_weights = gauss_legendre_nodes(horizon, panels, 24)
+        product = (coarse[:, None, None] + fine[:, None] + offsets).ravel()
+        assert np.array_equal(nodes, product.astype(float))
+        # panel start plus offset, in float64
+        x, w = _legendre_rule(24)
+        width = horizon / panels
+        expect = (width * np.arange(panels)[:, None] + width * (x + 1.0) / 2.0).ravel()
+        assert np.max(np.abs(nodes - expect)) <= 2 * np.finfo(float).eps * horizon
+        assert np.array_equal(node_weights, np.tile(w * width / 2.0, panels))
+        assert np.all(np.diff(nodes) > 0) and 0 < nodes[0] and nodes[-1] < horizon
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.lists(st.floats(-600.0, 600.0), min_size=1, max_size=4),
+        horizon=st.floats(0.05, 2.0),
+        panels=st.integers(1, 400),
+        order=st.integers(1, 48),
+        data=st.data(),
+    )
+    def test_level_phases_are_the_exact_phase(self, omega, horizon, panels, order, data):
+        # the product of a node's three level phases against exp(i omega t) at the exact node
+        # (c m + d) W + W (x_b + 1) / 2, W = T / panels, from the float64 Legendre node x_b
+        levels = gauss_legendre_levels(horizon, panels, order)
+        omega = np.array(omega)
+        phases = [unit_phases(omega, times) for times, _ in levels]
+        picks = [
+            [data.draw(st.integers(0, len(times) - 1)) for times, _ in levels] for _ in range(8)
+        ]
+        base = _legendre_rule(order)[0]
+        fine = len(levels[1][0])
+        with mp.workdps(40):
+            width = mp.mpf(horizon) / panels
+            for c, d, b in picks:
+                time = (c * fine + d) * width + width * (mp.mpf(base[b]) + 1) / 2
+                table = phases[0][c] * phases[1][d] * phases[2][b]
+                for k, w in enumerate(omega.tolist()):
+                    assert abs(mp.mpc(complex(table[k])) - mp.expj(mp.mpf(w) * time)) <= 2e-15
+        # the first start of either level is the time 0, whose phase is exactly 1
+        assert np.all(phases[0][0] == 1.0) and np.all(phases[1][0] == 1.0)
 
 
 class TestObservabilityConstant:

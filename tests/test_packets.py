@@ -247,7 +247,7 @@ class TestEmbedding:
 class TestInvisibleSolutions:
     def test_horizontal_blindness_along_the_flow(self, kp_params):
         grid = kl.TorusGrid(32, 8)
-        prof_y = kl.make_control_profile(0.3, 1.4, "hann-squared", kl.TorusGrid(8))
+        prof_y = kl.make_control_profile(0.3, 2.2, "hann-squared", kl.TorusGrid(8))
         for k in (1, 3):
             u = kl.invisible_solution(k, grid)
             for t in (0.0, 0.5, 1.0):

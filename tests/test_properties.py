@@ -14,9 +14,10 @@ quadrature's line-by-line energy, taken through the triangular factor of G's
 columns on the support, is the full-grid formula's, and ``evolve_many`` gives
 the bytes of the full-grid formula on the field's support and +0 elsewhere,
 whatever the sign of a zero coefficient. The line-by-line verifier and
-``quadrature_gramian_apply`` agree with the whole-grid Simpson sum and the
-dense Gramian on fields supported on a few lines, and the verifier of a
-steering that needs no control is the free flow.
+``quadrature_gramian_apply`` agree with the whole-grid sum of the same
+Gauss-Legendre rule and the dense Gramian on fields supported on a few
+lines, and the verifier of a steering that needs no control is the free
+flow.
 """
 
 import tempfile
@@ -75,8 +76,8 @@ def _random_field(grid, seed):
 @given(
     grid=grids(),
     horizontal=st.booleans(),
-    # every such interval holds the node x = 0 of every grid
-    support=st.tuples(st.floats(-3.0, -0.5), st.floats(0.5, 3.0)),
+    # every such interval holds the nodes x = -pi/2 and 0 of every grid (G needs two)
+    support=st.tuples(st.floats(-3.0, -1.6), st.floats(0.5, 3.0)),
     kind=st.sampled_from(["smooth-exp", "hann-squared"]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -89,7 +90,7 @@ def test_control_is_self_adjoint_with_zero_mean_along_its_axis(
     u, v = _random_field(grid, seed), _random_field(grid, seed + 1)
     gu = apply_control(u, profile, orientation)
     gv = apply_control(v, profile, orientation)
-    # ||G|| <= 2 max g; a profile on one node makes G zero up to rounding
+    # ||G|| <= 2 max g
     bound = 1.0 + 2.0 * profile.values.max()
     assert abs(gu.inner(v) - u.inner(gv)) <= 1e-13 * bound**2 * u.norm() * v.norm()
     # the zero frequency along the control axis carries no mass
@@ -408,6 +409,7 @@ def _kept_random_field(grid, seed):
     steps=st.integers(100, 140),
     seed=st.integers(0, 2**32 - 1),
 )
+# named for the Simpson rule the verifier summed before its Gauss-Legendre rule
 def test_line_verifier_is_the_whole_grid_simpson_sum(
     direct_phase_verify, case, horizon, steps, seed
 ):
