@@ -1,10 +1,13 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
 from kpilab.errors import ConstraintError, DimensionError, ParameterError
 from kpilab.dispersion import unit_phases
 from kpilab.experiments import random_field
+from kpilab.observe import gauss_legendre_levels
 from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _support
 
 
@@ -224,3 +227,53 @@ class TestRK4Oracle:
     def test_steps_validation(self, grid_2d, kp_params):
         with pytest.raises(ParameterError):
             kl.rk4_reference_evolve(kl.mode_field(grid_2d, 1, 0), 1.0, 0, kp_params)
+
+
+class TestLatticePhases:
+    """The panel starts of the composite Gauss-Legendre rule as a two-level table.
+
+    Panel ``c m + d`` starts at ``c m W + d W``, W = T / panels; the verifier forms the phase at
+    a start, forward or backward in time, as the product of the phases of its two levels.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.lists(st.floats(-600.0, 600.0), min_size=1, max_size=4),
+        horizon=st.floats(0.05, 2.0),
+        panels=st.integers(1, 5000),
+        count=st.integers(1, 300),
+        incoming=st.booleans(),
+        data=st.data(),
+    )
+    def test_two_level_table_is_the_exact_phase(
+        self, omega, horizon, panels, count, incoming, data
+    ):
+        # count consecutive starts j = c m + d, against exp(i sign omega j W) at 40 digits
+        (coarse, _), (fine, _), _ = gauss_legendre_levels(horizon, panels, 1)
+        size = fine.size
+        count = min(count, panels)
+        j = data.draw(st.integers(0, panels - count)) + np.arange(count)
+        c, d = np.divmod(j, size)
+        sign, omega = (1 if incoming else -1), np.array(omega)
+        table = unit_phases(omega, sign * coarse[c]) * unit_phases(omega, sign * fine[d])
+        assert table.shape == (count, len(omega))
+        with mp.workdps(40):
+            width = mp.mpf(horizon) / panels
+            worst = max(
+                abs(mp.mpc(complex(table[i, k])) - mp.expj(sign * mp.mpf(w) * ji * width))
+                for i, ji in enumerate(j.tolist())
+                for k, w in enumerate(omega.tolist())
+            )
+        assert worst <= 2e-15
+        assert np.all(table[j == 0] == 1.0)
+
+    def test_zero_offset_is_exactly_one(self):
+        # at 200 panels (m = 10) the first start of either level is the time 0, and its phase,
+        # forward or backward, is exactly 1
+        omega = np.array([-4096.0, -1.5, 0.0, 2.0, 517.25, 4096.0])
+        (coarse, _), (fine, _), _ = gauss_legendre_levels(1.0, 200, 24)
+        assert (coarse.size, fine.size) == (20, 10)
+        for sign in (1, -1):
+            one = unit_phases(omega, sign * coarse[:1])[0] * unit_phases(omega, sign * fine[:1])[0]
+            assert np.all(one == 1.0)
+            assert np.all(one.imag == 0.0)
