@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import cos, isqrt, pi
 from operator import mul
 from typing import Iterator, Literal, Sequence
@@ -139,9 +139,11 @@ def make_region_profile(
         if not (-np.pi <= a < b <= np.pi):
             raise ParameterError(f"invalid support interval ({a}, {b})")
         total += _bump_values(x, a, b, kind)
-    # on one node g dx = 1, so G u = g (u - integral g u) vanishes
-    if np.count_nonzero(total) < 2:
-        raise ParameterError("profile support holds fewer than two grid nodes, where G vanishes")
+    # with all its mass on one node g dx = 1 there, so G u = g (u - integral g u) vanishes; a
+    # second node of relative mass at rounding level leaves G at rounding level too
+    mass = np.sum(total)
+    if mass - total.max() <= 1e-12 * mass:
+        raise ParameterError("profile mass sits on fewer than two grid nodes, where G vanishes")
     integral = float(np.sum(total) * TWO_PI / grid.nx)
     return ControlProfile(
         grid=grid,
@@ -549,9 +551,8 @@ def gramian_from_frequencies(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes (ascending) and weights of ``order`` points on [-1, 1].
+    """Gauss-Legendre nodes (ascending) and weights of ``order`` points on [-1, 1].
 
     Newton's method on the three-term recurrence finds the roots in [0, 1), which are mirrored:
     the rule is exactly symmetric. The weights are ``2 / ((1 - x^2) P_n'(x)^2)`` at the roots.
@@ -576,7 +577,6 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     half = 2.0 / ((1.0 - x) * (1.0 + x) * legendre(x)[1] ** 2)
     nodes = np.concatenate((-x[: order // 2], x[::-1]))
     weights = np.concatenate((half[: order // 2], half[::-1]))
-    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

@@ -71,18 +71,20 @@ def test_evolve_and_observe_round_trip(tmp_path, rng, capsys):
     assert report["ratio"] == direct
 
 
-
 @pytest.mark.parametrize("method", ["gramian", "quadrature"])
-def test_observe_rejects_a_control_profile_on_one_grid_node(tmp_path, capsys, method):
-    # smooth-exp on (pi/4, 3pi/4) holds one node of the 8-point y-axis, where G vanishes
+# smooth-exp on (pi/4, 3pi/4) holds one node of the 8-point y-axis, where G vanishes; on
+# (0.78, 2.3562) it holds two, but the one at pi/4 has about 1e-32 of the mass
+@pytest.mark.parametrize("support", [("0.7854", "2.3562"), ("0.78", "2.3562")])
+def test_observe_rejects_a_control_profile_on_one_grid_node(tmp_path, capsys, method, support):
     src = tmp_path / "field.bin"
     argv = ["--out", str(tmp_path), "random-field", "--nx", "16", "--ny", "8", "--kmax", "3"]
     assert main(argv + ["--lmax", "2", "--seed", "3"]) == 0
     argv = ["observe", "--input", str(src), "--method", method, "--control", "horizontal"]
     capsys.readouterr()
-    assert main(argv + ["--support-a", "0.7854", "--support-b", "2.3562"]) == 1
+    assert main(argv + ["--support-a", support[0], "--support-b", support[1]]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
 
 def test_evolve_rejects_a_non_finite_time_before_any_write(tmp_path, rng, capsys):
     src = tmp_path / "u0.bin"

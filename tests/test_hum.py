@@ -350,7 +350,7 @@ class TestGoldenTwoModeSteering:
         assert terminal.norm() <= 1e-6
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from kpilab.dispersion import frequencies_1d, frequencies_2d
 from kpilab.fourier import TWO_PI
@@ -389,16 +389,18 @@ def _position(grid, orientation, label, j):
     horizontal=st.booleans(),
     horizon=st.floats(0.05, 3.0),
     alpha=st.floats(0.3, 2.0),
-    # every such interval holds the nodes x = -pi/2 and 0 of every grid (G needs two)
-    support=st.tuples(st.floats(-3.0, -1.6), st.floats(1.0, 3.0)),
+    support=st.tuples(st.floats(-3.0, -1.0), st.floats(1.0, 3.0)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_control_gramian_blocks_and_apply(nx, ny, horizontal, horizon, alpha, support, seed):
     grid = kl.TorusGrid(nx) if ny is None else kl.TorusGrid(nx, ny)
     orientation = "horizontal" if horizontal and ny is not None else "vertical"
-    profile = kl.make_control_profile(
-        *support, "hann-squared", kl.TorusGrid(ny if orientation == "horizontal" else nx)
-    )
+    try:
+        profile = kl.make_control_profile(
+            *support, "hann-squared", kl.TorusGrid(ny if orientation == "horizontal" else nx)
+        )
+    except ParameterError:
+        reject()  # a support on one node of a coarse grid, where G vanishes
     params = kl.DispersionParams.kp1(alpha)
     op = ControlGramian(grid, horizon, profile, params, orientation)
     refs = list(_reference_blocks(grid, params, orientation))

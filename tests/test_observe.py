@@ -78,6 +78,10 @@ class TestControlProfile:
         for b in (1.4, 0.5):
             with pytest.raises(ParameterError):
                 kl.make_control_profile(0.3, b, "hann-squared", kl.TorusGrid(8))
+        # smooth-exp on (0.78, 2.3562) holds two nodes of 8 points, but g(pi/4) is about 1e-32
+        # against g(pi/2) about 0.37: the mass is on one node to rounding, and so is G
+        with pytest.raises(ParameterError):
+            kl.make_control_profile(0.78, 2.3562, "smooth-exp", kl.TorusGrid(8))
         profile = kl.make_control_profile(0.3, 2.2, "hann-squared", kl.TorusGrid(8))
         assert np.count_nonzero(profile.values) == 2
 

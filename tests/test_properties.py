@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import kpilab as kl
 from kpilab.errors import DimensionError, ParameterError
@@ -76,8 +76,8 @@ def _random_field(grid, seed):
 @given(
     grid=grids(),
     horizontal=st.booleans(),
-    # every such interval holds the nodes x = -pi/2 and 0 of every grid (G needs two)
-    support=st.tuples(st.floats(-3.0, -1.6), st.floats(0.5, 3.0)),
+    # every such interval holds the node x = 0 of every grid
+    support=st.tuples(st.floats(-3.0, -0.5), st.floats(0.5, 3.0)),
     kind=st.sampled_from(["smooth-exp", "hann-squared"]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -86,7 +86,10 @@ def test_control_is_self_adjoint_with_zero_mean_along_its_axis(
 ):
     orientation = "horizontal" if horizontal and grid.ny else "vertical"
     axis = 1 if orientation == "horizontal" else 0
-    profile = kl.make_control_profile(*support, kind, kl.TorusGrid(grid.shape[axis]))
+    try:
+        profile = kl.make_control_profile(*support, kind, kl.TorusGrid(grid.shape[axis]))
+    except kl.ParameterError:
+        reject()  # a support on one node of a coarse grid, where G vanishes
     u, v = _random_field(grid, seed), _random_field(grid, seed + 1)
     gu = apply_control(u, profile, orientation)
     gv = apply_control(v, profile, orientation)
