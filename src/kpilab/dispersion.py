@@ -236,12 +236,13 @@ def semiclassical_frequencies(
 
 
 def check_phases(t: float | np.ndarray, omega: np.ndarray) -> None:
-    """A ``ParameterError`` when ``max|t| * max|omega|`` exceeds :data:`PHASE_LIMIT`.
+    """A ``ParameterError`` unless ``max|t| * max|omega|`` is at most :data:`PHASE_LIMIT`.
 
-    :func:`unit_phases` checks its phases so; a caller that writes as it goes, all of them first.
+    A NaN time or frequency fails too. :func:`unit_phases` checks its phases so; a caller that
+    writes as it goes, all of them first.
     """
     bound = float(np.abs(t).max(initial=0.0)) * float(np.abs(omega).max(initial=0.0))
-    if bound > PHASE_LIMIT:
+    if not bound <= PHASE_LIMIT:
         raise ParameterError(f"phases t*omega up to {bound:.3e} exceed 2**53, too large to reduce")
 
 

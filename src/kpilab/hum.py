@@ -34,7 +34,7 @@ from .observe import (
     gauss_legendre_levels,
 )
 from .propagate import (
-    _STACK_BYTES, _cached_grid_frequencies, _check_mode, _kept_modes, _stack_slices, _support,
+    _STACK_BYTES, _cached_grid_frequencies, _kept_modes, _stack_slices, _support,
     check_no_nyquist, evolve, evolve_many,
 )
 
@@ -116,21 +116,26 @@ def quadrature_gramian_apply(
     of lines takes the shared budget, or one line where its K, as large as G^2's rows, is more.
     """
     levels = gauss_legendre_levels(horizon, panels, order)
-    _check_mode(v, params)
+    table = _cached_grid_frequencies(v.grid, params)
     require_mean_zero(v)
     grid = v.grid
     axis = _control_axis(grid, profile, orientation)
     lines, cols, view = _support_layout(_support(v), axis)
     # the kept modes along the control axis are the same on every line that holds one
     kept = np.any(_control_lines(_kept_modes(grid), axis, lines), axis=0)
-    square = apply_vertical_control(_support_columns(cols, profile), profile)[:, kept]
-    table = _cached_grid_frequencies(grid, params)
+    # G^2's rows: G again, in place, a stack of rows at a time
+    square = _support_columns(cols, profile)
+    for part in _stack_slices(len(square), cols.shape):
+        square[part] = apply_vertical_control(square[part], profile)
+    square = square[:, kept]
     before, after = view(table), _control_lines(table, axis, lines, kept)
     coeffs = view(v.coeffs)
     acc = np.zeros((len(coeffs), kept.size), dtype=np.complex128)
     for part in _stack_slices(len(coeffs), square.shape):
         k = square
         for times, weights in levels:
+            # numpy multiplies into the temporary node-Gram in place, as (Gram, k): an explicit
+            # np.multiply(k, gram, out=gram) holds as little but swaps operands and last bits
             k = k * _node_gram(before[part], after[part], times, weights)
         acc[part, kept] = (coeffs[part, None] @ k)[:, 0]
     return SpectralField(grid, _to_grid(grid.shape, axis, lines, acc))

@@ -233,9 +233,16 @@ def _to_grid(shape: tuple[int, ...], axis: int, lines: np.ndarray, values: np.nd
 
 
 def _support_columns(cols: np.ndarray, profile: ControlProfile) -> np.ndarray:
-    """``(s, n)``: the physical-space G of the unit 1D fields on the modes ``cols``."""
-    units = np.flatnonzero(cols)[:, None] == np.arange(cols.size)
-    return apply_vertical_control(units.astype(np.complex128), profile)
+    """``(s, n)``: the physical-space G of the unit 1D fields on the modes ``cols``.
+
+    Built a stack of rows at a time, so that G's transforms take stack-sized temporaries.
+    """
+    modes = np.flatnonzero(cols)
+    out = np.empty((modes.size, cols.size), dtype=np.complex128)
+    for part in _stack_slices(modes.size, cols.shape):
+        units = modes[part, None] == np.arange(cols.size)
+        out[part] = apply_vertical_control(units.astype(np.complex128), profile)
+    return out
 
 
 def apply_vertical_control(u: FieldOrStack, profile: ControlProfile) -> FieldOrStack:
@@ -636,12 +643,14 @@ def quadrature_observed_energy(
     """
     axis = _control_axis(u0.grid, profile, orientation)
     nodes, weights = gauss_legendre_nodes(horizon, panels, order)
+    table = _cached_grid_frequencies(u0.grid, params)
+    require_mean_zero(u0)
     support = _support(u0)
     if not np.any(support):
         return 0.0
     _, cols, view = _support_layout(support, axis)
     factor = np.linalg.qr(_support_columns(cols, profile).T, mode="r").T
-    evolve = _evolution(u0, params, support, nodes, view)
+    evolve = _evolution(u0, table, support, nodes, view)
     total = 0.0
     for part in _stack_slices(nodes.size, view(support).shape):
         observed = evolve(part) @ factor
@@ -666,12 +675,13 @@ def gramian_observed_energy(
     """
     grid = u0.grid
     axis = _control_axis(grid, profile, orientation)
+    table = _cached_grid_frequencies(grid, params)
     support = _support(u0)
     if not np.any(support):
         return 0.0
     lines, cols, view = _support_layout(support, axis)
     idx = grid.frequencies[axis][cols]
-    stack = _gramian_kernel(profile, idx, view(_cached_grid_frequencies(grid, params)), horizon)
+    stack = _gramian_kernel(profile, idx, view(table), horizon)
     total = 0.0
     for label, matrix, vec in zip(_line_labels(grid, axis, lines), stack, view(u0.coeffs)):
         block = GramianBlock(idx, int(label), horizon, matrix, axis="xy"[axis])

@@ -63,42 +63,33 @@ def check_no_nyquist(field: SpectralField) -> None:
         raise ParameterError("the field has content on a Nyquist frequency, which evolutions drop")
 
 
-def _check_mode(field: SpectralField, params: DispersionParams) -> None:
-    if params.mode == "full-2d" and field.grid.dimension != 2:
-        raise DimensionError("full-2d dispersion requires a 2D field")
-    if params.mode == "reduced-1d" and field.grid.dimension != 1:
-        raise DimensionError("reduced-1d dispersion requires a 1D field")
-
-
 @lru_cache(maxsize=128)
 def _cached_grid_frequencies(grid, params) -> np.ndarray:
-    """Frequencies over the whole grid, in extended precision.
+    """Frequencies over the whole grid, in extended precision: the one grid-to-family map.
 
-    The 2D multiplier on a 2D grid; on a 1D grid the reduced family at
-    ``params.lam`` (the transverse mode the 1D field stands for).
+    ``full-2d`` params on a 2D grid, ``reduced-1d`` ones on a 1D grid (at ``params.lam``, the
+    transverse mode the 1D field stands for), and a ``DimensionError`` for any other pairing.
     """
-    if grid.dimension == 2:
-        table = frequencies_2d(grid.k_values, grid.l_values, params)
-    else:
-        table = frequencies_1d(grid.k_values, params)
+    dimension = 2 if params.mode == "full-2d" else 1
+    if grid.dimension != dimension:
+        raise DimensionError(f"{params.mode} dispersion requires a {dimension}D field")
+    table = (frequencies_2d if dimension == 2 else frequencies_1d)(*grid.frequencies, params)
     table.flags.writeable = False
     return table
 
 
 def _evolution(
-    u0: SpectralField, params: DispersionParams, keep: np.ndarray, times: np.ndarray,
+    u0: SpectralField, table: np.ndarray, keep: np.ndarray, times: np.ndarray,
     view=np.asarray,
 ):
-    """``part ->`` the stack of ``u0`` at ``times[part]``.
+    """``part ->`` the stack of ``u0`` at ``times[part]`` under the grid array ``table``.
 
-    The phases are taken on the modes ``keep`` only, :func:`_support` of ``u0`` for every
-    caller; every other mode of the stack is +0. ``view`` maps a grid array (``keep`` too) to
+    The phases are taken on the modes ``keep`` only, none of them singular in ``table``; every
+    other mode of the stack is +0. ``view`` maps a grid array (``table`` and ``keep`` too) to
     each field's layout, e.g. lines along an axis.
     """
-    _check_mode(u0, params)
-    require_mean_zero(u0)
     keep = view(keep)
-    omega, coeffs = view(_cached_grid_frequencies(u0.grid, params))[keep], view(u0.coeffs)[keep]
+    omega, coeffs = view(table)[keep], view(u0.coeffs)[keep]
     # as a row: numpy multiplies a (1,) by a (1, 1) array in another complex kernel, whose
     # last bits can differ, and one mode at one node would then leave the full-grid formula
     row = coeffs[None]
@@ -129,7 +120,9 @@ def evolve_many(u0: SpectralField, times: np.ndarray, params: DispersionParams) 
     rounding; the group law holds exactly up to the extended-precision phase reduction.
     """
     times = finite_times(times)
-    return _evolution(u0, params, _support(u0), times)(slice(None))
+    table = _cached_grid_frequencies(u0.grid, params)
+    require_mean_zero(u0)
+    return _evolution(u0, table, _support(u0), times)(slice(None))
 
 
 def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralField:
@@ -138,22 +131,19 @@ def evolve(u0: SpectralField, t: float, params: DispersionParams) -> SpectralFie
 
 
 def evolve_modewise(u0: SpectralField, t: float, alpha: float) -> SpectralField:
-    """2D evolution assembled one transverse frequency at a time.
+    """2D evolution under a table assembled one transverse frequency at a time.
 
-    Each l-slice is propagated under the reduced 1D family with ``lam = |l|``;
-    coefficientwise identical to :func:`evolve` on the full 2D multiplier.
-    Kept as a distinct code path for cross-checking the mode reduction.
+    Each l-column is the reduced 1D family with ``lam = |l|``; coefficientwise identical to
+    :func:`evolve` on the full 2D multiplier. Kept as a distinct table for cross-checking the
+    mode reduction.
     """
     if u0.grid.dimension != 2:
         raise DimensionError("modewise evolution requires a 2D field")
     require_mean_zero(u0)
-    grid = u0.grid
-    out = np.empty_like(u0.coeffs)
-    for j, l in enumerate(grid.l_values):
-        reduced = DispersionParams.reduced(alpha=alpha, lam=float(abs(l)))
-        phases = unit_phases(frequencies_1d(grid.k_values, reduced), t)
-        out[:, j] = u0.coeffs[:, j] * phases
-    return u0.with_coeffs(np.where(_kept_modes(grid), out, 0.0))
+    k, l_values = u0.grid.frequencies
+    columns = [frequencies_1d(k, DispersionParams.reduced(alpha, float(abs(l)))) for l in l_values]
+    stack = _evolution(u0, np.stack(columns, axis=-1), _support(u0), finite_times([t]))
+    return u0.with_coeffs(stack(slice(None))[0])
 
 
 def evolve_semiclassical(
@@ -165,8 +155,8 @@ def evolve_semiclassical(
     ``Phi`` is the multiplier translated by ``h*floor(xi0/h)`` and gauged so
     its value at the critical offset ``sigma_h`` is zero (a global phase).
     The translated image of the original k = 0 mode, ``k = -floor(xi0/h)``,
-    is singular and must carry no mass. With a 1-D array of times ``t`` it
-    returns the ``(len(t), nx)`` stack of the field at each time.
+    is singular and must carry no mass; it is +0, as is the Nyquist mode. With
+    a 1-D array of times ``t`` it returns the ``(len(t), nx)`` stack.
     """
     if w0.grid.dimension != 1:
         raise DimensionError("semiclassical evolution acts on 1D fields")
@@ -174,19 +164,17 @@ def evolve_semiclassical(
         raise ParameterError(f"h must lie in (0, 1), got {h}")
     grid = w0.grid
     omega, shift = semiclassical_frequencies(grid.k_values, h, params)
-    singular = -shift
-    if -grid.nx // 2 <= singular < grid.nx // 2:
-        mass = abs(w0.coeffs[grid.index_of_k(singular)])
+    keep = w0.coeffs != 0
+    keep[0] = False  # Nyquist
+    if -grid.nx // 2 <= -shift < grid.nx // 2:
+        singular = grid.index_of_k(-shift)
+        mass = abs(w0.coeffs[singular])
         scale = max(np.max(np.abs(w0.coeffs)), 1e-300)
         if mass > 1e-14 * scale:
-            raise ConstraintError(
-                f"mass {mass:.3e} on the singular translated mode k={singular}"
-            )
-    out = w0.coeffs * unit_phases(omega, t)
-    out[..., 0] = 0.0  # Nyquist
-    if -grid.nx // 2 <= singular < grid.nx // 2:
-        out[..., grid.index_of_k(singular)] = 0.0
-    return out if np.ndim(t) else w0.with_coeffs(out)
+            raise ConstraintError(f"mass {mass:.3e} on the singular translated mode k={-shift}")
+        keep[singular] = False
+    out = _evolution(w0, omega, keep, finite_times(np.reshape(t, -1)))(slice(None))
+    return out if np.ndim(t) else w0.with_coeffs(out[0])
 
 
 def rk4_reference_evolve(
@@ -201,9 +189,8 @@ def rk4_reference_evolve(
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    _check_mode(u0, params)
-    require_mean_zero(u0)
     rate = 1j * _cached_grid_frequencies(u0.grid, params).astype(np.float64)
+    require_mean_zero(u0)
     u = np.where(_kept_modes(u0.grid), u0.coeffs, 0.0)
     dt = t / steps
     for _ in range(steps):

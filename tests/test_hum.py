@@ -11,7 +11,7 @@ from kpilab.experiments import random_field, seeded_rng
 from kpilab.hum import (
     MAX_VERIFY_STEPS, ControlGramian, ControlTrajectory, quadrature_gramian_apply,
 )
-from kpilab.observe import apply_control, gauss_legendre_nodes
+from kpilab.observe import apply_control, gauss_legendre_nodes, quadrature_observed_energy
 from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _support
 
 
@@ -78,6 +78,28 @@ class TestControlGramianOperator:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_dense_line_stays_within_its_stack_budget(self):
+        # G's columns and G^2 on a dense 1024-point line, a stack of rows at a time: at most
+        # G^2's rows and two node-Grams. Applying G to all 1,022 unit rows at once, and G^2
+        # to all its columns, peaked at 5.1 times G^2's rows.
+        grid = kl.TorusGrid(1024)
+        v = random_field(grid, seeded_rng(3, "dense-line"), kmax=511)
+        profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", grid)
+        params = kl.DispersionParams.reduced(2.0, 1.0)
+        rows = 16 * 1022**2
+        quadrature_gramian_apply(v, 1e-3, profile, params, panels=1, order=1)  # the profile's DFTs
+        for oracle in (
+            lambda: quadrature_gramian_apply(v, 1e-3, profile, params, panels=16, order=24),
+            lambda: quadrature_observed_energy(v, 1e-3, profile, params, panels=2, order=8),
+        ):
+            tracemalloc.start()
+            try:
+                oracle()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * rows
 
 
 class TestSynthesis:
@@ -401,7 +423,11 @@ def test_control_gramian_blocks_and_apply(nx, ny, horizontal, horizon, alpha, su
         )
     except ParameterError:
         reject()  # a support on one node of a coarse grid, where G vanishes
-    params = kl.DispersionParams.kp1(alpha)
+    # a 1D grid takes the reduced family, which at lam = 0 is the 2D multiplier's l = 0 line
+    if ny is None:
+        params = kl.DispersionParams.reduced(alpha, 0.0)
+    else:
+        params = kl.DispersionParams.kp1(alpha)
     op = ControlGramian(grid, horizon, profile, params, orientation)
     refs = list(_reference_blocks(grid, params, orientation))
     assert op.labels.tolist() == [int(label) for label, _, _ in refs]

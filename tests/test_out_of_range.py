@@ -13,6 +13,7 @@ import pytest
 import kpilab as kl
 from kpilab import experiments
 from kpilab.cli import main
+from kpilab.dispersion import unit_phases
 from kpilab.errors import DimensionError, NumericalConsistencyError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
 from kpilab.hum import quadrature_gramian_apply, synthesize_control
@@ -260,6 +261,58 @@ def test_evolve_many_rejects_non_finite_times_before_work(monkeypatch, small_set
     monkeypatch.setattr(kl.propagate, "_evolution", None)
     with pytest.raises(ParameterError, match="finite"):
         kl.evolve_many(u0, [0.0, np.nan], params)
+
+
+def test_nan_times_are_an_error():
+    # NaN compares false with the phase bound, so it once passed the check as a NaN phase
+    u = random_field(kl.TorusGrid(64), seeded_rng(2, "range-nan"), kmax=4)
+    p = kl.DispersionParams.reduced(2.0, 1.0)
+    with pytest.raises(ParameterError, match="finite"):
+        kl.evolve_semiclassical(u, float("nan"), 0.125, p)
+    with pytest.raises(ParameterError, match="finite"):
+        kl.evolve_semiclassical(u, np.array([0.5, np.nan]), 0.125, p)
+    v = random_field(kl.TorusGrid(16, 8), seeded_rng(2, "range-nan"), kmax=4, lmax=2)
+    with pytest.raises(ParameterError, match="finite"):
+        kl.evolve_modewise(v, float("nan"), 2.0)
+    with pytest.raises(ParameterError, match=r"2\*\*53"):
+        unit_phases(np.array([1.0, 2.0]), float("nan"))
+
+
+_FAMILY_ENTRY_POINTS = [
+    ("evolve_many", lambda u, g, p: kl.evolve_many(u, [0.5], p)),
+    ("ratio-gramian", lambda u, g, p: kl.observability_ratio(u, 1.0, g, p, method="gramian")),
+    (
+        "ratio-quadrature",
+        lambda u, g, p: kl.observability_ratio(u, 1.0, g, p, method="quadrature", panels=2),
+    ),
+    ("ControlGramian", lambda u, g, p: kl.ControlGramian(u.grid, 1.0, g, p)),
+    ("control_gramian_apply", lambda u, g, p: kl.control_gramian_apply(u, 1.0, g, p)),
+    ("hum_functional", lambda u, g, p: kl.hum_functional(u, u, 1.0, g, p)),
+    (
+        "quadrature_gramian_apply",
+        lambda u, g, p: quadrature_gramian_apply(u, 1.0, g, p, panels=2, order=8),
+    ),
+    ("rk4_reference_evolve", lambda u, g, p: kl.rk4_reference_evolve(u, 0.5, 4, p)),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, params",
+    [
+        pytest.param((16, 8), kl.DispersionParams.reduced(2.0, 1.0), id="2d-reduced"),
+        pytest.param((16,), kl.DispersionParams.kp1(2.0), id="1d-kp1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "call", [c for _, c in _FAMILY_ENTRY_POINTS], ids=[name for name, _ in _FAMILY_ENTRY_POINTS]
+)
+def test_a_family_on_the_other_dimension_is_an_error(shape, params, call):
+    # the frequency table is the one place that pairs a grid with a family
+    grid = kl.TorusGrid(*shape)
+    u = random_field(grid, seeded_rng(7, "pairing"), kmax=4, lmax=2 if len(shape) == 2 else None)
+    profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16))
+    with pytest.raises(DimensionError, match="dispersion requires a"):
+        call(u, profile, params)
 
 
 @pytest.fixture()

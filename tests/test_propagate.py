@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import kpilab as kl
 from kpilab.errors import ConstraintError, DimensionError, ParameterError
-from kpilab.dispersion import unit_phases
+from kpilab.dispersion import semiclassical_frequencies, unit_phases
 from kpilab.experiments import random_field
 from kpilab.observe import gauss_legendre_levels
 from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _support
@@ -188,6 +188,29 @@ class TestSemiclassical:
         )
         back = evolved_v.coeffs[active + shift] * gauge
         assert np.max(np.abs(via_semiclassical.coeffs[active] - back)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_keeps_the_bits_of_the_phase_product(self, rng, alpha):
+        # the frame's own formula before it took the one evolution path: coefficients times
+        # unit_phases of the translated table, Nyquist and singular modes zeroed after
+        g, h = kl.TorusGrid(64), 0.125
+        p = kl.DispersionParams.reduced(alpha, 1.0)
+        omega, shift = semiclassical_frequencies(g.k_values, h, p)
+        singular = g.index_of_k(-shift)
+        coeffs = random_field(g, rng, kmax=9).coeffs.copy()
+        coeffs[0] = 1.0  # Nyquist content, which the evolution drops
+        coeffs[singular] = 1e-16  # below the singular mode's mass guard
+        w0 = kl.SpectralField(g, coeffs)
+        kept = coeffs != 0
+        kept[[0, singular]] = False
+        times = np.array([0.0, 0.37, -2.5, 11.0])
+        stack = kl.evolve_semiclassical(w0, times, h, p)
+        for t, row in zip(times, stack):
+            out = kl.evolve_semiclassical(w0, t, h, p).coeffs
+            assert np.array_equal(out, row)
+            assert np.all(out[kept] == (coeffs * unit_phases(omega, t))[kept])
+            dropped = np.concatenate([out[~kept].real, out[~kept].imag])
+            assert np.all(dropped == 0.0) and not np.any(np.signbit(dropped))
 
     def test_singular_mode_guard(self):
         g = kl.TorusGrid(64)

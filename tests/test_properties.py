@@ -299,7 +299,8 @@ def test_support_quadrature_equals_full_grid_bitwise(case):
     lines = np.any(support, axis=axis)
     times = gauss_legendre_nodes(horizon, 2, 8)[0]
     view = partial(_control_lines, axis=axis, lines=lines)
-    lined = _evolution(u0, params, support, times, view)(slice(None))
+    table = _cached_grid_frequencies(u0.grid, params)
+    lined = _evolution(u0, table, support, times, view)(slice(None))
     full = np.moveaxis(evolve_many(u0, times, params), 1 + axis, -1)[:, lines]
     assert np.array_equal(lined, full)
 
