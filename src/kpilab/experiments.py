@@ -512,7 +512,7 @@ def _run_hum_steer(values: dict, rng: np.random.Generator):
     check_leakage(u0)
     traj, report = steer(u0, u0 * 0.0, values)
     rows = [
-        [int(t_idx), float(t), sample.norm()]
+        [int(t_idx), float(t), SpectralField(grid, sample).norm()]
         for t_idx, (t, sample) in enumerate(zip(traj.times, traj.samples))
     ]
     return ["node", "time", "control_norm"], rows, {**report, "horizon": values["horizon"]}

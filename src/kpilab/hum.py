@@ -16,6 +16,10 @@ kernel. On each line along the control axis the quadrature is
 node's time is a coarse panel start plus a fine one plus an in-panel offset, so
 K is the entrywise product of those three levels' node-Grams: O(sqrt(panels) +
 order) phases per mode instead of one per node.
+
+The exported control samples take the same lines: on each, ``f(t)`` is phi's
+coefficients times their phases ``exp(i omega (t - T))``, times G's rows on the
+support modes.
 """
 
 from __future__ import annotations
@@ -30,12 +34,11 @@ from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
     ControlProfile, Orientation, _control_axis, _control_lines, _gramian_kernel, _line_labels,
-    _support_columns, _support_layout, _to_grid, apply_control, apply_vertical_control,
-    gauss_legendre_levels,
+    _support_columns, _support_layout, _to_grid, apply_vertical_control, gauss_legendre_levels,
 )
 from .propagate import (
     _STACK_BYTES, _cached_grid_frequencies, _kept_modes, _stack_slices, _support,
-    check_no_nyquist, evolve, evolve_many,
+    check_no_nyquist, evolve, finite_times,
 )
 
 
@@ -209,8 +212,8 @@ class ControlTrajectory:
     """HUM control realized by ``f(t) = G S(t - T) phi_T``.
 
     Stores the adjoint final datum, the data needed to re-derive the rule at
-    arbitrary times, uniformly sampled control snapshots for export, and the
-    solver diagnostics.
+    arbitrary times, the control sampled at ``times`` for export (a read-only
+    ``(len(times), *grid.shape)`` stack), and the solver diagnostics.
     """
 
     horizon: float
@@ -219,13 +222,35 @@ class ControlTrajectory:
     params: DispersionParams
     orientation: Orientation
     times: np.ndarray
-    samples: tuple[SpectralField, ...]
+    samples: np.ndarray
     diagnostics: dict = dataclass_field(default_factory=dict)
 
     def controls_at(self, times: np.ndarray) -> np.ndarray:
-        """The synthesis rule at each of ``times``: a ``(len(times), *grid.shape)`` stack."""
-        back = evolve_many(self.phi_final, times - self.horizon, self.params)
-        return apply_control(back, self.profile, self.orientation)
+        """The synthesis rule at each of ``times``: a ``(len(times), *grid.shape)`` stack.
+
+        G acts on each line along the control axis alone, so only the lines that hold phi's
+        support (a 1D field is one line) carry f, at all n modes of the axis: on a line, f(t)
+        is ``(phi * exp(i omega (t - T))) @ columns``, with ``omega`` the ``(L, s)`` frequencies
+        of the s modes the lines hold and ``columns`` G's ``(s, n)`` rows on them
+        (:func:`~kpilab.observe._support_columns`). Every other mode is +0.
+        """
+        times = finite_times(times)
+        phi = self.phi_final
+        grid = phi.grid
+        axis = _control_axis(grid, self.profile, self.orientation)
+        table = _cached_grid_frequencies(grid, self.params)
+        require_mean_zero(phi)
+        lines, cols, view = _support_layout(_support(phi), axis)
+        weighted = unit_phases(view(table), times - self.horizon)
+        weighted *= view(phi.coeffs)
+        columns = _support_columns(cols, self.profile)
+        out = np.zeros((times.size,) + grid.shape, dtype=np.complex128)
+        on_lines = np.moveaxis(out, axis + 1, -1)
+        for part in _stack_slices(times.size, grid.shape):
+            # one (L, s) product per sample: one (samples * L, s) product can be large enough
+            # for BLAS to start its threads, which stalled some calls by milliseconds on 2 cores
+            on_lines[part, lines] = weighted[part] @ columns
+        return out
 
     def control_at(self, t: float) -> SpectralField:
         """Evaluate the synthesis rule at time t."""
@@ -301,12 +326,9 @@ def synthesize_control(
             "tolerance": tol,
         },
     )
-    samples = [
-        SpectralField(u0.grid, row)
-        for part in _stack_slices(times.size, u0.grid.shape)
-        for row in traj.controls_at(times[part])
-    ]
-    object.__setattr__(traj, "samples", tuple(samples))
+    samples = traj.controls_at(times)
+    samples.flags.writeable = False
+    object.__setattr__(traj, "samples", samples)
     return traj
 
 
@@ -353,8 +375,7 @@ def verify_control(
     is :func:`quadrature_gramian_apply` of ``phi``, under the trajectory's own dynamics
     ``traj.params``. ``steps`` sizes the rule: side^2 panels of 24 nodes,
     ``side = ceil(sqrt(ceil(2 steps / 24)))``, at least ``2 steps`` nodes. Neither the
-    closed-form kernel nor its time factor enters. The exported control samples keep
-    :meth:`ControlTrajectory.controls_at`.
+    closed-form kernel nor its time factor enters, and neither do the exported control samples.
     """
     check_verify_steps(steps)
     if u0.grid != traj.phi_final.grid:

@@ -42,7 +42,7 @@ from .fourier import (
     require_mean_zero,
 )
 from .propagate import (
-    _cached_grid_frequencies, _evolution, _stack_slices, _support, check_no_nyquist,
+    _cached_grid_frequencies, _check_family, _evolution, _stack_slices, _support, check_no_nyquist,
 )
 
 ProfileKind = Literal["smooth-exp", "hann-squared"]
@@ -492,9 +492,10 @@ def observability_gramian_blocks(
     static Gram of G; distinct l decouple exactly because the y-integral
     forces equal transverse frequencies. Each block is built when it is asked
     for, after every check, the phase bound of every block's time factor too;
-    two or more blocks share one static Gram.
+    two or more blocks share one static Gram. ``params`` must be a 2D family.
     """
     _check_horizon(horizon)
+    _check_family(params, 2)
     if k_window < 1:
         raise ParameterError("k_window must be >= 1")
     k = profile.grid.k_values
@@ -522,8 +523,9 @@ def assemble_horizontal_gramian(
 
     l = 0 stays in the window (only k = 0 is excluded by the mean-zero
     constraint); that row and column vanish, which is exactly the invisible
-    y-independent sector.
+    y-independent sector. ``params`` must be a 2D family.
     """
+    _check_family(params, 2)
     if k == 0:
         raise ParameterError("x-frequency k = 0 is excluded by the mean-zero constraint")
     freqs = profile.grid.k_values  # the profile's axis is y

@@ -63,17 +63,25 @@ def check_no_nyquist(field: SpectralField) -> None:
         raise ParameterError("the field has content on a Nyquist frequency, which evolutions drop")
 
 
+def _check_family(params: DispersionParams, dimension: int) -> None:
+    """A ``DimensionError`` unless ``params`` is the family of a ``dimension``-D field.
+
+    ``full-2d`` params go with 2D fields and ``reduced-1d`` ones (at ``params.lam``, the
+    transverse mode the 1D field stands for) with 1D fields.
+    """
+    family = 2 if params.mode == "full-2d" else 1
+    if dimension != family:
+        raise DimensionError(f"{params.mode} dispersion requires a {family}D field")
+
+
 @lru_cache(maxsize=128)
 def _cached_grid_frequencies(grid, params) -> np.ndarray:
     """Frequencies over the whole grid, in extended precision: the one grid-to-family map.
 
-    ``full-2d`` params on a 2D grid, ``reduced-1d`` ones on a 1D grid (at ``params.lam``, the
-    transverse mode the 1D field stands for), and a ``DimensionError`` for any other pairing.
+    The grid's dimension must be that of the family (:func:`_check_family`).
     """
-    dimension = 2 if params.mode == "full-2d" else 1
-    if grid.dimension != dimension:
-        raise DimensionError(f"{params.mode} dispersion requires a {dimension}D field")
-    table = (frequencies_2d if dimension == 2 else frequencies_1d)(*grid.frequencies, params)
+    _check_family(params, grid.dimension)
+    table = (frequencies_2d if grid.dimension == 2 else frequencies_1d)(*grid.frequencies, params)
     table.flags.writeable = False
     return table
 

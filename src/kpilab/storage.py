@@ -154,7 +154,7 @@ def write_trajectory(traj, path: str | Path) -> None:
     chunks = [header, traj.phi_final.coeffs.astype("<c16").tobytes()]
     for t, sample in zip(traj.times, traj.samples):
         chunks.append(struct.pack("<d", float(t)))
-        chunks.append(sample.coeffs.astype("<c16").tobytes())
+        chunks.append(sample.astype("<c16").tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 

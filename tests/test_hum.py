@@ -109,7 +109,7 @@ class TestSynthesis:
         traj = kl.synthesize_control(u0, kl.evolve(u0, 1.0, params), 1.0, profile, params)
         assert traj.diagnostics["iterations"] == 0
         assert traj.phi_final.norm() == 0.0
-        assert all(s.norm() == 0.0 for s in traj.samples)
+        assert traj.samples.shape == (256, *grid.shape) and not traj.samples.any()
 
     def test_steering_and_independent_verification(self, small_setup):
         grid, params, profile = small_setup
@@ -146,11 +146,48 @@ class TestSynthesis:
         rng = seeded_rng(11, "samples")
         u0 = random_field(grid, rng, kmax=6, lmax=2)
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, sample_count=17)
-        for t, sample in zip(traj.times, traj.samples):
+        for t, coeffs in zip(traj.times, traj.samples):
+            sample = kl.SpectralField(grid, coeffs)
             again = traj.control_at(float(t))
             assert (again - sample).norm() <= 1e-13 * max(sample.norm(), 1.0)
             row = sample.coeffs[grid.index_of_k(0)]
             assert np.max(np.abs(row)) <= 1e-14
+
+    def test_samples_are_taken_on_the_lines(self, monkeypatch, small_setup):
+        grid, params, profile = small_setup
+        shapes = []
+
+        def watched(u, *args):
+            shapes.append(np.shape(u.coeffs if isinstance(u, kl.SpectralField) else u))
+            return apply_control(u, *args)
+
+        monkeypatch.setattr(kl.observe, "apply_control", watched)
+        u0 = random_field(grid, seeded_rng(2727, "on-lines"), kmax=8, lmax=2)
+        kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params)
+        # G is built on unit lines of the control axis; no stack of whole grids reaches it
+        assert shapes and all(shape[1:] != grid.shape for shape in shapes)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_few_samples_are_a_read_only_stack(self, small_setup, count):
+        grid, params, profile = small_setup
+        u0 = random_field(grid, seeded_rng(4, "few-samples"), kmax=6, lmax=2)
+        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, sample_count=count)
+        assert traj.samples.shape == (count, *grid.shape) and not traj.samples.flags.writeable
+        assert np.array_equal(traj.samples, traj.controls_at(traj.times))
+
+    @pytest.mark.parametrize("shape", [(256,), (128, 8)])
+    def test_samples_are_the_rule_at_their_recorded_times(self, shape):
+        # each sample is its own phases at its float64 time and its own product with G's
+        # rows, so a sample of the synthesis and the rule at its recorded time share their bits
+        grid = kl.TorusGrid(*shape)
+        params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
+        axis = kl.TorusGrid(shape[0])
+        profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", axis)
+        u0 = random_field(grid, seeded_rng(3, "recorded-times"), kmax=shape[0] // 2 - 1, lmax=2)
+        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params)
+        assert traj.samples.any()
+        for t, sample in zip(traj.times, traj.samples):
+            assert np.array_equal(sample, traj.control_at(float(t)).coeffs)
 
     def test_linearity_of_synthesis(self, small_setup):
         grid, params, profile = small_setup

@@ -16,7 +16,7 @@ from kpilab.cli import main
 from kpilab.dispersion import unit_phases
 from kpilab.errors import DimensionError, NumericalConsistencyError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
-from kpilab.hum import quadrature_gramian_apply, synthesize_control
+from kpilab.hum import ControlTrajectory, quadrature_gramian_apply, synthesize_control
 from kpilab.observe import GramianBlock, gramian_from_frequencies, quadrature_observed_energy
 from kpilab.storage import write_field
 
@@ -274,6 +274,12 @@ def test_nan_times_are_an_error():
     v = random_field(kl.TorusGrid(16, 8), seeded_rng(2, "range-nan"), kmax=4, lmax=2)
     with pytest.raises(ParameterError, match="finite"):
         kl.evolve_modewise(v, float("nan"), 2.0)
+    profile, params = kl.default_profile(16), kl.DispersionParams.kp1(2.0)
+    traj = ControlTrajectory(1.0, v, profile, params, "vertical", np.empty(0), ())
+    with pytest.raises(ParameterError, match="finite"):
+        traj.control_at(float("nan"))
+    with pytest.raises(ParameterError, match="finite"):
+        traj.controls_at(np.array([0.5, np.nan]))
     with pytest.raises(ParameterError, match=r"2\*\*53"):
         unit_phases(np.array([1.0, 2.0]), float("nan"))
 
@@ -313,6 +319,23 @@ def test_a_family_on_the_other_dimension_is_an_error(shape, params, call):
     profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16))
     with pytest.raises(DimensionError, match="dispersion requires a"):
         call(u, profile, params)
+
+
+@pytest.mark.parametrize(
+    "assemble",
+    [
+        lambda g, p: kl.assemble_observability_gramian(1.0, 4, 2, g, p),
+        lambda g, p: next(kl.observability_gramian_blocks(1.0, 4, [0, 1, 2], g, p)),
+        lambda g, p: kl.assemble_horizontal_gramian(1.0, 4, 2, g, p),
+    ],
+    ids=["assemble_observability_gramian", "observability_gramian_blocks", "horizontal"],
+)
+def test_a_1d_family_in_a_window_gramian_is_an_error(assemble):
+    # the window blocks are 2D: a reduced family's lam once went unread
+    profile = kl.default_profile(16)
+    assemble(profile, kl.DispersionParams.kp1(2.0))
+    with pytest.raises(DimensionError, match="reduced-1d dispersion requires a 1D field"):
+        assemble(profile, kl.DispersionParams.reduced(2.0, 3.0))
 
 
 @pytest.fixture()

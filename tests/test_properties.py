@@ -17,7 +17,7 @@ whatever the sign of a zero coefficient. The line-by-line verifier and
 ``quadrature_gramian_apply`` agree with the whole-grid sum of the same
 Gauss-Legendre rule and the dense Gramian on fields supported on a few
 lines, and the verifier of a steering that needs no control is the free
-flow.
+flow. The control samples, taken on the lines, are the whole-grid formula.
 """
 
 import tempfile
@@ -425,6 +425,23 @@ def test_line_verifier_is_the_whole_grid_simpson_sum(
     bound = 1.0 + 2.0 * profile.values.max()
     scale = u0.norm() + horizon * bound**2 * phi.norm()
     assert (out - direct_phase_verify(u0, traj, steps)).norm() <= 1e-14 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=line_fields([4, 8, 16, 32]), horizon=st.floats(0.1, 2.0), zero=st.booleans())
+@pytest.mark.parametrize("count", [0, 1, 2, 17, 256])
+def test_line_control_samples_are_the_whole_grid_formula(case, horizon, zero, count):
+    phi, profile, params, orientation = case
+    phi = phi * 0.0 if zero else phi
+    traj = ControlTrajectory(horizon, phi, profile, params, orientation, np.empty(0), ())
+    times = np.linspace(0.0, horizon, count)
+    expect = apply_control(kl.evolve_many(phi, times - horizon, params), profile, orientation)
+    # a field that G annihilates (y-independent lines under horizontal control) leaves only
+    # the roundoff of the whole-grid transforms, relative to the field
+    allowed = 1e-14 * np.abs(expect).max(initial=0.0) + 1e-16 * np.abs(phi.coeffs).sum()
+    found = traj.controls_at(times)
+    assert found.shape == (count, *phi.grid.shape)
+    assert np.abs(found - expect).max(initial=0.0) <= allowed
 
 
 @settings(max_examples=40, deadline=None)
