@@ -188,8 +188,8 @@ def _cmd_spectral_constant(args) -> int:
 
 def _cmd_random_field(args) -> int:
     """Write a seeded random field container."""
-    grid = TorusGrid(args.nx, args.ny) if args.ny else TorusGrid(args.nx)
-    rng = seeded_rng(args.seed if args.seed is not None else 0, "random-field")
+    grid = TorusGrid(args.nx) if args.ny is None else TorusGrid(args.nx, args.ny)
+    rng = seeded_rng(args.seed, "random-field")
     field = random_field(grid, rng, kmax=args.kmax, lmax=args.lmax)
     path = _out_dir(args) / "field.bin"
     write_field(field, path)
@@ -199,15 +199,11 @@ def _cmd_random_field(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kpi-lab")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", default="csv", choices=["csv", "json", "bin"])
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values given before it
+    # --out is accepted after the subcommand too; SUPPRESS keeps the subparser
+    # from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=["csv", "json", "bin"], default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, keys=None):
@@ -221,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("run", _cmd_run)
     p.add_argument("config")
+    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
 
     p = command("dispersion", _cmd_dispersion)
     p.add_argument("--alpha", type=float, default=2.0)
@@ -234,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=lambda s: [float(x) for x in s.split(",")], required=True)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--format", default="csv", choices=["csv", "json", "bin"])
 
     p = command("observe", _cmd_observe, profile_keys(None))
     p.add_argument("--input", required=True)
@@ -256,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--lmax", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

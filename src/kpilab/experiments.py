@@ -29,7 +29,7 @@ from .fourier import (
     TorusGrid,
     sobolev_norm,
 )
-from .hum import ControlTrajectory, check_verify_steps, synthesize_control, verify_control
+from .hum import ControlTrajectory, _verify_side, synthesize_control, verify_control
 from .observe import (
     ControlProfile,
     GramianBlock,
@@ -62,9 +62,10 @@ def random_field(
     rng: np.random.Generator,
     kmax: int | None = None,
     lmax: int | None = None,
-    unit_norm: bool = True,
 ) -> SpectralField:
-    """Random complex-Gaussian field on :func:`window_mask`'s windows: mean-zero, Nyquist-free."""
+    """Unit-norm complex-Gaussian field on :func:`window_mask`'s windows, mean-zero, no Nyquist."""
+    if grid.dimension == 1 and lmax is not None:
+        raise ParameterError(f"lmax {lmax} applies to a 2D grid; a 1D grid has no l")
     masks = []
     for a, (freqs, n, size) in enumerate(zip(grid.frequencies, grid.shape, (kmax, lmax))):
         size = size if size is not None else max(1, int(0.4 * (n // 2)))
@@ -73,9 +74,7 @@ def random_field(
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[np.ix_(*masks)] = draw[..., 0] + 1j * draw[..., 1]
     field = SpectralField(grid, coeffs)
-    if unit_norm:
-        field = field * (1.0 / field.norm())
-    return field
+    return field * (1.0 / field.norm())
 
 
 def leakage_fraction(field: SpectralField) -> float:
@@ -117,8 +116,8 @@ def frequency_localized_scan(
     epsilon0: float,
     horizon: float,
     profile: ControlProfile,
-    trials: int = 16,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
     alpha: float = 2.0,
 ) -> list[dict]:
     """Empirical single-block observability bounds across dyadic blocks.
@@ -131,7 +130,6 @@ def frequency_localized_scan(
     if not 0.0 < h < np.inf:
         raise ParameterError(f"semiclassical parameter h must be positive and finite, got {h}")
     _check_trials(trials)
-    rng = rng or np.random.default_rng(0)
     n_values = list(n_values)
     if not n_values:
         raise ParameterError("the scan needs at least one block index (n_min <= n_max)")
@@ -180,9 +178,8 @@ def weak_observability_diagnostic(
     horizon: float,
     trials: int,
     profile: ControlProfile,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     alpha: float = 2.0,
-    kmax: int | None = None,
 ) -> list[dict]:
     """Smallest constant closing the two-term weak bound, per random trial.
 
@@ -193,7 +190,6 @@ def weak_observability_diagnostic(
     if not 0.0 < h < 1.0:
         raise ParameterError(f"h must lie in (0, 1), got {h}")
     _check_trials(trials)
-    rng = rng or np.random.default_rng(0)
     grid = profile.grid
     params = DispersionParams.reduced(alpha, 1.0 / h**2)
     active = np.nonzero(_kept_modes(grid))[0]
@@ -202,7 +198,7 @@ def weak_observability_diagnostic(
     block = gramian_from_frequencies(horizon, idx, omega, profile, plain_weight=True)
     rows = []
     for trial in range(trials):
-        field = random_field(grid, rng, kmax=kmax)
+        field = random_field(grid, rng)
         c = field.coeffs[active]
         mass = TWO_PI * float(np.sum(np.abs(c) ** 2))
         energy = TWO_PI * block.quadratic_form(c)
@@ -234,21 +230,18 @@ def profile_kind(value: str) -> str:
 
 
 def profile_keys(nx: int | None = 1024) -> dict:
-    """Keys of the control profile; ``profile_nx = None`` means the field's axis."""
-    return {
+    """Keys of the control profile on ``profile_nx = nx`` points, or on the field's axis (None)."""
+    keys = {
         "profile": (profile_kind, "smooth-exp"),
         "support_a": (float, float(np.pi / 4)),
         "support_b": (float, float(3 * np.pi / 4)),
-        "profile_nx": (int, nx),
     }
+    return keys if nx is None else {**keys, "profile_nx": (int, nx)}
 
 
 def control_profile(values: dict, axis: int | None = None) -> ControlProfile:
-    """The profile the profile keys describe, on the field's ``axis`` if given."""
-    nx = values["profile_nx"]
-    if axis is not None and nx not in (None, axis):
-        raise DimensionError(f"profile_nx = {nx} does not match the field's {axis}-point axis")
-    grid = TorusGrid(axis or nx)
+    """The profile the profile keys describe, on the field's ``axis`` or on ``profile_nx``."""
+    grid = TorusGrid(values["profile_nx"] if axis is None else axis)
     return make_control_profile(values["support_a"], values["support_b"], values["profile"], grid)
 
 
@@ -370,7 +363,11 @@ def steer(u0: SpectralField, u1: SpectralField, values: dict) -> tuple[ControlTr
     params = DispersionParams.kp1(values["alpha"])
     profile = control_profile(values, u0.grid.nx)
     horizon, tol, max_iter = values["horizon"], values["tol"], values["max_iter"]
-    check_verify_steps(values["verify_steps"])
+    if u0.grid != u1.grid:
+        raise DimensionError("initial and target fields live on different grids")
+    # phi lies on the lines that hold u0 or u1, so their rule bounds the verifier's
+    for u in (u0, u1):
+        _verify_side(u, horizon, profile, params, "vertical", values["verify_steps"])
     traj = synthesize_control(u0, u1, horizon, profile, params, tol=tol, max_iter=max_iter)
     terminal = verify_control(u0, traj, steps=values["verify_steps"])
     return traj, {

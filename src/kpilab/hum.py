@@ -34,7 +34,8 @@ from .errors import DimensionError, NonConvergenceError, ParameterError
 from .fourier import SpectralField, TorusGrid, require_mean_zero
 from .observe import (
     ControlProfile, Orientation, _control_axis, _control_lines, _gramian_kernel, _line_labels,
-    _support_columns, _support_layout, _to_grid, apply_vertical_control, gauss_legendre_levels,
+    _check_horizon, _support_columns, _support_layout, _to_grid, apply_vertical_control,
+    gauss_legendre_levels,
 )
 from .propagate import (
     _STACK_BYTES, _cached_grid_frequencies, _kept_modes, _stack_slices, _support,
@@ -257,6 +258,9 @@ class ControlTrajectory:
         return SpectralField(self.phi_final.grid, self.controls_at(np.array([t]))[0])
 
 
+_SAMPLE_COUNT = 256  # the exported control samples; trajectory.bin records the count
+
+
 def synthesize_control(
     u0: SpectralField,
     u1: SpectralField,
@@ -266,7 +270,6 @@ def synthesize_control(
     tol: float = 1e-10,
     max_iter: int = 500,
     orientation: Orientation = "vertical",
-    sample_count: int = 256,
 ) -> ControlTrajectory:
     """Steer ``u0`` to ``u1`` over ``[0, T]`` through the Gramian inversion.
 
@@ -282,8 +285,6 @@ def synthesize_control(
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if not isinstance(sample_count, (int, np.integer)) or sample_count < 0:
-        raise ParameterError(f"sample_count must be a nonnegative integer, got {sample_count!r}")
     if u0.grid != u1.grid:
         raise DimensionError("initial and target fields live on different grids")
     for u in (u0, u1):
@@ -310,7 +311,7 @@ def synthesize_control(
             final_rel = max(final_rel, history[-1] / history[0])
         solution[b] = x
     phi_field = SpectralField(u0.grid, op.scatter(solution))
-    times = np.linspace(0.0, horizon, sample_count)
+    times = np.linspace(0.0, horizon, _SAMPLE_COUNT)
     traj = ControlTrajectory(
         horizon=horizon,
         phi_final=phi_field,
@@ -352,6 +353,9 @@ def hum_functional(
 
 
 MAX_VERIFY_STEPS = 10**6
+# the largest |delta| W for which a 24-node Gauss-Legendre panel of width W integrates
+# exp(i delta t) to within 2^-53 W (Abramowitz & Stegun 25.4.30)
+_PANEL_RADIANS = 34.55
 
 
 def check_verify_steps(steps) -> None:
@@ -360,6 +364,43 @@ def check_verify_steps(steps) -> None:
         raise ParameterError(
             f"verification needs an integer of 100 to {MAX_VERIFY_STEPS} steps, got {steps!r}"
         )
+
+
+def _step_side(steps: int) -> int:
+    """``ceil(sqrt(ceil(2 steps / 24)))``: side^2 panels of 24 nodes hold ``2 steps`` nodes."""
+    return math.isqrt(-(-steps // 12) - 1) + 1
+
+
+def _verify_side(
+    field: SpectralField,
+    horizon: float,
+    profile: ControlProfile,
+    params: DispersionParams,
+    orientation: Orientation,
+    steps: int,
+) -> int:
+    """Side of the verifier's side^2 panels on the control lines that hold ``field``.
+
+    The larger of the step rule's (:func:`_step_side`) and the span rule's, which takes
+    ``ceil(span T / 34.55)`` panels: span is the largest ``|omega_q - omega_p|`` over the kept
+    modes of one such line. A side past ``MAX_VERIFY_STEPS``'s is a ``ParameterError``.
+    """
+    check_verify_steps(steps)
+    _check_horizon(horizon)
+    grid = field.grid
+    axis = _control_axis(grid, profile, orientation)
+    lines = np.any(_support(field), axis=axis)
+    kept = _control_lines(_kept_modes(grid), axis, lines)
+    omega = _control_lines(_cached_grid_frequencies(grid, params), axis, lines)
+    top = np.max(omega, axis=-1, where=kept, initial=-np.inf)
+    span = float(np.max(top - np.min(omega, axis=-1, where=kept, initial=np.inf), initial=0.0))
+    panels, cap = span * horizon / _PANEL_RADIANS, _step_side(MAX_VERIFY_STEPS)
+    if not panels <= cap**2:
+        raise ParameterError(
+            f"verification needs {panels:.6g} panels for the frequency span {span:.6g} over "
+            f"T = {horizon}; at most {cap**2} ({MAX_VERIFY_STEPS} steps)"
+        )
+    return max(_step_side(steps), math.isqrt(max(math.ceil(panels), 1) - 1) + 1)
 
 
 def verify_control(
@@ -373,16 +414,16 @@ def verify_control(
     S(T - t) G f(t) dt``, and t -> T - t makes the integral ``Lambda_T phi``. A composite
     Gauss-Legendre rule is symmetric under t -> T - t, so its sum of the forcing over the nodes
     is :func:`quadrature_gramian_apply` of ``phi``, under the trajectory's own dynamics
-    ``traj.params``. ``steps`` sizes the rule: side^2 panels of 24 nodes,
-    ``side = ceil(sqrt(ceil(2 steps / 24)))``, at least ``2 steps`` nodes. Neither the
-    closed-form kernel nor its time factor enters, and neither do the exported control samples.
+    ``traj.params``. The rule is side^2 panels of 24 nodes (:func:`_verify_side`): at least
+    ``2 steps`` nodes, and enough panels to resolve the frequency span of phi's lines. Neither
+    the closed-form kernel nor its time factor enters, and neither do the exported samples.
     """
-    check_verify_steps(steps)
     if u0.grid != traj.phi_final.grid:
         raise DimensionError("initial field and control trajectory live on different grids")
     require_mean_zero(u0)
-    side = math.isqrt(-(-steps // 12) - 1) + 1
+    phi = traj.phi_final
+    side = _verify_side(phi, traj.horizon, traj.profile, traj.params, traj.orientation, steps)
     forced = quadrature_gramian_apply(
-        traj.phi_final, traj.horizon, traj.profile, traj.params, traj.orientation, side**2, 24
+        phi, traj.horizon, traj.profile, traj.params, traj.orientation, side**2, 24
     )
     return evolve(u0, traj.horizon, traj.params) + forced

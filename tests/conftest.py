@@ -69,22 +69,44 @@ def full_grid_quadrature_energy():
     return _full_grid_quadrature_energy
 
 
-def verify_panels(steps):
-    """The verifier's panel count: side^2, ``side = ceil(sqrt(ceil(2 steps / 24)))``."""
-    return (math.isqrt(-(-steps // 12) - 1) + 1) ** 2
+def _verify_panels(traj, steps):
+    """The verifier's panel count: side^2, with the larger side of its two rules.
+
+    ``ceil(sqrt(ceil(2 steps / 24)))`` holds ``2 steps`` nodes of 24-node panels, and
+    ``ceil(sqrt(ceil(span T / 34.55)))`` resolves span, the largest ``|omega_q - omega_p|`` over
+    the kept modes of one line along the control axis that holds phi.
+    """
+    phi = traj.phi_final
+    axis = 1 if traj.orientation == "horizontal" else 0
+    omega = np.moveaxis(_cached_grid_frequencies(phi.grid, traj.params), axis, -1)
+    kept = np.moveaxis(_kept_modes(phi.grid), axis, -1)
+    held = np.moveaxis(phi.coeffs != 0, axis, -1) & kept
+    span = 0.0
+    for line in np.ndindex(omega.shape[:-1]):
+        if held[line].any():
+            on_line = omega[line][kept[line]]
+            span = max(span, float(on_line.max() - on_line.min()))
+    steps_side = math.ceil(math.sqrt(math.ceil(2 * steps / 24)))
+    span_side = math.ceil(math.sqrt(math.ceil(span * traj.horizon / 34.55)))
+    return max(steps_side, span_side) ** 2
+
+
+@pytest.fixture(scope="session")
+def verify_panels():
+    return _verify_panels
 
 
 def _direct_phase_verify(u0, traj, steps):
     """The Duhamel verifier's Gauss-Legendre sum, G on the whole grid, each node's own phases.
 
-    The rule is the verifier's, side^2 panels of 24 nodes (:func:`verify_panels`), with float64
+    The rule is the verifier's, side^2 panels of 24 nodes (:func:`_verify_panels`), with float64
     times, and every node takes its phases from ``unit_phases``. The forcing is summed in the
     frame ``w = S(-t) u`` at the nodes t themselves, not through the substitution t -> T - t
     that makes the verifier's sum ``Lambda_T phi``; G is applied twice in physical space at
     each node. The nodes go 256 at a time, in order, which bounds the memory.
     """
     horizon, params, grid = traj.horizon, traj.params, u0.grid
-    times, weights = gauss_legendre_nodes(horizon, verify_panels(steps), 24)
+    times, weights = gauss_legendre_nodes(horizon, _verify_panels(traj, steps), 24)
     omega = _cached_grid_frequencies(grid, params)
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for start in range(0, times.size, 256):

@@ -50,16 +50,14 @@ def test_evolve_and_observe_round_trip(tmp_path, rng, capsys):
     write_field(field, src)
 
     code = main(
-        ["--out", str(tmp_path), "--format", "bin", "evolve", "--input", str(src), "--times", "0.5"]
+        ["--out", str(tmp_path), "evolve", "--input", str(src), "--times", "0.5", "--format", "bin"]
     )
     assert code == 0
     snap = read_field(tmp_path / "snapshot_t0.5.bin")
     expect = kl.evolve(field, 0.5, kl.DispersionParams.kp1(2.0))
     assert np.max(np.abs(snap.coeffs - expect.coeffs)) == 0.0
 
-    code = main(
-        ["observe", "--input", str(src), "--horizon", "1.0", "--profile-nx", "32"]
-    )
+    code = main(["observe", "--input", str(src), "--horizon", "1.0"])
     assert code == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     direct = kl.observability_ratio(
@@ -104,12 +102,13 @@ def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
         return (out / "field.bin").read_bytes()
 
     plain = field(tmp_path / "a")
-    assert field(tmp_path / "b", "--seed", "7") != plain
+    seeded = field(tmp_path / "b", "--seed", "7")
+    assert seeded != plain
     assert field(tmp_path / "c", "--kmax", "2") != plain
-    assert main(["--seed", "7", "--out", str(tmp_path / "d"), "random-field", "--nx", "16"]) == 0
+    assert field(tmp_path / "d", "--seed", "7") == seeded
     assert field(tmp_path / "e") == plain
     evolve = ["evolve", "--input", str(tmp_path / "a" / "field.bin"), "--times", "1"]
-    assert main(["--out", str(tmp_path / "f"), "--format", "json"] + evolve) == 0
+    assert main(["--out", str(tmp_path / "f")] + evolve + ["--format", "json"]) == 0
     assert main(["--out", str(tmp_path / "g")] + evolve + ["--lam", "2"]) == 0
     assert main(["--out", str(tmp_path / "h")] + evolve) == 0
     assert [p.name for p in (tmp_path / "h").iterdir()] == ["snapshot_t1.csv"]
@@ -163,8 +162,6 @@ def test_control_subcommand(tmp_path, rng, capsys):
             "control",
             "--initial",
             str(src),
-            "--profile-nx",
-            "32",
             "--verify-steps",
             "2000",
         ]
@@ -185,12 +182,22 @@ def test_control_rejects_nyquist_content(tmp_path, rng, capsys, nyquist):
     coeffs[0, grid.index_of_l(1)] = 0.3
     write_field(clean, tmp_path / "clean.bin")
     write_field(kl.SpectralField(grid, coeffs), tmp_path / "nyquist.bin")
-    argv = ["control", "--profile-nx", "32", "--verify-steps", "200"]
+    argv = ["control", "--verify-steps", "200"]
     for flag in ("--initial", "--target"):
         argv += [flag, str(tmp_path / ("nyquist.bin" if flag == nyquist else "clean.bin"))]
     assert main(["--out", str(tmp_path / "out")] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Nyquist" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape", [(32, 4), (16, 8)])
+def test_control_target_on_another_grid_is_an_error(tmp_path, capsys, shape):
+    write_field(kl.mode_field(kl.TorusGrid(16, 4), 1, 1), tmp_path / "u0.bin")
+    write_field(kl.mode_field(kl.TorusGrid(*shape), 1, 1), tmp_path / "u1.bin")
+    argv = ["control", "--initial", str(tmp_path / "u0.bin"), "--target", str(tmp_path / "u1.bin")]
+    assert main(["--out", str(tmp_path / "out")] + argv) == 1
+    assert "initial and target fields live on different grids" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -292,7 +299,7 @@ def test_damaged_field_container_is_an_error(tmp_path, capsys):
     ]:
         path = tmp_path / f"{name}.bin"
         path.write_bytes(data)
-        code = main(["observe", "--input", str(path), "--profile-nx", "16"])
+        code = main(["observe", "--input", str(path)])
         assert code == 1, name
         assert capsys.readouterr().err.startswith("error:"), name
 
@@ -300,13 +307,13 @@ def test_damaged_field_container_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["observe", "--input", "{missing}", "--profile-nx", "16"],
-        ["observe", "--input", "{folder}", "--profile-nx", "16"],
+        ["observe", "--input", "{missing}"],
+        ["observe", "--input", "{folder}"],
         ["evolve", "--input", "{missing}", "--times", "0.5"],
         ["evolve", "--input", "{folder}", "--times", "0.5"],
-        ["control", "--initial", "{missing}", "--profile-nx", "16"],
-        ["control", "--initial", "{field}", "--target", "{missing}", "--profile-nx", "16"],
-        ["control", "--initial", "{folder}", "--profile-nx", "16"],
+        ["control", "--initial", "{missing}"],
+        ["control", "--initial", "{field}", "--target", "{missing}"],
+        ["control", "--initial", "{folder}"],
     ],
 )
 def test_unreadable_input_is_an_error(tmp_path, capsys, argv):
@@ -322,7 +329,7 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
     src = tmp_path / "u0.bin"
     write_field(kl.mode_field(kl.TorusGrid(16, 4), 1, 1), src)
     # a directory below a regular file cannot be made
-    argv = ["control", "--initial", str(src), "--profile-nx", "16", "--verify-steps", "100"]
+    argv = ["control", "--initial", str(src), "--verify-steps", "100"]
     assert main(["--out", str(src / "x")] + argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 

@@ -77,15 +77,39 @@ def test_unknown_profile_in_config_exits_2_with_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: line 4:")
 
 
-def test_profile_nx_must_match_the_field_axis(tmp_path, capsys):
-    src = tmp_path / "u0.bin"
-    write_field(random_field(kl.TorusGrid(32, 8), seeded_rng(1, "axis"), kmax=6, lmax=2), src)
-    for argv in (["observe", "--input", str(src)], ["control", "--initial", str(src)]):
-        assert main(["--out", str(tmp_path / "cli")] + argv + ["--profile-nx", "999"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-    text = "[s]\ntype = hum-steer\nnx = 32\nny = 8\nkmax = 6\nlmax = 2\nprofile_nx = 999\n"
-    assert _run(tmp_path, text) == 1
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral-constant", "--m-max", "2", "--format", "json"],
+        ["--format", "json", "spectral-constant", "--m-max", "2"],
+        ["spectral-constant", "--m-max", "2", "--seed", "9"],
+        ["observe", "--input", "{field}", "--seed", "1"],
+        ["--seed", "1", "observe", "--input", "{field}"],
+        ["observe", "--input", "{field}", "--profile-nx", "32"],
+        ["control", "--initial", "{field}", "--profile-nx", "32"],
+    ],
+)
+def test_a_flag_that_would_change_nothing_is_a_usage_error(tmp_path, capsys, argv):
+    # --seed and --format belong to the commands that read them; observe and control take
+    # the profile on the field's own axis
+    field = tmp_path / "u0.bin"
+    write_field(random_field(kl.TorusGrid(32, 8), seeded_rng(1, "axis"), kmax=6, lmax=2), field)
+    argv = [arg.format(field=field) for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(tmp_path / "cli")] + argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: kpi-lab")
+    assert not (tmp_path / "cli").exists()
+
+
+def test_hum_steer_profile_nx_is_a_config_error(tmp_path, capsys):
+    text = "[s]\ntype = hum-steer\nnx = 32\nny = 8\nkmax = 6\nlmax = 2\nprofile_nx = 32\n"
+    with pytest.raises(ConfigError, match="'profile_nx'") as info:
+        read_config(text)
+    assert info.value.line == 7
+    assert _run(tmp_path, text) == 2
+    assert capsys.readouterr().err.startswith("config error: line 7:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_dichotomy_subcommand_needs_alpha(capsys):
@@ -162,6 +186,71 @@ def test_read_section_fuzz(case):
     assert not offending and not missing
     for key, (convert, default) in keys.items():
         assert values[key] == (convert(entries[key].value) if key in entries else default)
+
+
+# ---------------------------------------------------------------------------
+# The options each front end accepts
+# ---------------------------------------------------------------------------
+
+PROFILE = {"profile", "support_a", "support_b"}
+# every key of every config type; the subcommand twins take them as flags
+KEYS = {
+    "run": {"seed", "output"},
+    "dichotomy": {"alpha", "n_min", "n_max", "horizon", "beta", "cutoff_big", "cutoff_small"},
+    "frequency-scan": {"h", "n_min", "n_max", "epsilon0", "horizon", "trials", "alpha"}
+    | PROFILE | {"profile_nx"},
+    "weak-observability": {"h", "horizon", "trials", "alpha"} | PROFILE | {"profile_nx"},
+    "gramian-floor": {"horizon", "alpha", "k_window", "l_window"} | PROFILE | {"profile_nx"},
+    "spectral-constant": {"m_max"} | PROFILE | {"profile_nx"},
+    # the profile lives on the field's axis
+    "hum-steer": {"nx", "ny", "kmax", "lmax", "horizon", "alpha", "tol", "max_iter", "verify_steps"}
+    | PROFILE,
+}
+
+
+def _flags(keys):
+    return {"--" + key.replace("_", "-") for key in keys}
+
+
+# every flag of the parser ("") and of each subcommand; --out is a path setting of every one
+FLAGS = {
+    "": {"--out"},
+    "run": {"--out", "--seed"},
+    "dispersion": {"--out", "--alpha", "--lam", "--xi-min", "--xi-max", "--count"},
+    "evolve": {"--out", "--input", "--times", "--alpha", "--lam", "--format"},
+    "observe": {"--out", "--input", "--horizon", "--alpha", "--lam", "--control", "--method"}
+    | _flags(PROFILE),
+    "gramian": {"--out"} | _flags(KEYS["gramian-floor"]),
+    "control": {"--out", "--initial", "--target"}
+    | _flags(KEYS["hum-steer"] - {"nx", "ny", "kmax", "lmax"}),
+    "dichotomy": {"--out"} | _flags(KEYS["dichotomy"]),
+    "spectral-constant": {"--out"} | _flags(KEYS["spectral-constant"]),
+    "random-field": {"--out", "--nx", "--ny", "--kmax", "--lmax", "--seed"},
+}
+
+
+def _options(parser) -> set[str]:
+    """The long flag of each optional argument of ``parser``, help aside."""
+    return {
+        action.option_strings[-1]
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+def test_option_inventory_is_frozen():
+    # a new flag or key is a deliberate edit of FLAGS or KEYS; before --seed and --format
+    # moved to the commands that read them and profile_nx left observe, control and
+    # hum-steer, the parser held 84 option slots and the config types 54 keys
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    found = {"": _options(parser), **{name: _options(sub) for name, sub in commands.items()}}
+    assert found == FLAGS
+    assert {name: set(keys) for name, keys in TABLES.items()} == KEYS
+    slots = sum(map(len, found.values()))
+    keys = sum(map(len, KEYS.values()))
+    print(f"option slots: 84 -> {slots}; config keys: 54 -> {keys}")
+    assert (slots, keys) == (65, 53)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +345,7 @@ def test_readme_lists_every_key_with_its_default():
                 assert not value, (name, key)
             else:
                 assert (pi[value] if value in pi else convert(value)) == default, (name, key)
-    assert set(profile_keys()) == set(_documented(profile_line))
+    assert set(profile_keys(None)) == set(_documented(profile_line))
 
 
 def test_readme_names_only_what_the_modules_define():

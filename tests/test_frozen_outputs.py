@@ -165,7 +165,7 @@ def frozen_outputs(root: Path, capsys) -> dict:
         field = root / name / "field.bin"
         for fmt in ("csv", "json", "bin"):
             out = root / f"{name}-{fmt}"
-            argv = ["--out", str(out), "--format", fmt, "evolve", "--input", str(field)]
+            argv = ["--out", str(out), "evolve", "--input", str(field), "--format", fmt]
             assert main(argv + EVOLVE + LAM[name]) == 0
         for control in OBSERVE[name]:
             found[f"{name}/observe-{control}"] = quadrature_line(field, control, capsys)
@@ -274,16 +274,20 @@ FROZEN_TERMINAL_ERROR = 4.32243025888876e-11
 _TRAJECTORY_HEADER = struct.Struct("<4sBBIIId")
 
 
-@pytest.fixture(scope="module")
-def frozen_control(tmp_path_factory):
-    """``(trajectory.bin bytes, report)`` of the frozen 16x4 control run."""
-    out = tmp_path_factory.mktemp("frozen_control")
+def _control_run(out: Path, steps: int) -> tuple[bytes, dict]:
+    """``(trajectory.bin bytes, report)`` of the 16x4 control run verified at ``steps``."""
     field = ["--nx", "16", "--ny", "4", "--kmax", "3", "--lmax", "1", "--seed", "5"]
     assert main(["--out", str(out), "random-field"] + field) == 0
-    argv = ["control", "--initial", str(out / "field.bin"), "--verify-steps", "200"]
+    argv = ["control", "--initial", str(out / "field.bin"), "--verify-steps", str(steps)]
     assert main(["--out", str(out / "control")] + argv) == 0
     report = json.loads((out / "control" / "control_report.json").read_text())
     return (out / "control" / "trajectory.bin").read_bytes(), report
+
+
+@pytest.fixture(scope="module")
+def frozen_control(tmp_path_factory):
+    """The frozen 16x4 control run, verified at 200 steps."""
+    return _control_run(tmp_path_factory.mktemp("frozen_control"), 200)
 
 
 def test_control_samples_are_frozen(frozen_control):
@@ -330,6 +334,15 @@ def test_control_samples_are_the_40_digit_rule(frozen_control):
 
 def test_terminal_error_is_frozen(frozen_control):
     _, report = frozen_control
+    error = report["terminal_error"]
+    assert abs(error - FROZEN_TERMINAL_ERROR) <= 1e-12 * FROZEN_TERMINAL_ERROR
+
+
+def test_few_verify_steps_still_resolve_the_frequency_span(tmp_path):
+    # 100 steps alone give 9 panels, which reported the rule's own 1.0e-6; the span of phi's
+    # lines, 686.3, asks for 20, so the rule takes 25 panels, those of 200 steps
+    trajectory, report = _control_run(tmp_path, 100)
+    assert hashlib.sha256(trajectory).hexdigest() == FROZEN_TRAJECTORY
     error = report["terminal_error"]
     assert abs(error - FROZEN_TERMINAL_ERROR) <= 1e-12 * FROZEN_TERMINAL_ERROR
 

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -145,7 +144,8 @@ class TestSynthesis:
         grid, params, profile = small_setup
         rng = seeded_rng(11, "samples")
         u0 = random_field(grid, rng, kmax=6, lmax=2)
-        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, sample_count=17)
+        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params)
+        assert traj.samples.shape == (256, *grid.shape)
         for t, coeffs in zip(traj.times, traj.samples):
             sample = kl.SpectralField(grid, coeffs)
             again = traj.control_at(float(t))
@@ -169,11 +169,17 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_few_samples_are_a_read_only_stack(self, small_setup, count):
+        # the synthesis exports 256 samples; the rule takes any number of times
         grid, params, profile = small_setup
         u0 = random_field(grid, seeded_rng(4, "few-samples"), kmax=6, lmax=2)
-        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, sample_count=count)
-        assert traj.samples.shape == (count, *grid.shape) and not traj.samples.flags.writeable
+        traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params)
+        assert not traj.samples.flags.writeable
         assert np.array_equal(traj.samples, traj.controls_at(traj.times))
+        times = np.linspace(0.0, 1.0, count)
+        found = traj.controls_at(times)
+        assert found.shape == (count, *grid.shape)
+        for t, sample in zip(times, found):
+            assert np.array_equal(sample, traj.control_at(float(t)).coeffs)
 
     @pytest.mark.parametrize("shape", [(256,), (128, 8)])
     def test_samples_are_the_rule_at_their_recorded_times(self, shape):
@@ -183,7 +189,8 @@ class TestSynthesis:
         params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
         axis = kl.TorusGrid(shape[0])
         profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", axis)
-        u0 = random_field(grid, seeded_rng(3, "recorded-times"), kmax=shape[0] // 2 - 1, lmax=2)
+        windows = {"kmax": shape[0] // 2 - 1, "lmax": 2 if grid.ny else None}
+        u0 = random_field(grid, seeded_rng(3, "recorded-times"), **windows)
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params)
         assert traj.samples.any()
         for t, sample in zip(traj.times, traj.samples):
@@ -228,11 +235,12 @@ class TestSynthesis:
                 kl.mode_field(grid, 1, 0), kl.mode_field(other, 1, 0), 1.0, profile, params
             )
 
-    def test_sample_count_guard(self, small_setup):
+    def test_sample_count_is_not_a_parameter(self, small_setup):
+        # the export is 256 samples, the count trajectory.bin records
         grid, params, profile = small_setup
         u0 = kl.mode_field(grid, 1, 0)
-        with pytest.raises(ParameterError):
-            kl.synthesize_control(u0, u0, 1.0, profile, params, sample_count=-1)
+        with pytest.raises(TypeError):
+            kl.synthesize_control(u0, u0, 1.0, profile, params, sample_count=9)
 
     def test_max_iter_must_be_an_integer(self, small_setup):
         grid, params, profile = small_setup
@@ -241,14 +249,13 @@ class TestSynthesis:
             kl.synthesize_control(u0, u0, 1.0, profile, params, max_iter=2.5)
 
 
-def _node_loop_verify(u0, traj, steps):
+def _node_loop_verify(u0, traj, panels):
     """The verifier as a per-node loop: one forcing evaluation per Gauss-Legendre node.
 
-    The rule is the verifier's, side^2 panels of 24 nodes with ``side = ceil(sqrt(ceil(steps /
-    12)))``; the forcing is summed in the frame ``w = S(-t) u`` at the nodes themselves.
+    The rule is ``panels`` panels of 24 nodes; the forcing is summed in the frame
+    ``w = S(-t) u`` at the nodes themselves.
     """
     omega = _cached_grid_frequencies(u0.grid, traj.params)
-    panels = (math.isqrt(-(-steps // 12) - 1) + 1) ** 2
     acc = np.zeros(u0.grid.shape, dtype=np.complex128)
     for t, w in zip(*gauss_legendre_nodes(traj.horizon, panels, 24)):
         control = kl.evolve(traj.phi_final, t - traj.horizon, traj.params)
@@ -270,10 +277,10 @@ class TestVerification:
         assert (terminal - free).norm() <= 1e-8
 
     # the name is the Simpson verifier's, which converged at fourth order; the Gauss-Legendre
-    # rule converges to rounding once it resolves the field's frequency span
+    # rule converges to rounding once it resolves the frequency span of phi's lines
     def test_fourth_order_convergence(self):
-        # small grid, max |omega| about 3.4e2: 9 panels (100 steps) leave the span unresolved,
-        # 16 panels (150 steps) and more resolve it
+        # small grid, span of phi's lines 686.3: 9 panels (100 steps alone) left it unresolved
+        # (1e-6); the span asks for 20, so 100 steps take 25 panels, as 200 steps do
         grid = kl.TorusGrid(16, 4)
         params = kl.DispersionParams.kp1(2.0)
         profile = kl.make_control_profile(
@@ -283,12 +290,13 @@ class TestVerification:
         u0 = random_field(grid, rng, kmax=3, lmax=1)
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, tol=1e-12)
         reference = kl.verify_control(u0, traj, steps=51_200)
-        errors = [(kl.verify_control(u0, traj, n) - reference).norm() for n in (100, 800, 1600)]
-        assert errors[0] > 1e-8
-        assert max(errors[1:]) <= 1e-14 * u0.norm()
+        runs = {n: kl.verify_control(u0, traj, n) for n in (100, 200, 800, 1600)}
+        assert max((run - reference).norm() for run in runs.values()) <= 1e-14 * u0.norm()
+        assert np.array_equal(runs[100].coeffs, runs[200].coeffs)
 
-    # side^2 panels of 24 nodes: side 3 at 100-104 steps, 4 at 127-128, 6 at 333, 21 near
-    # 5,000; the names are the Simpson verifier's, whose last lattice block these counts varied
+    # side^2 panels of 24 nodes: from the steps alone side 3 at 100-104 steps, 4 at 127-128,
+    # 6 at 333, 21 near 5,000, where the span of the lines (686.3 along x) asks for side 5; the
+    # names are the Simpson verifier's, whose last lattice block these counts varied
     @pytest.mark.parametrize(
         "shape, orientation, steps",
         [
@@ -301,7 +309,9 @@ class TestVerification:
             for steps in (100, 101, 104, 127, 128, 333, large)
         ],
     )
-    def test_stacks_match_the_per_step_simpson_loop(self, shape, orientation, steps):
+    def test_stacks_match_the_per_step_simpson_loop(
+        self, verify_panels, shape, orientation, steps
+    ):
         grid, axis = kl.TorusGrid(*shape), 1 if orientation == "horizontal" else 0
         params = kl.DispersionParams.kp1(2.0) if grid.ny else kl.DispersionParams.reduced(2.0, 1.0)
         profile = kl.make_control_profile(-2.0, 1.5, "hann-squared", kl.TorusGrid(shape[axis]))
@@ -310,7 +320,8 @@ class TestVerification:
         u0, phi = random_field(grid, rng, **windows), random_field(grid, rng, **windows)
         traj = ControlTrajectory(1.0, phi, profile, params, orientation, np.empty(0), ())
         out = kl.verify_control(u0, traj, steps=steps)
-        assert (out - _node_loop_verify(u0, traj, steps)).norm() <= 1e-14 * u0.norm()
+        expect = _node_loop_verify(u0, traj, verify_panels(traj, steps))
+        assert (out - expect).norm() <= 1e-14 * u0.norm()
 
     @pytest.mark.parametrize(
         "shape, orientation", [((64,), "vertical"), ((32, 8), "vertical"), ((32, 8), "horizontal")]
@@ -331,7 +342,9 @@ class TestVerification:
         assert (kl.verify_control(u0, traj, 3000) - expect).norm() <= 1e-12 * expect.norm()
 
     @pytest.mark.parametrize("steps", [100, 1000, 6000, MAX_VERIFY_STEPS])
-    def test_phase_work_grows_as_the_root_of_the_node_count(self, monkeypatch, small_setup, steps):
+    def test_phase_work_grows_as_the_root_of_the_node_count(
+        self, monkeypatch, verify_panels, small_setup, steps
+    ):
         grid, params, profile = small_setup
         entries = []
 
@@ -351,7 +364,8 @@ class TestVerification:
         support = _support(phi)
         modes = support.sum() + _kept_modes(grid)[:, support.any(axis=0)].sum()
         # and at most one phase per kept mode for the closing evolve, which takes its support's
-        bound = 3.0 * np.sqrt(2 * steps + 1) * modes + _kept_modes(grid).sum()
+        nodes = 24 * verify_panels(traj, steps)
+        bound = 3.0 * np.sqrt(nodes) * modes + _kept_modes(grid).sum()
         assert 0 < sum(entries) <= bound
 
     def test_memory_stays_bounded(self):
@@ -359,7 +373,7 @@ class TestVerification:
         params = kl.DispersionParams.kp1(2.0)
         u0 = kl.mode_field(grid, 1, 1) + kl.mode_field(grid, 2, -1)
         traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, kl.default_profile(64), params)
-        # all 20,184 nodes in one stack would take 330 MB; no array may grow with the node
+        # all 42,336 nodes in one stack would take 694 MB; no array may grow with the node
         # count: at the largest count, 2,004,504 nodes, their float64 times alone take 16 MB
         for steps in (10_000, MAX_VERIFY_STEPS):
             tracemalloc.start()

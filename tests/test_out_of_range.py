@@ -106,6 +106,31 @@ def test_verify_steps_are_bounded_before_synthesis(
     assert not (tmp_path / "cli" / "control_report.json").exists()
 
 
+def test_a_verifier_rule_past_the_cap_fails_before_synthesis(tmp_path, capsys, monkeypatch):
+    # the synthesized phi fills the kept modes of its lines: on a 256-point x-axis their
+    # span, 2 * 127^3, asks for 1.2e5 panels at T = 1, past the 289^2 of 1,000,000 steps
+    monkeypatch.setattr(experiments, "synthesize_control", None)  # calling it would raise
+    needle = "panels for the frequency span"
+    body = "type = hum-steer\nnx = 256\nny = 4\nkmax = 3\nlmax = 1\nverify_steps = 1000000\n"
+    _section(tmp_path, capsys, "steer", body, needle)
+    field = tmp_path / "u0.bin"
+    write_field(random_field(kl.TorusGrid(256, 4), seeded_rng(5, "cap"), kmax=3, lmax=1), field)
+    argv = ["control", "--initial", str(field), "--verify-steps", "1000000"]
+    _command(tmp_path, capsys, argv, needle)
+    assert not (tmp_path / "cli").exists()
+
+
+def test_lmax_on_a_1d_grid_is_an_error(tmp_path, capsys):
+    # a 1D grid has no l, so the window would be ignored
+    _command(tmp_path, capsys, ["random-field", "--nx", "16", "--lmax", "5"], "lmax")
+    assert not (tmp_path / "cli").exists()
+    # and --ny 0 is no way to ask for one
+    _command(tmp_path, capsys, ["random-field", "--nx", "16", "--ny", "0"], "ny must be")
+    assert not (tmp_path / "cli").exists()
+    with pytest.raises(ParameterError, match="lmax"):
+        random_field(kl.TorusGrid(16), seeded_rng(5, "range"), lmax=0)
+
+
 @pytest.mark.parametrize(
     "n_min, n_max, needle",
     [
@@ -207,7 +232,7 @@ def test_out_of_memory_request_exits_1(tmp_path, capsys, argv, name):
 @pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
 @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
 def test_evolution_times_must_be_finite(tmp_path, capsys, field_32x8, fmt, time):
-    argv = ["--format", fmt, "evolve", "--input", field_32x8, f"--times={time}"]
+    argv = ["evolve", "--input", field_32x8, f"--times={time}", "--format", fmt]
     _command(tmp_path, capsys, argv, "times must be finite")
     assert not list((tmp_path / "cli").glob("snapshot_*"))
 
@@ -216,8 +241,8 @@ def test_evolution_times_must_be_finite(tmp_path, capsys, field_32x8, fmt, time)
 @pytest.mark.parametrize("command", ["observe", "evolve"])
 def test_lam_on_a_2d_field_is_an_error(tmp_path, capsys, field_32x8, command, value):
     # a 2D field takes its transverse frequencies from its grid; --lam would be ignored
-    times = ["--times=0.5"] if command == "evolve" else []
-    argv = ["--format", "bin", command, "--input", field_32x8, "--lam", value, *times]
+    times = ["--times=0.5", "--format", "bin"] if command == "evolve" else []
+    argv = [command, "--input", field_32x8, "--lam", value, *times]
     _command(tmp_path, capsys, argv, "--lam")
     assert not list((tmp_path / "cli").glob("snapshot_*"))
 
@@ -226,8 +251,8 @@ def test_lam_on_a_2d_field_is_an_error(tmp_path, capsys, field_32x8, command, va
 def test_lam_on_a_1d_field_must_be_finite(tmp_path, capsys, command):
     field = tmp_path / "u1.bin"
     write_field(random_field(kl.TorusGrid(32), seeded_rng(5, "range"), kmax=6), field)
-    times = ["--times=0.5"] if command == "evolve" else []
-    argv = ["--format", "bin", command, "--input", str(field), "--lam", "nan", *times]
+    times = ["--times=0.5", "--format", "bin"] if command == "evolve" else []
+    argv = [command, "--input", str(field), "--lam", "nan", *times]
     _command(tmp_path, capsys, argv, "lam must be nonnegative and finite")
     assert not list((tmp_path / "cli").glob("snapshot_*"))
 
@@ -235,11 +260,11 @@ def test_lam_on_a_1d_field_must_be_finite(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--format", "bin", "evolve", "--times=1e300"],
+        ["evolve", "--times=1e300", "--format", "bin"],
         ["observe", "--horizon", "1e300", "--method", "gramian"],
         ["observe", "--horizon", "1e300", "--method", "quadrature"],
         # t = 0.5 alone is fine: every time is checked before the first snapshot
-        ["--format", "bin", "evolve", "--times=0.5,1e300"],
+        ["evolve", "--times=0.5,1e300", "--format", "bin"],
     ],
 )
 def test_phases_beyond_their_precision_are_an_error(tmp_path, capsys, field_32x8, argv):

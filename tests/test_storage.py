@@ -73,17 +73,17 @@ def test_trajectory_container(tmp_path, rng):
     params = kl.DispersionParams.kp1(2.0)
     profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16))
     u0 = random_field(grid, rng, kmax=3, lmax=1)
-    traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, sample_count=9)
+    traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params)
     path = tmp_path / "t.bin"
     write_trajectory(traj, path)
     raw = path.read_bytes()
     assert raw[:4] == b"KPIT"
-    # header + phi + 9 nodes of (time, field)
+    # header + phi + 256 samples of (time, field)
     import struct
 
     head = struct.calcsize("<4sBBIIId")
     per_field = 16 * 4 * 16
-    assert len(raw) == head + per_field + 9 * (8 + per_field)
+    assert len(raw) == head + per_field + 256 * (8 + per_field)
 
 
 def test_container_magic_guard(tmp_path):
