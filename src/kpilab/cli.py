@@ -31,6 +31,7 @@ from .experiments import (
     profile_keys,
     random_field,
     run_experiment,
+    seed,
     seeded_rng,
     steer,
 )
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("run", _cmd_run)
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
+    p.add_argument("--seed", type=seed, default=None, help="overrides the config's seed")
 
     p = command("dispersion", _cmd_dispersion)
     p.add_argument("--alpha", type=float, default=2.0)
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--lmax", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
 
     return parser
 

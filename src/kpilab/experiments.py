@@ -229,6 +229,14 @@ def profile_kind(value: str) -> str:
     return value
 
 
+def seed(value: str) -> int:
+    """A master seed: the nonnegative integer numpy's SeedSequence takes; ValueError otherwise."""
+    number = int(value)
+    if number < 0:
+        raise ValueError(value)
+    return number
+
+
 def profile_keys(nx: int | None = 1024) -> dict:
     """Keys of the control profile on ``profile_nx = nx`` points, or on the field's axis (None)."""
     keys = {
@@ -296,7 +304,7 @@ HUM_STEER_KEYS = {
     "lmax": (int, 4),
     **STEER_KEYS,
 }
-RUN_KEYS = {"seed": (int, 0), "output": (str, ".")}
+RUN_KEYS = {"seed": (seed, 0), "output": (str, ".")}
 
 
 # ---------------------------------------------------------------------------

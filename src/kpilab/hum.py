@@ -170,18 +170,20 @@ def _conjugate_residual(
     rhs: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, list[float], int, bool]:
+) -> tuple[np.ndarray, list[float], int, str]:
     """Conjugate-residual iteration for a hermitian PSD block.
 
     The minimal-residual member of the conjugate-direction family: residual
     2-norms are non-increasing by construction, which the classic CG update
     does not guarantee. Iteration counts match plain CG on these
-    well-conditioned blocks.
+    well-conditioned blocks. Returns the solution, the residual history, the
+    iteration count and why it stopped: ``"converged"``, ``"breakdown"`` (a
+    search direction the block does not see) or ``"max_iter"``.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
-        return x, [0.0], 0, True
+        return x, [0.0], 0, "converged"
     r = rhs.copy()
     p = r.copy()
     ar = matrix @ r
@@ -191,21 +193,21 @@ def _conjugate_residual(
     for iteration in range(1, max_iter + 1):
         denom = float(np.real(np.vdot(ap, ap)))
         if denom <= 0.0 or rar <= 0.0:
-            return x, history, iteration - 1, False
+            return x, history, iteration - 1, "breakdown"
         alpha = rar / denom
         x += alpha * p
         r -= alpha * ap
         res = float(np.linalg.norm(r))
         history.append(res)
         if res <= tol * rhs_norm:
-            return x, history, iteration, True
+            return x, history, iteration, "converged"
         ar = matrix @ r
         rar_new = float(np.real(np.vdot(r, ar)))
         beta = rar_new / rar
         rar = rar_new
         p = r + beta * p
         ap = ar + beta * ap
-    return x, history, max_iter, False
+    return x, history, max_iter, "max_iter"
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,9 +279,10 @@ def synthesize_control(
     (minimal-residual conjugate-direction) iteration to
     relative residual ``tol``. Raises ``NonConvergenceError`` (carrying the
     residual history) when a block stagnates, which is the expected signal
-    for data invisible to the chosen control operator. Content of ``u0`` or
-    ``u1`` on a Nyquist frequency, which no evolution carries, is a
-    ``ParameterError`` before any work.
+    for data invisible to the chosen control operator, and when a block
+    reaches ``max_iter`` iterations with its residual still falling.
+    Content of ``u0`` or ``u1`` on a Nyquist frequency, which no evolution
+    carries, is a ``ParameterError`` before any work.
     """
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
@@ -297,9 +300,16 @@ def synthesize_control(
     final_rel = 0.0
     histories: dict[int, list[float]] = {}
     for b, label in enumerate(op.labels.tolist()):
-        x, history, iters, ok = _conjugate_residual(op.stack[b], rhs[b], tol, max_iter)
+        x, history, iters, stop = _conjugate_residual(op.stack[b], rhs[b], tol, max_iter)
         histories[label] = history
-        if not ok:
+        if stop == "max_iter":
+            raise NonConvergenceError(
+                f"conjugate residual reached max_iter = {max_iter} on block {label} with the "
+                f"residual still falling ({history[-2]:.3e} to {history[-1]:.3e} in its last "
+                "iteration); a larger max_iter may converge",
+                residual_history=history,
+            )
+        if stop == "breakdown":
             raise NonConvergenceError(
                 f"conjugate gradient stagnated on block {label} "
                 f"(residual {history[-1]:.3e} after {iters} iterations); "

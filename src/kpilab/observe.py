@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import cos, isqrt, pi
+from math import cos, inf, isqrt, pi
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
@@ -751,100 +751,137 @@ def concentration_matrix(profile: ControlProfile, m0: int) -> np.ndarray:
 
 # inverse-power warm start: share of the generic unit vector; relative stop
 _GENERIC_SHARE = 0.5
-_SWEEP_TOL = 1e-18
+_SWEEP_TOL = 10**18  # successive estimates agree to one part in this
 _MAX_SWEEPS = 80
 _GUARD_BITS = 64  # fixed-point bits beyond the working precision
+_PHASE_GUARD_BITS = 32  # beyond those, while the node phases are multiplied out
 _SINGULAR = "concentration matrix is numerically singular; the constant diverges"
 
 
-def _fixed(value, bits: int) -> tuple[int, int]:
-    """Real and imaginary parts of ``value * 2**bits``, floored to ints."""
-    import mpmath as mp
-
-    c = mp.mpc(value)
-    return mp.libmp.to_fixed(c.real._mpf_, bits), mp.libmp.to_fixed(c.imag._mpf_, bits)
+def _working_precision(m_max: int) -> int:
+    """Bits of ``digits = max(50, 60 + 3 m_max)`` decimal digits: ``round((digits + 1) log2 10)``."""
+    return round((max(50, 60 + 3 * m_max) + 1) * 3.3219280948873626)
 
 
-def _mp_concentration_moments(profile: ControlProfile, m_abs: int, dps: int) -> list:
-    """Extended-precision g^2 moments ``integral g^2 e^{imx} dx``, m = 0 .. m_abs.
+def _fixed(value: float, bits: int, power: int = 1) -> int:
+    """``floor(value**power * 2**bits)``, exact."""
+    num, den = value.as_integer_ratio()
+    return (num**power << bits) // den**power
 
-    One ``expjpi`` phase per support node, raised to the m-th power by a
-    running product in fixed point: an int ``n`` stands for ``n * 2**-bits``,
-    ``bits`` the working precision plus ``_GUARD_BITS``. The sums come back as
-    mpc at ``dps`` digits.
+
+def _arctan_inverse(x: int, bits: int) -> int:
+    """``arctan(1/x) * 2**bits`` for an integer ``x > 1``, by its Taylor series."""
+    total = term = (1 << bits) // x
+    x2, n = x * x, 1
+    while term:
+        term //= x2
+        n += 2
+        total += -(term // n) if n % 4 == 3 else term // n
+    return total
+
+
+def _node_step(nx: int, bits: int) -> tuple[int, tuple[int, int]]:
+    """``2 pi / nx`` and ``e^{2 pi i / nx}``, real and imaginary part, at scale ``2**bits``.
+
+    ``pi`` comes from Machin's formula ``pi/4 = 4 arctan(1/5) - arctan(1/239)``, the root from
+    its Taylor series; both are summed 16 bits beyond ``bits``, which absorb the truncations.
     """
-    import mpmath as mp
+    work = bits + 16
+    half_turn = 4 * (4 * _arctan_inverse(5, work) - _arctan_inverse(239, work))
+    angle = 2 * half_turn // nx  # nx is a power of two
+    parts, term, n = [1 << work, 0], 1 << work, 0
+    while term:
+        n += 1
+        term = (term * angle >> work) // n
+        parts[n % 2] += -term if n % 4 in (2, 3) else term
+    return angle >> 16, (parts[0] >> 16, parts[1] >> 16)
 
+
+def _concentration_moments(profile: ControlProfile, m_abs: int, bits: int) -> list:
+    """g^2 moments ``integral g^2 e^{imx} dx``, m = 0 .. m_abs, as fixed-point ``(re, im)`` ints.
+
+    An int ``n`` stands for ``n * 2**-bits``. Node ``j`` sits at ``x = -pi + 2 pi j / nx``, so
+    ``e^{imx}`` there is the root of unity ``e^{2 pi i / nx}`` to the power
+    ``m (j - nx/2) mod nx``. Its ``nx`` powers are a running product with
+    ``_PHASE_GUARD_BITS`` more bits, each step three integer products (Gauss:
+    ``(a + ib)(c + id) = c(a + b) - b(c + d) + i (c(a + b) + a(d - c))``). g^2 is exact from
+    the float samples, and each moment is an exact sum of products, floored once.
+    """
     nx = profile.grid.nx
-    with mp.workdps(dps):
-        bits = mp.mp.prec + _GUARD_BITS
-        support = [j for j, v in enumerate(profile.values) if v != 0.0]
-        tr = [_fixed(mp.mpf(float(profile.values[j])) ** 2, bits)[0] for j in support]
-        ti = [0] * len(tr)
-        phases = [_fixed(mp.expjpi(mp.mpf(2 * j) / nx), bits) for j in support]
-        weight = 2 * mp.pi / nx
-        moments = []
-        for m in range(m_abs + 1):
-            total = mp.mpc(mp.mpf((sum(tr), -bits)), mp.mpf((sum(ti), -bits)))
-            moments.append(total * weight * (-1 if m % 2 else 1))
-            tr, ti = (
-                [(a * c - b * d) >> bits for a, b, (c, d) in zip(tr, ti, phases)],
-                [(a * d + b * c) >> bits for a, b, (c, d) in zip(tr, ti, phases)],
-            )
-        return moments
+    work = bits + _PHASE_GUARD_BITS
+    weight, (c, d) = _node_step(nx, work)
+    c_plus_d, d_minus_c = c + d, d - c
+    power_re, power_im, a, b = [], [], 1 << work, 0
+    for _ in range(nx):
+        power_re.append(a)
+        power_im.append(b)
+        k = c * (a + b)
+        a, b = (k - b * c_plus_d) >> work, (k + a * d_minus_c) >> work
+    support = np.flatnonzero(profile.values)
+    gsq = [_fixed(v, bits, 2) for v in profile.values[support].tolist()]
+    offsets = (support - nx // 2).tolist()
+    moments = []
+    for m in range(m_abs + 1):
+        powers = [m * j % nx for j in offsets]
+        re = sum(map(mul, gsq, map(power_re.__getitem__, powers)))
+        im = sum(map(mul, gsq, map(power_im.__getitem__, powers)))
+        moments.append((re * weight >> 2 * work, im * weight >> 2 * work))
+    return moments
 
 
 def _fixed_cholesky(moments: list, size: int, bits: int) -> tuple[list, list, list]:
     """Cholesky factor ``L`` of the order-``size`` Hermitian Toeplitz matrix of ``moments``.
 
-    Fixed point: an int ``n`` stands for ``n * 2**-bits``. Returns the real and
-    imaginary parts of each row left of the diagonal and the positive diagonal.
-    A pivot below the working epsilon, as in ``mp.cholesky``, is singular.
+    Fixed point: an int ``n`` stands for ``n * 2**-bits``, and ``moments`` are ``(re, im)``
+    pairs. Returns the real and imaginary parts of each row left of the diagonal and the
+    positive diagonal. A pivot below the working epsilon ``2**(1 - bits + _GUARD_BITS)`` is
+    singular. Each complex inner product is three exact integer sums.
     """
-    import mpmath as mp
-
-    cr, ci = zip(*(_fixed(c, bits) for c in moments[:size]))
-    floor = 1 << (2 * bits + 1 - mp.mp.prec)  # the working epsilon, at scale 2**(2*bits)
-    re, im, diag = [], [], []
+    cr, ci = zip(*moments[:size])
+    floor = 1 << (bits + _GUARD_BITS + 1)  # the working epsilon, at scale 2**(2*bits)
+    re, im, plus, minus, diag = [], [], [], [], []
     for i in range(size):
-        ri, ii = [], []
+        ri, ii, si = [], [], []
         for k in range(i):  # A[i][k] = conj(moment[i-k]) minus sum_j L[i][j] conj(L[k][j])
-            rk, ik = re[k], im[k]
-            sr = (cr[i - k] << bits) - sum(map(mul, ri, rk)) - sum(map(mul, ii, ik))
-            si = -(ci[i - k] << bits) - sum(map(mul, ii, rk)) + sum(map(mul, ri, ik))
+            common = sum(map(mul, re[k], si))
+            sr = (cr[i - k] << bits) - common + sum(map(mul, ii, minus[k]))
+            sm = -(ci[i - k] << bits) - common + sum(map(mul, ri, plus[k]))
             ri.append(sr // diag[k])
-            ii.append(si // diag[k])
+            ii.append(sm // diag[k])
+            si.append(ri[-1] + ii[-1])
         pivot = (cr[0] << bits) - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
         if pivot < floor:
             raise NumericalConsistencyError(_SINGULAR)
         re.append(ri)
         im.append(ii)
+        plus.append(si)
+        minus.append([a - b for a, b in zip(ri, ii)])
         diag.append(isqrt(pivot))
     return re, im, diag
 
 
-def _mp_bottom_eigenvalues(moments: list, m_max: int) -> list:
-    """Smallest eigenvalue of every leading Toeplitz block, at the caller's precision.
+def _bottom_eigenvalues(moments: list, m_max: int, bits: int) -> list[tuple[int, int]]:
+    """Smallest eigenvalue of every leading Toeplitz block, as a quotient ``(zz, yy)`` of ints.
 
     The order-m0 matrix and its Cholesky factor ``L`` are the leading
     ``2*m0+1`` blocks of the order-m_max ones. The factor and the sweeps run
-    in fixed point (:func:`_fixed_cholesky`), ``bits`` the working precision
-    plus ``_GUARD_BITS``. Inverse power solves ``L z = x`` and ``L^H y = z``,
+    in fixed point (:func:`_fixed_cholesky`), every complex inner product as
+    three exact integer sums. Inverse power solves ``L z = x`` and ``L^H y = z``,
     so ``y = A^-1 x``, normalises ``y`` into the next ``x`` and takes the
     Rayleigh quotient ``z^H z / y^H y`` of ``y`` as the eigenvalue. Each order
     starts from the previous eigenvector padded with zeros plus a share of a
     generic vector: the eigenvectors of a symmetric g^2 have definite parity,
-    which the padded vector alone may miss. An order whose estimate still
-    moves after ``_MAX_SWEEPS`` sweeps raises.
+    which the padded vector alone may miss. An order stops once two successive
+    quotients agree to one part in ``_SWEEP_TOL``, compared exactly; one whose
+    estimate still moves after ``_MAX_SWEEPS`` sweeps raises.
     """
-    import mpmath as mp
-
-    bits = mp.mp.prec + _GUARD_BITS
     size = 2 * m_max + 1
     re, im, diag = _fixed_cholesky(moments, size, bits)
+    plus = [[a + b for a, b in zip(ar, ai)] for ar, ai in zip(re, im)]
     col_r = [[re[k][i] for k in range(i + 1, size)] for i in range(size)]
     col_i = [[im[k][i] for k in range(i + 1, size)] for i in range(size)]
-    share = _fixed(_GENERIC_SHARE, bits)[0]
+    col_minus = [[a - b for a, b in zip(cr, ci)] for cr, ci in zip(col_r, col_i)]
+    share = _fixed(_GENERIC_SHARE, bits)
     xr, xi, out = [], [], []
     for m0 in range(m_max + 1):
         n = 2 * m0 + 1
@@ -852,32 +889,39 @@ def _mp_bottom_eigenvalues(moments: list, m_max: int) -> list:
         norm = isqrt(sum(map(mul, generic, generic)))
         xr = [v + g * share // norm for v, g in zip([0, *xr, 0] if xr else [0], generic)]
         xi = [0, *xi, 0] if xi else [0]
-        lam = mp.inf
+        previous = None
         for _ in range(_MAX_SWEEPS):
-            zr, zi = [], []
+            zr, zi, zs, zd = [], [], [], []  # z, and Re z + Im z, Im z - Re z
             for i in range(n):  # L z = x
-                ar, ai, d = re[i], im[i], diag[i]
-                zr.append(((xr[i] << bits) - sum(map(mul, ar, zr)) + sum(map(mul, ai, zi))) // d)
-                zi.append(((xi[i] << bits) - sum(map(mul, ar, zi)) - sum(map(mul, ai, zr))) // d)
-            yr, yi = [0] * n, [0] * n
+                common = sum(map(mul, plus[i], zr))
+                wr = ((xr[i] << bits) - common + sum(map(mul, im[i], zs))) // diag[i]
+                wi = ((xi[i] << bits) - common - sum(map(mul, re[i], zd))) // diag[i]
+                zr.append(wr)
+                zi.append(wi)
+                zs.append(wr + wi)
+                zd.append(wi - wr)
+            yr, yi, ys, yd = [0] * n, [0] * n, [0] * n, [0] * n
             for i in reversed(range(n)):  # L^H y = z
-                ar, ai, br, bi, d = col_r[i], col_i[i], yr[i + 1 :], yi[i + 1 :], diag[i]
-                yr[i] = ((zr[i] << bits) - sum(map(mul, ar, br)) - sum(map(mul, ai, bi))) // d
-                yi[i] = ((zi[i] << bits) - sum(map(mul, ar, bi)) + sum(map(mul, ai, br))) // d
+                common = sum(map(mul, col_minus[i], yr[i + 1 :]))
+                wr = ((zr[i] << bits) - common - sum(map(mul, col_i[i], ys[i + 1 :]))) // diag[i]
+                wi = ((zi[i] << bits) - common - sum(map(mul, col_r[i], yd[i + 1 :]))) // diag[i]
+                yr[i], yi[i], ys[i], yd[i] = wr, wi, wr + wi, wi - wr
             zz = sum(map(mul, zr, zr)) + sum(map(mul, zi, zi))
             yy = sum(map(mul, yr, yr)) + sum(map(mul, yi, yi))
             scale = isqrt(yy)
             xr = [(v << bits) // scale for v in yr]
             xi = [(v << bits) // scale for v in yi]
-            lam, previous = mp.mpf(zz) / yy, lam
-            if abs(lam - previous) <= _SWEEP_TOL * lam:
-                break
+            if previous is not None:
+                change, base = abs(zz * previous[1] - previous[0] * yy), zz * previous[1]
+                if _SWEEP_TOL * change <= base:
+                    break
+            previous = zz, yy
         else:
             raise NumericalConsistencyError(
                 f"inverse power did not converge at order m0 = {m0} after {_MAX_SWEEPS} sweeps; "
-                f"last relative change {float(abs(lam - previous) / lam):.3g}"
+                f"last relative change {change / base:.3g}"
             )
-        out.append(lam)
+        out.append((zz, yy))
     return out
 
 
@@ -887,23 +931,28 @@ def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
     The inequality ``sum |c_k|^2 <= kappa(m0) integral |g p|^2`` is sharp at
     the bottom eigenvector of the concentration matrix. Those eigenvalues
     decay exponentially in m0 and fall far below float64 resolution around
-    m0 = 12, so the dense solve runs in extended precision sized to m_max;
-    the returned constants are floats.
+    m0 = 12, so the dense solve runs in fixed point on Python ints, sized to
+    m_max; each constant is the correctly rounded float of an exact quotient.
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be nonnegative, got {m_max}")
     window_mask(profile.grid.k_values, m_max, exclude_zero=False)  # the window -m_max .. m_max
-    import mpmath as mp
+    bits = _working_precision(m_max) + _GUARD_BITS
+    moments = _concentration_moments(profile, 2 * m_max, bits)
+    if moments[0][0] <= 0:
+        raise NumericalConsistencyError("profile has no quadrature mass; the constant diverges")
+    lams = _bottom_eigenvalues(moments, m_max, bits)
+    if any(zz <= 0 for zz, _ in lams):
+        raise NumericalConsistencyError(_SINGULAR)
+    return [_quotient(yy, zz) for zz, yy in lams]
 
-    dps = max(50, 60 + 3 * m_max)
-    moments = _mp_concentration_moments(profile, 2 * m_max, dps)
-    with mp.workdps(dps):
-        if moments[0].real <= 0:
-            raise NumericalConsistencyError("profile has no quadrature mass; the constant diverges")
-        lams = _mp_bottom_eigenvalues(moments, m_max)
-        if any(lam <= 0 for lam in lams):
-            raise NumericalConsistencyError(_SINGULAR)
-        return [float(1 / lam) for lam in lams]
+
+def _quotient(num: int, den: int) -> float:
+    """``num / den`` correctly rounded; infinite past the float64 range."""
+    try:
+        return num / den
+    except OverflowError:
+        return inf
 
 
 def spectral_constant(profile: ControlProfile, m0: int) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 import kpilab as kl
 from kpilab.cli import main
-from kpilab.experiments import random_field
+from kpilab.experiments import random_field, seeded_rng
 from kpilab.storage import read_field, write_field
 
 
@@ -171,6 +171,19 @@ def test_control_subcommand(tmp_path, rng, capsys):
     assert report["relative_residual"] <= 1e-8
     assert report["terminal_error"] <= 1e-4
     assert (tmp_path / "trajectory.bin").exists()
+
+
+def test_control_names_an_exhausted_iteration_budget(tmp_path, capsys):
+    # one iteration leaves the residual falling: that is not a stagnated solve
+    src = tmp_path / "u0.bin"
+    write_field(random_field(kl.TorusGrid(16, 4), seeded_rng(3, "budget"), kmax=4, lmax=1), src)
+    argv = ["--out", str(tmp_path / "out"), "control", "--initial", str(src), "--max-iter", "1"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error: conjugate residual reached max_iter = 1 on block"), err
+    assert "still falling" in err and "stagnated" not in err
+    assert not (tmp_path / "out" / "trajectory.bin").exists()
 
 
 @pytest.mark.parametrize("nyquist", ["--initial", "--target"])

@@ -30,6 +30,7 @@ from kpilab.experiments import (
     random_field,
     read_config,
     read_section,
+    seed,
     seeded_rng,
 )
 from kpilab.storage import write_field
@@ -135,12 +136,14 @@ GOOD = {
     int: st.integers(-(10**6), 10**6).map(str),
     float: st.floats(allow_nan=False).map(repr),
     profile_kind: st.sampled_from(["smooth-exp", "hann-squared"]),
+    seed: st.integers(0, 10**6).map(str),
     str: st.text("abcxyz./-_019", max_size=8),
 }
 BAD = {
     int: st.sampled_from(["fish", "1.5", "", "1e3", "0x10"]),
     float: st.sampled_from(["fish", "", "1,5", "--1", "pi"]),
     profile_kind: st.sampled_from(["bogus", "", "smooth", "Smooth-Exp"]),
+    seed: st.sampled_from(["-1", "-5", "fish", "1.5", ""]),
 }
 
 

@@ -86,7 +86,9 @@ of the samples to 1e-14 of that value.
 frozen while every order still had its own Cholesky factorization and a
 cold-started inverse-power loop; the constants are converged far below
 float64 resolution, so the factorization shared by all orders must give the
-same floats.
+same floats. The default profile's table to ``m0 = 32`` was frozen as hex
+floats while the moments were still summed in mpmath; the integer moments
+must give the same bits.
 """
 
 import hashlib
@@ -356,6 +358,21 @@ FROZEN_TWO_INTERVAL_TABLE = [
     2792256002074.9736,
 ]
 
+# the default profile's table to m_max 32, taken while the table was summed in mpmath
+FROZEN_DEFAULT_TABLE_HEX = [
+    "0x1.29d1678e61017p+0", "0x1.12b90a8691f80p+10", "0x1.1c18a20a92499p+20",
+    "0x1.10c1dfc3a8fc5p+30", "0x1.ef5bc7a6d483cp+39", "0x1.afcb17d23d316p+49",
+    "0x1.6cd2c81def3ccp+59", "0x1.2cba7d53ce260p+69", "0x1.e5ef07e3ac34ep+78",
+    "0x1.821757aaf5eb4p+88", "0x1.2e71d33d0ff4ep+98", "0x1.d4175c20cb41fp+107",
+    "0x1.6665375ffd5f7p+117", "0x1.0fd8164fdbb46p+127", "0x1.98f65dac8d77ap+136",
+    "0x1.315428692235fp+146", "0x1.c4d81fac0d798p+155", "0x1.4dc2de0c7b2b8p+165",
+    "0x1.e93cddd63d088p+174", "0x1.64bb516be1970p+184", "0x1.02e27825eddadp+194",
+    "0x1.761bd681baa06p+203", "0x1.0d3600d1b912fp+213", "0x1.81fc5eb0173f4p+222",
+    "0x1.13ba132445d02p+232", "0x1.889d1f415726ap+241", "0x1.16a402dee351ep+251",
+    "0x1.8a4f6bb2d50dcp+260", "0x1.16323f1921a8fp+270", "0x1.8782cdfdd054ap+279",
+    "0x1.12dfae7cf4b6fp+289", "0x1.815af1378063dp+298", "0x1.0de715c8cd4c6p+308",
+]
+
 
 def test_spectral_constant_csv_is_frozen(tmp_path):
     assert main(["--out", str(tmp_path), "spectral-constant", "--m-max", "16"]) == 0
@@ -367,3 +384,8 @@ def test_two_interval_spectral_table_is_frozen():
     intervals = [(-2.6, -1.4), (0.3, 2.1)]
     profile = kl.make_region_profile(intervals, "hann-squared", kl.TorusGrid(512))
     assert kl.spectral_constant_table(profile, 12) == FROZEN_TWO_INTERVAL_TABLE
+
+
+def test_default_spectral_table_to_order_32_is_frozen():
+    table = kl.spectral_constant_table(kl.default_profile(), 32)
+    assert [kappa.hex() for kappa in table] == FROZEN_DEFAULT_TABLE_HEX

@@ -130,6 +130,18 @@ class TestSynthesis:
                 u0, u0 * 0.0, 1.0, prof_y, params, orientation="horizontal", max_iter=40
             )
         assert len(excinfo.value.residual_history) >= 1
+        assert "stagnated on block 1" in str(excinfo.value)
+        assert "max_iter" not in str(excinfo.value)
+
+    def test_an_exhausted_iteration_budget_is_not_stagnation(self, small_setup):
+        grid, params, profile = small_setup
+        u0 = random_field(grid, seeded_rng(3, "budget"), kmax=6, lmax=2)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, params, max_iter=1)
+        message, history = str(excinfo.value), excinfo.value.residual_history
+        assert "reached max_iter = 1" in message and "still falling" in message
+        assert "stagnated" not in message
+        assert len(history) == 2 and history[1] < history[0]
 
     def test_cg_residuals_non_increasing(self, small_setup):
         grid, params, profile = small_setup

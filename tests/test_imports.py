@@ -1,10 +1,13 @@
 """Loading kpilab costs numpy and the standard library only.
 
-scipy serves one function, the packet coefficient quadrature, and mpmath
-the spectral constant; both are imported where they are called, so a
-``kpi-lab`` process that needs neither never pays for them. The quadrature
-loads scipy's compiled QUADPACK module alone, never the ``scipy.integrate``
-package with ``scipy.special`` behind it. The Gauss-Legendre rule of the
+scipy serves one function, the packet coefficient quadrature, and is
+imported where it is called, so a ``kpi-lab`` process that does not need it
+never pays for it. The quadrature loads scipy's compiled QUADPACK module
+alone, never the ``scipy.integrate`` package with ``scipy.special`` behind
+it. No command loads mpmath: the spectral constant runs on Python ints, its
+moments from powers of a root of unity, every complex inner product three
+exact integer sums, and each constant the correctly rounded float of an
+integer quotient; mpmath serves the tests as an independent oracle. The Gauss-Legendre rule of the
 quadrature and of the Duhamel verifier comes from the package's own Newton
 iteration, so neither command loads ``numpy.polynomial``.
 """
@@ -57,6 +60,20 @@ def test_import_loads_neither_scipy_nor_mpmath():
     assert "scipy.integrate" not in report["after"]
     assert "scipy.special" not in report["after"]
     assert "mpmath" not in report["after"]
+
+
+def test_spectral_constant_does_not_load_mpmath(tmp_path):
+    argv = ["--out", str(tmp_path), "spectral-constant", "--m-max", "4"]
+    script = (
+        "import sys\nfrom kpilab.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 COMMANDS = {

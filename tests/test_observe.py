@@ -20,8 +20,12 @@ from kpilab.observe import (
     _fixed_cholesky,
     _gramian_kernel,
     _is_odd,
+    _bottom_eigenvalues,
+    _concentration_moments,
     _legendre_rule,
-    _mp_bottom_eigenvalues,
+    _node_step,
+    _quotient,
+    _working_precision,
     concentration_matrix,
     gauss_legendre_levels,
     gauss_legendre_nodes,
@@ -484,25 +488,37 @@ class TestObservabilityConstant:
         assert diff >= -1e-12 * np.max(np.abs(hi.matrix))
 
 
-def _mp_bottom_eigenvalue(profile, m0, dps=80):
-    """Smallest eigenvalue of the order-m0 Toeplitz block by dense mp.eigh.
+def _mp_moments(profile, count, dps=80):
+    """The g^2 moments ``integral g^2 e^{imx} dx``, m = 0 .. count - 1, by mp.fsum.
 
-    The moments ``integral g^2 e^{imx} dx`` are summed node by node, one
-    complex exponential per (m, node) pair.
+    Summed node by node, one complex exponential per (m, node) pair.
     """
     nx = profile.grid.nx
-    n = 2 * m0 + 1
     with mp.workdps(dps):
         gsq = [(j, mp.mpf(float(v)) ** 2) for j, v in enumerate(profile.values) if v != 0.0]
         moments = []
-        for m in range(n):
+        for m in range(count):
             phases = (v * mp.expjpi(mp.mpf(2 * m * j) / nx) for j, v in gsq)
             moments.append((-1) ** m * 2 * mp.pi / nx * mp.fsum(phases))
+        return moments
+
+
+def _mp_bottom_eigenvalue(profile, m0, dps=80):
+    """Smallest eigenvalue of the order-m0 Toeplitz block by dense mp.eigh."""
+    n = 2 * m0 + 1
+    moments = _mp_moments(profile, n, dps)
+    with mp.workdps(dps):
         block = mp.matrix(n, n)
         for r in range(n):
             for c in range(n):
                 block[r, c] = moments[c - r] if c >= r else mp.conj(moments[r - c])
         return mp.eigh(block, eigvals_only=True)[0]
+
+
+def _to_fixed(value, bits):
+    """Real and imaginary parts of the mpmath number ``value * 2**bits``, floored to ints."""
+    c = mp.mpc(value)
+    return mp.libmp.to_fixed(c.real._mpf_, bits), mp.libmp.to_fixed(c.imag._mpf_, bits)
 
 
 class TestSpectralConstant:
@@ -575,7 +591,8 @@ class TestSpectralConstant:
                     matrix[r, c] = moments[c - r] if c >= r else mp.conj(moments[r - c])
             lower = mp.cholesky(matrix)
             bits = mp.mp.prec + 64
-            re, im, diag = _fixed_cholesky(moments, size, bits)
+            fixed = [_to_fixed(c, bits) for c in moments]
+            re, im, diag = _fixed_cholesky(fixed, size, bits)
             for i in range(size):
                 row = [mp.mpc(mp.ldexp(a, -bits), mp.ldexp(b, -bits)) for a, b in zip(re[i], im[i])]
                 for k, entry in enumerate([*row, mp.ldexp(diag[i], -bits)]):
@@ -583,22 +600,79 @@ class TestSpectralConstant:
 
     def test_fixed_point_factor_rejects_a_singular_matrix(self):
         # [[1, 1], [1, 1]]: the second pivot is zero
-        with mp.workdps(50), pytest.raises(NumericalConsistencyError, match="singular"):
-            _fixed_cholesky([mp.mpf(1), mp.mpf(1)], 2, mp.mp.prec + 64)
+        bits = _working_precision(0) + 64
+        with pytest.raises(NumericalConsistencyError, match="singular"):
+            _fixed_cholesky([(1 << bits, 0), (1 << bits, 0)], 2, bits)
 
     def test_unconverged_sweeps_raise(self):
         # [[1, .499, .5], [.499, 1, .499], [.5, .499, 1]]: the two lowest
         # eigenvalues are .5 and about .5015, so inverse power crawls and an
         # 80-sweep cut would leave the estimate 0.26% high
-        with mp.workdps(50), pytest.raises(NumericalConsistencyError, match="m0 = 1.*change"):
-            _mp_bottom_eigenvalues([mp.mpf(1), mp.mpf("0.499"), mp.mpf("0.5")], 1)
+        bits = _working_precision(0) + 64
+        with mp.workdps(50):
+            moments = [_to_fixed(mp.mpf(v), bits) for v in ("1", "0.499", "0.5")]
+        with pytest.raises(NumericalConsistencyError, match="m0 = 1.*change"):
+            _bottom_eigenvalues(moments, 1, bits)
 
     def test_warm_start_finds_a_bottom_eigenvector_of_the_other_parity(self):
         # [[1, 0, .5], [0, 1, 0], [.5, 0, 1]] has eigenvalues .5 (odd vector
         # (1, 0, -1)), 1 and 1.5; the order-0 vector padded with zeros is even
-        with mp.workdps(50):
-            lams = _mp_bottom_eigenvalues([mp.mpf(1), mp.mpf(0), mp.mpf("0.5")], 1)
-            assert [float(lam) for lam in lams] == [1.0, 0.5]
+        bits = _working_precision(0) + 64
+        moments = [(1 << bits, 0), (0, 0), (1 << bits - 1, 0)]
+        lams = _bottom_eigenvalues(moments, 1, bits)
+        assert [zz / yy for zz, yy in lams] == [1.0, 0.5]
+
+    def test_a_constant_past_the_float_range_is_infinite(self):
+        # [[1, 0, c], [0, 1, 0], [c, 0, 1]] with 1 - c = 2**-1100: kappa(1) = 2**1100
+        bits = 1200
+        moments = [(1 << bits, 0), (0, 0), ((1 << bits) - (1 << bits - 1100), 0)]
+        lams = _bottom_eigenvalues(moments, 1, bits)
+        assert [_quotient(yy, zz) for zz, yy in lams] == [1.0, np.inf]
+
+    def test_an_order_past_the_support_nodes_is_singular(self):
+        # the order-(2 m0 + 1) matrix sums one rank-one term per support node, so past the
+        # node count it is exactly singular
+        grid = kl.TorusGrid(64)
+        profile = kl.make_region_profile([(np.pi / 4, 3 * np.pi / 4)], "smooth-exp", grid)
+        nodes = np.count_nonzero(profile.values)
+        assert nodes == 15
+        assert np.isfinite(kl.spectral_constant_table(profile, 7)).all()
+        with pytest.raises(NumericalConsistencyError, match="singular"):
+            kl.spectral_constant_table(profile, 8)
+
+    @pytest.mark.parametrize(
+        "intervals, kind, nx",
+        [
+            ([(np.pi / 4, 3 * np.pi / 4)], "smooth-exp", 1024),
+            ([(0.3, 1.7)], "hann-squared", 256),
+            ([(-2.6, -1.4), (0.3, 2.1)], "hann-squared", 512),
+            ([(-3.1, 3.1)], "hann-squared", 4),
+        ],
+    )
+    @pytest.mark.parametrize("m_max", [0, 6])
+    def test_integer_moments_match_mpmath(self, intervals, kind, nx, m_max):
+        # 80 digits resolve 2**-269, below the working precision of either order
+        profile = kl.make_region_profile(intervals, kind, kl.TorusGrid(nx))
+        prec = _working_precision(m_max)
+        bits = prec + 64
+        moments = _concentration_moments(profile, 2 * m_max, bits)
+        exact = _mp_moments(profile, 2 * m_max + 1)
+        with mp.workdps(80):
+            bound = mp.ldexp(abs(exact[0]), -prec)
+            for (re, im), value in zip(moments, exact):
+                assert abs(mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits)) - value) <= bound
+
+    @pytest.mark.parametrize("nx", [4, 64, 1024, 2**20])
+    @pytest.mark.parametrize("m_max", [0, 32])
+    def test_machin_step_and_root_of_unity_match_mpmath(self, nx, m_max):
+        bits = _working_precision(m_max) + 64
+        angle, (c, d) = _node_step(nx, bits)
+        with mp.workdps(bits // 3 + 20):
+            ulp = mp.ldexp(1, -bits)
+            assert abs(mp.ldexp(angle, -bits) - 2 * mp.pi / nx) <= ulp
+            root = mp.expjpi(mp.mpf(2) / nx)
+            assert abs(mp.ldexp(c, -bits) - root.real) <= ulp
+            assert abs(mp.ldexp(d, -bits) - root.imag) <= ulp
 
     def test_window_guard(self, profile_64):
         with pytest.raises(ParameterError):

@@ -4,7 +4,9 @@ Each case goes through a ``kpi-lab run`` section and, where one exists,
 through its subcommand twin: exit code 1 (3 for a diverging constant or a
 dispersion table beyond float64), an ``error:`` line naming the bad key, no
 Python traceback and no CSV of the failed experiment. A request too large for
-memory is an ``error:`` too.
+memory is an ``error:`` too. A negative seed, which numpy's SeedSequence
+refuses, is a usage error (exit code 2) on the command line and a config
+error at its line in a ``[run]`` section.
 """
 
 import numpy as np
@@ -441,6 +443,29 @@ def test_negative_spectral_order(tmp_path, capsys):
     _section(tmp_path, capsys, "spec", "type = spectral-constant\nm_max = -1\n", needle)
     _command(tmp_path, capsys, ["spectral-constant", "--m-max", "-1"], needle)
     assert not (tmp_path / "cli" / "spectral_constant.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["random-field", "run"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # numpy's SeedSequence takes nonnegative integers only
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text("[spec]\ntype = spectral-constant\nm_max = 1\nprofile_nx = 64\n")
+    argv = {"random-field": ["random-field", "--nx", "16"], "run": ["run", str(cfg)]}[command]
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(tmp_path / "cli"), *argv, "--seed", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kpi-lab") and "invalid seed value: '-1'" in err, err
+    assert not (tmp_path / "cli").exists()
+
+
+def test_negative_seed_in_a_config_is_an_error_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text("[spec]\ntype = spectral-constant\nm_max = 1\n[run]\nseed = -5\n")
+    code = main(["--out", str(tmp_path / "out"), "run", str(cfg)])
+    needle = "line 5: [run] bad value for 'seed': '-5'"
+    _expect_error(capsys, code, needle, exit_code=2, prefix="config error:")
+    assert not (tmp_path / "out" / "spec.csv").exists()
 
 
 def test_singular_spectral_constant_exits_3(tmp_path, capsys):
