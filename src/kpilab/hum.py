@@ -138,9 +138,9 @@ def quadrature_gramian_apply(
     for part in _stack_slices(len(coeffs), square.shape):
         k = square
         for times, weights in levels:
-            # numpy multiplies into the temporary node-Gram in place, as (Gram, k): an explicit
-            # np.multiply(k, gram, out=gram) holds as little but swaps operands and last bits
-            k = k * _node_gram(before[part], after[part], times, weights)
+            # the product as (k, Gram), whatever the Gram's size, into the Gram's own memory
+            gram = _node_gram(before[part], after[part], times, weights)
+            k = np.multiply(k, gram, out=gram)
         acc[part, kept] = (coeffs[part, None] @ k)[:, 0]
     return SpectralField(grid, _to_grid(grid.shape, axis, lines, acc))
 

@@ -829,88 +829,89 @@ def _concentration_moments(profile: ControlProfile, m_abs: int, bits: int) -> li
     return moments
 
 
-def _fixed_cholesky(moments: list, size: int, bits: int) -> tuple[list, list, list]:
-    """Cholesky factor ``L`` of the order-``size`` Hermitian Toeplitz matrix of ``moments``.
+def _real_form(moments: list, m_max: int, bits: int) -> list[list[int]]:
+    """Lower triangle of the order-``m_max`` Toeplitz matrix of ``moments`` in a real basis.
 
-    Fixed point: an int ``n`` stands for ``n * 2**-bits``, and ``moments`` are ``(re, im)``
-    pairs. Returns the real and imaginary parts of each row left of the diagonal and the
-    positive diagonal. A pivot below the working epsilon ``2**(1 - bits + _GUARD_BITS)`` is
-    singular. Each complex inner product is three exact integer sums.
+    With ``c_m = a_m + i b_m`` (``a`` even, ``b`` odd in m) the Hermitian Toeplitz matrix
+    ``T[j][k] = c_{k-j}`` satisfies ``J T J = conj(T)``, so on the orthonormal basis
+    ``e_0``, then ``u_p = (e_p + e_-p)/sqrt 2`` and ``w_p = i (e_p - e_-p)/sqrt 2`` for
+    ``p = 1 .. m_max`` in the order ``u_1, w_1, u_2, w_2, ...``, it is the real symmetric
+    ``R``: ``R[e_0][u_q] = sqrt2 a_q``, ``R[e_0][w_q] = -sqrt2 b_q``,
+    ``R[u_p][u_q] = a_{|q-p|} + a_{q+p}``, ``R[w_p][w_q] = a_{|q-p|} - a_{q+p}`` and
+    ``R[u_p][w_q] = -(b_{q-p} + b_{q+p})``. The window ``-m0 .. m0`` comes first, so the
+    order-m0 matrix is the leading ``2*m0+1`` block. Row ``i`` holds ``R[i][0 .. i]``, in
+    the fixed point of ``moments``; the ``sqrt 2`` entries are floored once.
     """
-    cr, ci = zip(*moments[:size])
+    a, b = zip(*moments)
+    root2 = isqrt(2 << 2 * bits)
+    rows = [[a[0]]]
+    for p in range(1, m_max + 1):
+        u, w = [root2 * a[p] >> bits], [-root2 * b[p] >> bits]
+        for q in range(1, p + 1):
+            u += [a[p - q] + a[p + q], b[p - q] - b[p + q]]
+            w += [-b[p - q] - b[p + q], a[p - q] - a[p + q]]
+        u.pop()  # R[u_p][w_p] lies right of u_p's diagonal
+        rows += [u, w]
+    return rows
+
+
+def _fixed_cholesky(rows: list, bits: int) -> tuple[list, list]:
+    """Cholesky factor ``L`` of the real symmetric matrix whose lower triangle is ``rows``.
+
+    Fixed point: an int ``n`` stands for ``n * 2**-bits``. Returns each row of ``L`` left of
+    the diagonal and the positive diagonal; each entry is one exact integer sum, floored
+    once. A pivot below the working epsilon ``2**(1 - bits + _GUARD_BITS)`` is singular.
+    """
     floor = 1 << (bits + _GUARD_BITS + 1)  # the working epsilon, at scale 2**(2*bits)
-    re, im, plus, minus, diag = [], [], [], [], []
-    for i in range(size):
-        ri, ii, si = [], [], []
-        for k in range(i):  # A[i][k] = conj(moment[i-k]) minus sum_j L[i][j] conj(L[k][j])
-            common = sum(map(mul, re[k], si))
-            sr = (cr[i - k] << bits) - common + sum(map(mul, ii, minus[k]))
-            sm = -(ci[i - k] << bits) - common + sum(map(mul, ri, plus[k]))
-            ri.append(sr // diag[k])
-            ii.append(sm // diag[k])
-            si.append(ri[-1] + ii[-1])
-        pivot = (cr[0] << bits) - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
+    lower, diag = [], []
+    for row in rows:
+        li = []
+        for entry, lk, dk in zip(row, lower, diag):  # R[i][k] minus sum_j L[i][j] L[k][j]
+            li.append(((entry << bits) - sum(map(mul, li, lk))) // dk)
+        pivot = (row[-1] << bits) - sum(map(mul, li, li))
         if pivot < floor:
             raise NumericalConsistencyError(_SINGULAR)
-        re.append(ri)
-        im.append(ii)
-        plus.append(si)
-        minus.append([a - b for a, b in zip(ri, ii)])
+        lower.append(li)
         diag.append(isqrt(pivot))
-    return re, im, diag
+    return lower, diag
 
 
 def _bottom_eigenvalues(moments: list, m_max: int, bits: int) -> list[tuple[int, int]]:
     """Smallest eigenvalue of every leading Toeplitz block, as a quotient ``(zz, yy)`` of ints.
 
-    The order-m0 matrix and its Cholesky factor ``L`` are the leading
-    ``2*m0+1`` blocks of the order-m_max ones. The factor and the sweeps run
-    in fixed point (:func:`_fixed_cholesky`), every complex inner product as
-    three exact integer sums. Inverse power solves ``L z = x`` and ``L^H y = z``,
-    so ``y = A^-1 x``, normalises ``y`` into the next ``x`` and takes the
-    Rayleigh quotient ``z^H z / y^H y`` of ``y`` as the eigenvalue. Each order
-    starts from the previous eigenvector padded with zeros plus a share of a
-    generic vector: the eigenvectors of a symmetric g^2 have definite parity,
-    which the padded vector alone may miss. An order stops once two successive
-    quotients agree to one part in ``_SWEEP_TOL``, compared exactly; one whose
-    estimate still moves after ``_MAX_SWEEPS`` sweeps raises.
+    The sweeps run on the real symmetric form of the Toeplitz matrix (:func:`_real_form`),
+    whose basis is ordered by ``|k|``: the order-m0 matrix and its Cholesky factor ``L``
+    (:func:`_fixed_cholesky`) are the leading ``2*m0+1`` blocks of the order-m_max ones, and
+    every product is one integer product. Inverse power solves ``L z = x`` and
+    ``L^T y = z``, so ``y = A^-1 x``, normalises ``y`` into the next ``x`` and takes the
+    Rayleigh quotient ``z.z / y.y`` of ``y`` as the eigenvalue. Each order starts from the
+    previous eigenvector with zeros appended for its two new basis vectors, plus a share of a
+    generic vector: the eigenvectors of a symmetric g^2 lie in the ``u`` or the ``w`` span,
+    which the padded vector alone may miss. An order stops once two successive quotients
+    agree to one part in ``_SWEEP_TOL``, compared exactly; one whose estimate still moves
+    after ``_MAX_SWEEPS`` sweeps raises.
     """
-    size = 2 * m_max + 1
-    re, im, diag = _fixed_cholesky(moments, size, bits)
-    plus = [[a + b for a, b in zip(ar, ai)] for ar, ai in zip(re, im)]
-    col_r = [[re[k][i] for k in range(i + 1, size)] for i in range(size)]
-    col_i = [[im[k][i] for k in range(i + 1, size)] for i in range(size)]
-    col_minus = [[a - b for a, b in zip(cr, ci)] for cr, ci in zip(col_r, col_i)]
+    lower, diag = _fixed_cholesky(_real_form(moments, m_max, bits), bits)
+    size = len(diag)
+    cols = [[lower[k][i] for k in range(i + 1, size)] for i in range(size)]
     share = _fixed(_GENERIC_SHARE, bits)
-    xr, xi, out = [], [], []
+    x, out = [], []
     for m0 in range(m_max + 1):
         n = 2 * m0 + 1
         generic = [((n + i) << bits) // n for i in range(n)]
         norm = isqrt(sum(map(mul, generic, generic)))
-        xr = [v + g * share // norm for v, g in zip([0, *xr, 0] if xr else [0], generic)]
-        xi = [0, *xi, 0] if xi else [0]
+        x = [v + g * share // norm for v, g in zip([*x, 0, 0], generic)]
         previous = None
         for _ in range(_MAX_SWEEPS):
-            zr, zi, zs, zd = [], [], [], []  # z, and Re z + Im z, Im z - Re z
-            for i in range(n):  # L z = x
-                common = sum(map(mul, plus[i], zr))
-                wr = ((xr[i] << bits) - common + sum(map(mul, im[i], zs))) // diag[i]
-                wi = ((xi[i] << bits) - common - sum(map(mul, re[i], zd))) // diag[i]
-                zr.append(wr)
-                zi.append(wi)
-                zs.append(wr + wi)
-                zd.append(wi - wr)
-            yr, yi, ys, yd = [0] * n, [0] * n, [0] * n, [0] * n
-            for i in reversed(range(n)):  # L^H y = z
-                common = sum(map(mul, col_minus[i], yr[i + 1 :]))
-                wr = ((zr[i] << bits) - common - sum(map(mul, col_i[i], ys[i + 1 :]))) // diag[i]
-                wi = ((zi[i] << bits) - common - sum(map(mul, col_r[i], yd[i + 1 :]))) // diag[i]
-                yr[i], yi[i], ys[i], yd[i] = wr, wi, wr + wi, wi - wr
-            zz = sum(map(mul, zr, zr)) + sum(map(mul, zi, zi))
-            yy = sum(map(mul, yr, yr)) + sum(map(mul, yi, yi))
+            z = []
+            for row, d, v in zip(lower, diag, x):  # L z = x
+                z.append(((v << bits) - sum(map(mul, row, z))) // d)
+            y = [0] * n
+            for i in reversed(range(n)):  # L^T y = z
+                y[i] = ((z[i] << bits) - sum(map(mul, cols[i], y[i + 1 :]))) // diag[i]
+            zz, yy = sum(map(mul, z, z)), sum(map(mul, y, y))
             scale = isqrt(yy)
-            xr = [(v << bits) // scale for v in yr]
-            xi = [(v << bits) // scale for v in yi]
+            x = [(v << bits) // scale for v in y]
             if previous is not None:
                 change, base = abs(zz * previous[1] - previous[0] * yy), zz * previous[1]
                 if _SWEEP_TOL * change <= base:
@@ -932,7 +933,8 @@ def spectral_constant_table(profile: ControlProfile, m_max: int) -> list[float]:
     the bottom eigenvector of the concentration matrix. Those eigenvalues
     decay exponentially in m0 and fall far below float64 resolution around
     m0 = 12, so the dense solve runs in fixed point on Python ints, sized to
-    m_max; each constant is the correctly rounded float of an exact quotient.
+    m_max, on the matrix's real symmetric form (one factor for every order);
+    each constant is the correctly rounded float of an exact quotient.
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be nonnegative, got {m_max}")

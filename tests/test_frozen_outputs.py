@@ -373,6 +373,16 @@ FROZEN_DEFAULT_TABLE_HEX = [
     "0x1.12dfae7cf4b6fp+289", "0x1.815af1378063dp+298", "0x1.0de715c8cd4c6p+308",
 ]
 
+# Hann (0.3, 1.7) on 256 points to m_max 12: no node at the centre, so the odd moment parts
+# are large; taken from the complex Cholesky and sweeps
+FROZEN_OFF_CENTRE_TABLE_HEX = [
+    "0x1.70a3d70a1b046p-1", "0x1.3b3f82e18826ap+12", "0x1.0c0c0f70d408fp+24",
+    "0x1.2db26a708280ep+35", "0x1.0c6593fc5d64dp+46", "0x1.9c3b3b08d9f54p+56",
+    "0x1.1ef53a92e2a55p+67", "0x1.74ebfd1254617p+77", "0x1.ccf14f3836ab1p+87",
+    "0x1.125c6ebfa66b3p+98", "0x1.3d538e1f90f12p+108", "0x1.66d9f1fde96a5p+118",
+    "0x1.8e983888a6e30p+128",
+]
+
 
 def test_spectral_constant_csv_is_frozen(tmp_path):
     assert main(["--out", str(tmp_path), "spectral-constant", "--m-max", "16"]) == 0
@@ -389,3 +399,9 @@ def test_two_interval_spectral_table_is_frozen():
 def test_default_spectral_table_to_order_32_is_frozen():
     table = kl.spectral_constant_table(kl.default_profile(), 32)
     assert [kappa.hex() for kappa in table] == FROZEN_DEFAULT_TABLE_HEX
+
+
+def test_off_centre_spectral_table_is_frozen():
+    profile = kl.make_region_profile([(0.3, 1.7)], "hann-squared", kl.TorusGrid(256))
+    table = kl.spectral_constant_table(profile, 12)
+    assert [kappa.hex() for kappa in table] == FROZEN_OFF_CENTRE_TABLE_HEX

@@ -5,12 +5,16 @@ import pytest
 
 import kpilab as kl
 from kpilab.dispersion import unit_phases
+from kpilab import hum
 from kpilab.errors import DimensionError, NonConvergenceError, ParameterError
 from kpilab.experiments import random_field, seeded_rng
 from kpilab.hum import (
     MAX_VERIFY_STEPS, ControlGramian, ControlTrajectory, quadrature_gramian_apply,
 )
-from kpilab.observe import apply_control, gauss_legendre_nodes, quadrature_observed_energy
+from kpilab.observe import (
+    _support_columns, _support_layout, apply_control, apply_vertical_control,
+    gauss_legendre_nodes, quadrature_observed_energy,
+)
 from kpilab.propagate import _cached_grid_frequencies, _kept_modes, _support
 
 
@@ -99,6 +103,34 @@ class TestControlGramianOperator:
             finally:
                 tracemalloc.stop()
             assert peak < 3.5 * rows
+
+
+    def test_large_node_grams_multiply_in_a_fixed_operand_order(self, monkeypatch):
+        # each level's node-Gram here is about 1 MiB: numpy's temporary elision computed k * Gram
+        # in place as (Gram, k) from 256 KiB up, and as (k, Gram) below, which can differ in
+        # a last bit; the reference forms every level product as np.multiply(k, gram)
+        grid = kl.TorusGrid(256)
+        v = random_field(grid, seeded_rng(3, "dense-line"), kmax=127)
+        profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", grid)
+        params = kl.DispersionParams.reduced(2.0, 1.0)
+        node_gram, grams = hum._node_gram, []
+
+        def recorded(*args):
+            gram = node_gram(*args)
+            grams.append(gram.copy())
+            return gram
+
+        monkeypatch.setattr(hum, "_node_gram", recorded)
+        out = quadrature_gramian_apply(v, 0.5, profile, params, panels=4, order=8)
+        assert len(grams) == 3 and min(gram.nbytes for gram in grams) >= 2**18
+        _, cols, view = _support_layout(_support(v), 0)
+        kept = _kept_modes(grid)
+        k = apply_vertical_control(_support_columns(cols, profile), profile)[:, kept]
+        for gram in grams:
+            k = np.multiply(k, gram)
+        expect = np.zeros(grid.shape, dtype=np.complex128)
+        expect[kept] = (view(v.coeffs)[:, None] @ k)[0, 0]
+        assert np.array_equal(out.coeffs, expect)
 
 
 class TestSynthesis:
