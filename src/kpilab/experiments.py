@@ -170,6 +170,7 @@ def frequency_localized_scan(
                 "exact_constant": 1.0 / float(block.eigenvalues[0]),
             }
         )
+        del block  # before the next block is built
     return rows
 
 

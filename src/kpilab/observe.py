@@ -293,14 +293,26 @@ def control_gram_matrix(profile: ControlProfile, indices: np.ndarray) -> np.ndar
     Assembled from the grid DFT of g and g^2; exactly the matrix of the
     physical-space operator restricted to the window.
     """
-    indices = np.asarray(indices, dtype=int)
-    return _static_gram(profile, indices, indices, plain_weight=False)
+    return _static_gram_matrix(profile, indices, plain_weight=False)
 
 
 def plain_weight_gram_matrix(profile: ControlProfile, indices: np.ndarray) -> np.ndarray:
     """Static Gram of plain multiplication by g: ``<g e_{kj}, g e_{ki}>``."""
+    return _static_gram_matrix(profile, indices, plain_weight=True)
+
+
+def _static_gram_matrix(
+    profile: ControlProfile, indices: np.ndarray, plain_weight: bool
+) -> np.ndarray:
+    """The static Gram over ``indices``, filled a stack of rows at a time.
+
+    Each entry is computed alone, so every row keeps the bits of the one-shot formula.
+    """
     indices = np.asarray(indices, dtype=int)
-    return _static_gram(profile, indices, indices, plain_weight=True)
+    out = np.empty((indices.size, indices.size), dtype=np.complex128)
+    for part in _stack_slices(indices.size, indices.shape):
+        out[part] = _static_gram(profile, indices[part], indices, plain_weight)
+    return out
 
 
 def time_factor(delta: np.ndarray, horizon: float) -> np.ndarray:
@@ -329,6 +341,10 @@ class GramianBlock:
     transverse window for horizontal), ``fixed_freq`` the frozen one. The
     matrix is normalized so that the Rayleigh quotient against the plain
     coefficient 2-norm equals the observed-energy ratio.
+
+    The block takes ``matrix``, as LAPACK's ``overwrite_a``: a writeable, aligned, C-ordered
+    complex128 array is symmetrized in place and becomes ``block.matrix``, read-only. Any other
+    input is copied first and left as it was.
     """
 
     indices: np.ndarray
@@ -338,20 +354,22 @@ class GramianBlock:
     axis: Literal["x", "y"] = "x"
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        m = np.require(self.matrix, np.complex128, "CAWE")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise DimensionError(f"Gramian block must be a nonempty square matrix, got {m.shape}")
-        # checked and symmetrized a stack of rows at a time, within the
-        # budget of the time-domain stacks
-        sym = np.empty_like(m, order="C")
+        # checked, then symmetrized, a stack of rows at a time, within the budget of the
+        # time-domain stacks; a block that fails the check has not written its matrix
+        parts = _stack_slices(m.shape[0], m.shape[1:])
         scale = herm = 0.0
-        for part in _stack_slices(m.shape[0], m.shape[1:]):
-            rows, mirror = m[part], m[:, part].conj().T
+        for part in parts:
+            a, rows = part.start, m[part]
             if not np.all(np.isfinite(rows)):
                 raise NumericalConsistencyError("Gramian block has non-finite entries")
             scale = max(scale, float(np.max(np.abs(rows))))
-            herm = max(herm, float(np.max(np.abs(rows - mirror))))
-            sym[part] = 0.5 * (rows + mirror)
+            # |m - m^H| is symmetric to the bit, so the columns from a on meet every pair once
+            defect = np.conjugate(m[a:, part].T, order="C")
+            defect -= rows[:, a:]
+            herm = max(herm, float(np.max(np.abs(defect))))
         scale = scale or 1.0
         # absolute dust allowance keeps degenerate (zero to rounding) blocks
         # from tripping on rounding noise
@@ -360,7 +378,18 @@ class GramianBlock:
             raise NumericalConsistencyError(
                 f"Gramian block lost hermiticity: defect {herm:.3e} at scale {scale:.3e}"
             )
-        m = sym
+        for part in parts:
+            # rows [a, b) and every row below them still hold the input: the columns from a on
+            # take (m + m^H) / 2; the columns before a mirror rows [0, a), already written. The
+            # real parts of a sum commute and the imaginary parts negate, as 0 - y, so that a
+            # zero stays +0 as in the formula: the mirror keeps its bits up to a zero's sign
+            a = part.start
+            upper = np.conjugate(m[a:, part].T, order="C")
+            upper += m[part, a:]
+            np.multiply(upper, 0.5, out=m[part, a:])
+            lower, mirror = m[part, :a], m[:a, part].T
+            lower.real = mirror.real
+            np.subtract(0.0, mirror.imag, out=lower.imag)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         idx = np.ascontiguousarray(self.indices, dtype=int)
@@ -551,8 +580,10 @@ def gramian_from_frequencies(
     omega = np.asarray(omega)
     if omega.shape != indices.shape:
         raise DimensionError("frequency table must match the index window")
-    matrix = _gramian_kernel(profile, indices, omega, horizon, plain_weight)
-    return GramianBlock(indices, 0, horizon, matrix, "x")
+    # the block takes the kernel's output: no name here holds it
+    return GramianBlock(
+        indices, 0, horizon, _gramian_kernel(profile, indices, omega, horizon, plain_weight), "x"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +716,7 @@ def gramian_observed_energy(
     idx = grid.frequencies[axis][cols]
     stack = _gramian_kernel(profile, idx, view(table), horizon)
     total = 0.0
+    # each block takes its line of the stack, a view, and symmetrizes it there
     for label, matrix, vec in zip(_line_labels(grid, axis, lines), stack, view(u0.coeffs)):
         block = GramianBlock(idx, int(label), horizon, matrix, axis="xy"[axis])
         total += block.quadratic_form(vec)

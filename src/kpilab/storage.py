@@ -14,6 +14,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -50,8 +51,7 @@ def _unpack_header(raw: bytes, header: struct.Struct, magic: bytes, kind: str, p
     return fields
 
 
-def _check_payload_size(raw: bytes, header: struct.Struct, expected: int, path) -> None:
-    size = len(raw) - header.size
+def _check_payload_size(size: int, expected: int, path) -> None:
     if size != expected:
         raise DimensionError(f"{path} holds {size} payload bytes, expected {expected}")
 
@@ -62,7 +62,9 @@ def write_field(field: SpectralField, path: str | Path) -> None:
     header = _FIELD_HEADER.pack(
         FIELD_MAGIC, _VERSION, grid.dimension, grid.nx, ny, grid.nx // 2
     )
-    Path(path).write_bytes(header + field.coeffs.astype("<c16").tobytes())
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(np.ascontiguousarray(field.coeffs, "<c16"))
 
 
 def read_field(path: str | Path) -> SpectralField:
@@ -70,7 +72,7 @@ def read_field(path: str | Path) -> SpectralField:
     _, _, dim, nx, ny, _trunc = _unpack_header(raw, _FIELD_HEADER, FIELD_MAGIC, "field", path)
     if dim not in (1, 2):
         raise DimensionError(f"{path} declares dimension {dim}, not 1 or 2")
-    _check_payload_size(raw, _FIELD_HEADER, 16 * nx * (ny if dim == 2 else 1), path)
+    _check_payload_size(len(raw) - _FIELD_HEADER.size, 16 * nx * (ny if dim == 2 else 1), path)
     grid = TorusGrid(nx) if dim == 1 else TorusGrid(nx, ny)
     coeffs = np.frombuffer(raw[_FIELD_HEADER.size :], dtype="<c16").reshape(grid.shape)
     return SpectralField(grid, coeffs.astype(np.complex128))
@@ -107,30 +109,27 @@ def write_gramian(block: GramianBlock, path: str | Path) -> None:
         n,
         block.horizon,
     )
-    body = block.indices.astype("<i4").tobytes() + block.matrix.astype("<c16").tobytes()
-    Path(path).write_bytes(header + body)
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(np.ascontiguousarray(block.indices, "<i4"))
+        out.write(np.ascontiguousarray(block.matrix, "<c16"))
 
 
 def read_gramian(path: str | Path) -> GramianBlock:
-    raw = Path(path).read_bytes()
-    _, _, axis, fixed, n, horizon = _unpack_header(
-        raw, _MATRIX_HEADER, MATRIX_MAGIC, "matrix", path
-    )
-    if axis not in (0, 1):
-        raise DimensionError(f"{path} declares axis {axis}, not 0 (x) or 1 (y)")
-    if not 0.0 < horizon < np.inf:
-        raise DimensionError(f"{path} declares horizon {horizon}, not a positive finite time")
-    _check_payload_size(raw, _MATRIX_HEADER, 4 * n + 16 * n * n, path)
-    head = _MATRIX_HEADER.size
-    indices = np.frombuffer(raw[head : head + 4 * n], dtype="<i4").astype(int)
-    matrix = np.frombuffer(raw[head + 4 * n :], dtype="<c16").reshape(n, n)
-    return GramianBlock(
-        indices=indices,
-        fixed_freq=fixed,
-        horizon=horizon,
-        matrix=matrix.astype(np.complex128),
-        axis="x" if axis == 0 else "y",
-    )
+    with open(path, "rb") as src:
+        _, _, axis, fixed, n, horizon = _unpack_header(
+            src.read(_MATRIX_HEADER.size), _MATRIX_HEADER, MATRIX_MAGIC, "matrix", path
+        )
+        if axis not in (0, 1):
+            raise DimensionError(f"{path} declares axis {axis}, not 0 (x) or 1 (y)")
+        if not 0.0 < horizon < np.inf:
+            raise DimensionError(f"{path} declares horizon {horizon}, not a positive finite time")
+        size = os.fstat(src.fileno()).st_size - _MATRIX_HEADER.size
+        _check_payload_size(size, 4 * n + 16 * n * n, path)
+        indices = np.fromfile(src, "<i4", n).astype(int)
+        # read into its own array, which the block takes
+        matrix = np.fromfile(src, "<c16", n * n).reshape(n, n)
+    return GramianBlock(indices, fixed, horizon, matrix, "x" if axis == 0 else "y")
 
 
 def eigenvalues_to_csv(blocks, path: str | Path) -> None:
@@ -151,11 +150,12 @@ def write_trajectory(traj, path: str | Path) -> None:
         len(traj.samples),
         traj.horizon,
     )
-    chunks = [header, traj.phi_final.coeffs.astype("<c16").tobytes()]
-    for t, sample in zip(traj.times, traj.samples):
-        chunks.append(struct.pack("<d", float(t)))
-        chunks.append(sample.astype("<c16").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(np.ascontiguousarray(traj.phi_final.coeffs, "<c16"))
+        for t, sample in zip(traj.times, traj.samples):
+            out.write(struct.pack("<d", float(t)))
+            out.write(np.ascontiguousarray(sample, "<c16"))
 
 
 def rows_to_csv(header: list[str], rows: Iterable[Sequence], path: str | Path) -> None:

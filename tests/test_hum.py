@@ -370,9 +370,9 @@ class TestVerification:
     @pytest.mark.parametrize(
         "shape, orientation", [((64,), "vertical"), ((32, 8), "vertical"), ((32, 8), "horizontal")]
     )
-    # named for the Simpson verifier's lattice phases; now the three-level node-Gram against the
-    # same rule summed node by node with each node's own phases
-    def test_lattice_phases_match_the_direct_phase_simpson_sum(
+    # the three-level node-Gram against the same rule summed node by node with each node's own
+    # phases
+    def test_level_phases_match_the_direct_phase_gauss_legendre_sum(
         self, direct_phase_verify, shape, orientation
     ):
         grid, axis = kl.TorusGrid(*shape), 1 if orientation == "horizontal" else 0

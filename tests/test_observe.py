@@ -15,6 +15,7 @@ from kpilab.errors import (
 )
 from kpilab.experiments import random_field
 from kpilab.fourier import TWO_PI, inverse_transform
+from kpilab.propagate import _STACK_BYTES
 from kpilab.observe import (
     GramianBlock,
     _fixed_cholesky,
@@ -251,7 +252,8 @@ class TestGramianBlocks:
 
     def test_assembly_allocates_little_beyond_the_block(self, profile_default):
         # a 754-mode window, the largest block of the lab's frequency scan;
-        # the one-shot assembly peaked at 5.56 times the block, its check at 2.01
+        # the one-shot assembly peaked at 5.56 times the block, its check at 2.01, and a
+        # symmetrized copy at 1.04
         idx = np.arange(-377, 378)
         idx = idx[idx != 0]
         omega = frequencies_1d(idx, kl.DispersionParams.reduced(2.0, 3.0)).astype(float)
@@ -262,12 +264,57 @@ class TestGramianBlocks:
             kernel_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            GramianBlock(idx, 3, 1.0, matrix)
+            block = GramianBlock(idx, 3, 1.0, matrix)
             block_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert kernel_peak <= 1.25 * matrix.nbytes
-        assert block_peak <= 1.25 * matrix.nbytes
+        # the block symmetrizes the kernel's output in place, with temporaries of a few row
+        # stacks; eigvalsh's copy is malloc'd outside tracemalloc's view
+        assert block.matrix is matrix
+        assert block_peak <= 4 * _STACK_BYTES
+
+    def test_block_takes_a_writeable_c_ordered_complex_matrix(self):
+        rng = np.random.default_rng(31)
+        a, dust = rng.standard_normal((2, 300, 300)) + 1j * rng.standard_normal((2, 300, 300))
+        matrix = a @ a.conj().T
+        matrix += 1e-14 * np.max(np.abs(matrix)) * dust
+        expect = (0.5 * (matrix + matrix.conj().T)).tobytes()
+        block = GramianBlock(np.arange(300), 0, 1.0, matrix)
+        assert block.matrix is matrix
+        assert not matrix.flags.writeable
+        assert matrix.tobytes() == expect
+
+    def test_block_copies_every_other_input_and_leaves_it_alone(self):
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((2, 40, 40)) + 1j * rng.standard_normal((2, 40, 40))
+        gram = a[0] @ a[0].conj().T + 1e-14 * a[1]
+        read_only = gram.copy()
+        read_only.flags.writeable = False
+        real = gram.real @ gram.real.T
+        for matrix in (read_only, np.asfortranarray(gram), real):
+            kept, writeable = matrix.tobytes(order="A"), matrix.flags.writeable
+            expect = np.ascontiguousarray(matrix, dtype=complex)
+            expect = (0.5 * (expect + expect.conj().T)).tobytes()
+            block = GramianBlock(np.arange(40), 0, 1.0, matrix)
+            assert block.matrix is not matrix and not np.shares_memory(block.matrix, matrix)
+            assert block.matrix.tobytes() == expect
+            assert matrix.tobytes(order="A") == kept
+            assert matrix.flags.writeable == writeable
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "non-hermitian"])
+    def test_rejected_block_keeps_its_input(self, fault):
+        # 300 modes are 12 row stacks: the fault sits in the last one, after every other stack
+        # has been checked
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+        matrix = a @ a.conj().T
+        matrix[-1, 3] = {"nan": np.nan, "inf": np.inf}.get(fault, 2.0 * matrix[-1, 3])
+        kept = matrix.tobytes()
+        with pytest.raises(NumericalConsistencyError):
+            GramianBlock(np.arange(300), 0, 1.0, matrix)
+        assert matrix.tobytes() == kept
+        assert matrix.flags.writeable
 
     def test_odd_frequencies_hold_no_negative_zero(self):
         # delta[n-1-i, n-1-j] and delta[j, i] round the same real number, but -0 - +0 is -0

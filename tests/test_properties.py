@@ -250,9 +250,11 @@ def test_block_check_is_the_one_shot_symmetrization_bytewise(n, fortran, seed):
     gram = a @ a.conj().T
     # hermitian to 1e-14 of its largest entry, so that the symmetrization moves bits
     matrix = gram + 1e-14 * np.max(np.abs(gram)) * dust
+    # before the block takes the C-ordered matrix and symmetrizes it in place
+    expect = (0.5 * (matrix + matrix.conj().T)).tobytes()
     block = GramianBlock(np.arange(n), 0, 1.0, np.asfortranarray(matrix) if fortran else matrix)
     assert block.matrix.flags.c_contiguous
-    assert block.matrix.tobytes() == (0.5 * (matrix + matrix.conj().T)).tobytes()
+    assert block.matrix.tobytes() == expect
 
 
 @st.composite
@@ -413,8 +415,7 @@ def _kept_random_field(grid, seed):
     steps=st.integers(100, 140),
     seed=st.integers(0, 2**32 - 1),
 )
-# named for the Simpson rule the verifier summed before its Gauss-Legendre rule
-def test_line_verifier_is_the_whole_grid_simpson_sum(
+def test_line_verifier_is_the_whole_grid_gauss_legendre_sum(
     direct_phase_verify, case, horizon, steps, seed
 ):
     phi, profile, params, orientation = case

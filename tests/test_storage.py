@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kpilab as kl
 from kpilab.experiments import random_field
+from kpilab.propagate import _STACK_BYTES
 from kpilab.storage import (
     eigenvalues_to_csv,
     field_to_csv,
@@ -124,3 +126,51 @@ def test_gramian_container_horizon_guard(tmp_path, profile_64, kp_params, horizo
     path.write_bytes(raw[: head - 8] + struct.pack("<d", horizon) + raw[head:])
     with pytest.raises(DimensionError, match="horizon"):
         read_gramian(path)
+
+
+def _struct_pairs(values) -> bytes:
+    """Little-endian ``(re, im)`` float64 pairs, one ``struct`` call per value."""
+    return b"".join(struct.pack("<dd", z.real, z.imag) for z in np.ravel(values).tolist())
+
+
+def test_containers_are_their_struct_built_bytes(tmp_path, rng, profile_64, kp_params):
+    for grid in (kl.TorusGrid(16), kl.TorusGrid(16, 4)):
+        field = random_field(grid, rng)
+        write_field(field, tmp_path / "f.bin")
+        head = struct.pack("<4sBBIII", b"KPIF", 1, grid.dimension, 16, grid.ny or 0, 8)
+        assert (tmp_path / "f.bin").read_bytes() == head + _struct_pairs(field.coeffs)
+
+    block = kl.assemble_observability_gramian(0.5, 3, -2, profile_64, kp_params)
+    write_gramian(block, tmp_path / "g.bin")
+    head = struct.pack("<4sBBiId", b"KPIM", 1, 0, -2, 6, 0.5)
+    indices = b"".join(struct.pack("<i", k) for k in block.indices.tolist())
+    assert (tmp_path / "g.bin").read_bytes() == head + indices + _struct_pairs(block.matrix)
+
+    grid = kl.TorusGrid(16, 4)
+    profile = kl.make_control_profile(np.pi / 4, 3 * np.pi / 4, "smooth-exp", kl.TorusGrid(16))
+    u0 = random_field(grid, rng, kmax=3, lmax=1)
+    traj = kl.synthesize_control(u0, u0 * 0.0, 1.0, profile, kp_params)
+    write_trajectory(traj, tmp_path / "t.bin")
+    expect = struct.pack("<4sBBIIId", b"KPIT", 1, 2, 16, 4, 256, 1.0)
+    expect += _struct_pairs(traj.phi_final.coeffs)
+    for t, sample in zip(traj.times.tolist(), traj.samples):
+        expect += struct.pack("<d", t) + _struct_pairs(sample)
+    assert (tmp_path / "t.bin").read_bytes() == expect
+
+
+def test_reading_a_gramian_allocates_one_matrix(tmp_path):
+    # the file's bytes, a slice of them and a converted copy once made three matrices
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    path = tmp_path / "g.bin"
+    write_gramian(kl.GramianBlock(np.arange(300), 0, 1.0, a @ a.conj().T), path)
+    read_gramian(path)
+    tracemalloc.start()
+    try:
+        back = read_gramian(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.matrix.shape == (300, 300) and not back.matrix.flags.writeable
+    # the matrix and the block check's row stacks
+    assert peak <= back.matrix.nbytes + 4 * _STACK_BYTES
